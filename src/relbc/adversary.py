@@ -56,29 +56,47 @@ class CausalModel:
         return k >= self.k0 + self.rho or (k >= self.k0 and (k - self.k0) % 2 == 0)
 
     def view(self, k: int, d: int, challenges: tuple[int, ...]) -> "CausalView":
-        known = {j: challenges[j - 1] for j in range(1, len(challenges) + 1)
-                 if self.challenge_visible(k, j)}
-        return CausalView(k, known.get(k), known,
+        return CausalView(self, k, challenges,
                           d if self.d_visible(k) else None)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CausalView:
-    """Everything a round function is allowed to read."""
+    """Everything a round function is allowed to read.
 
+    The view holds the whole challenge tuple but checks
+    CausalModel.challenge_visible on every read, so building one per round
+    costs O(1) instead of a dict of the O(m) visible challenges.  It is not
+    frozen, because a frozen dataclass costs about 1 us more to build and
+    one is built per round; a round function that rebinds its view's fields
+    changes nothing outside its own call.
+    """
+
+    model: CausalModel
     round_index: int
-    current: Optional[int]
-    known: dict[int, int]
+    challenges: tuple[int, ...]
     d: Optional[int]
 
+    @property
+    def current(self) -> Optional[int]:
+        k = self.round_index
+        return self.challenges[k - 1] if 1 <= k <= len(self.challenges) else None
+
+    @property
+    def known(self) -> dict[int, int]:
+        return {j: self.challenges[j - 1]
+                for j in range(1, len(self.challenges) + 1)
+                if self.model.challenge_visible(self.round_index, j)}
+
     def x(self, j: int) -> int:
-        if j not in self.known:
+        if not (1 <= j <= len(self.challenges)
+                and self.model.challenge_visible(self.round_index, j)):
             raise LookupError(
                 f"challenge x_{j} is not visible at round {self.round_index}")
-        return self.known[j]
+        return self.challenges[j - 1]
 
 
-RoundFn = Callable[[int, tuple[int, ...], CausalView, dict[int, int]], int]
+RoundFn = Callable[[int, tuple[int, ...], CausalView, dict], int]
 
 
 def compute_eta(spec: FieldSpec, d: int, challenges: tuple[int, ...],
@@ -106,7 +124,10 @@ class CheatStrategy:
     sign-flipped response; cache maps earlier rounds to their sign-flipped
     outputs so recursive constructions need not recompute the prefix.
     Compliant functions read only the view and cache; compliance is audited
-    by causality_check, which perturbs inputs outside the view.
+    by causality_check, which perturbs inputs outside the view.  The view
+    checks visibility when a challenge is read, and the tower rounds also
+    keep their carried eta in the per-call cache under a non-round key, so
+    evaluating a transcript costs O(m) field ops.
     """
 
     field: FieldSpec
@@ -134,14 +155,14 @@ class CheatStrategy:
         return self.params.n_challenges
 
     def _fill(self, upto: int, d: int, xs: tuple[int, ...],
-              cache: dict[int, int]) -> None:
+              cache: dict) -> None:
+        view, rounds = self.model.view, self.rounds
         for k in range(1, upto + 1):
             if k not in cache:
-                view = self.model.view(k, d, xs)
-                cache[k] = self.rounds[k - 1](d, xs, view, cache)
+                cache[k] = rounds[k - 1](d, xs, view(k, d, xs), cache)
 
     def respond(self, k: int, d: int, xs: tuple[int, ...],
-                cache: Optional[dict[int, int]] = None) -> int:
+                cache: Optional[dict] = None) -> int:
         """Actual (un-flipped) response at round k for the given challenges."""
         if cache is None:
             cache = {}
@@ -150,7 +171,7 @@ class CheatStrategy:
         return yt if k % 2 == 1 else self.field.neg(yt)
 
     def responses(self, d: int, xs: tuple[int, ...]) -> tuple[int, ...]:
-        cache: dict[int, int] = {}
+        cache: dict = {}
         n = len(self.rounds)
         self._fill(n, d, xs, cache)
         neg = self.field.neg
@@ -162,13 +183,25 @@ def _zero_round(d, xs, view, cache) -> int:
     return 0
 
 
+# Per-call cache key (not a round index) of the latest carried eta.
+_ETA_KEY = "eta"
+
+
 def _eta_at(spec: FieldSpec, prefix: int, view: CausalView,
-            cache: dict[int, int]) -> int:
+            cache: dict) -> int:
+    """eta of the first `prefix` rounds, carried forward as
+    eta_k = x_k * eta_{k-1} - ytilde_k from the latest value memoised in the
+    per-call cache, so a whole transcript costs O(m) field ops."""
     if view.d is None:
         raise LookupError(f"bit not yet known at round {view.round_index}")
-    challenges = tuple(view.x(j) for j in range(1, prefix + 1))
-    ytildes = tuple(cache[i] for i in range(1, prefix + 1))
-    return compute_eta(spec, view.d, challenges, ytildes)
+    k, eta = cache.get(_ETA_KEY, (0, view.d))
+    if k > prefix:
+        k, eta = 0, view.d
+    mul, sub = spec.mul, spec.sub
+    for j in range(k + 1, prefix + 1):
+        eta = sub(mul(view.x(j), eta), cache[j])
+    cache[_ETA_KEY] = (prefix, eta)
+    return eta
 
 
 def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,

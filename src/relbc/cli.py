@@ -164,7 +164,10 @@ def _gamma_for(ctx, config, spec) -> Fraction:
     raw = resolve(ctx, config, "gamma")
     if raw in (None, ""):
         return Fraction(1, spec.q)
-    return Fraction(raw)
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError:
+        raise ValueError(f"gamma {raw!r} has a zero denominator") from None
 
 
 def _game_result(spec, dist, method, restarts, max_iters, seed):

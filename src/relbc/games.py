@@ -141,47 +141,29 @@ def _score(spec: FieldSpec, s1, s2, w) -> int:
     return total
 
 
-def _greedy_best_s2(spec: FieldSpec, s1, w) -> tuple[tuple[int, ...], int]:
-    """Optimal player-2 table against a fixed s1, ties to the smallest index.
+def _greedy_best(spec: FieldSpec, other, w) -> tuple[tuple[int, ...], int]:
+    """Optimal table for one player against the other's fixed table.
+
+    Serves both players: the game is symmetric, as a + b = x*y with a
+    commutative product, so player 1 against s2 is player 2 against s1.  For
+    each own input y, the other player's input x makes b = x*y - other[x]
+    win, so w[x] goes into a Q-bucket score at that b; the answer is the
+    first maximum, i.e. ties go to the smallest index.  O(Q^2) field ops.
 
     Returns the table and the total integer score (weights squared scale).
     """
     q = spec.q
-    add, mul, sub = spec.add, spec.mul, spec.sub
-    s2 = []
+    mul, sub = spec.mul, spec.sub
+    table = []
     total = 0
     for y in range(q):
-        best_b, best_score = 0, -1
-        for b in range(q):
-            score = 0
-            for x in range(q):
-                # wins iff b = x*y - s1(x)
-                if b == sub(mul(x, y), s1[x]):
-                    score += w[x]
-            if score > best_score:
-                best_b, best_score = b, score
-        s2.append(best_b)
-        total += w[y] * best_score
-    return tuple(s2), total
-
-
-def _greedy_best_s1(spec: FieldSpec, s2, w) -> tuple[tuple[int, ...], int]:
-    q = spec.q
-    mul, sub = spec.mul, spec.sub
-    s1 = []
-    total = 0
-    for x in range(q):
-        best_a, best_score = 0, -1
-        for a in range(q):
-            score = 0
-            for y in range(q):
-                if a == sub(mul(x, y), s2[y]):
-                    score += w[y]
-            if score > best_score:
-                best_a, best_score = a, score
-        s1.append(best_a)
-        total += w[x] * best_score
-    return tuple(s1), total
+        score = [0] * q
+        for x in range(q):
+            score[sub(mul(x, y), other[x])] += w[x]
+        best = max(score)
+        table.append(score.index(best))
+        total += w[y] * best
+    return tuple(table), total
 
 
 def brute_force_value(dist: GameDist) -> GameValueResult:
@@ -201,7 +183,7 @@ def brute_force_value(dist: GameDist) -> GameValueResult:
     best_score = -1
     best_pair = None
     for s1 in itertools.product(range(q), repeat=q):
-        s2, score = _greedy_best_s2(spec, s1, w)
+        s2, score = _greedy_best(spec, s1, w)
         if score > best_score:
             best_score = score
             best_pair = (s1, s2)
@@ -221,6 +203,8 @@ def best_response_search(dist: GameDist, restarts: int = 8,
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     spec = dist.field
     q = spec.q
     w, den = dist.weights()
@@ -234,9 +218,9 @@ def best_response_search(dist: GameDist, restarts: int = 8,
         converged = False
         for _ in range(max_iters):
             prev = (s1, s2)
-            s2, _sc = _greedy_best_s2(spec, s1, w)
+            s2, _sc = _greedy_best(spec, s1, w)
             s1, s2 = _normalize(spec, s1, s2)
-            s1, score = _greedy_best_s1(spec, s2, w)
+            s1, score = _greedy_best(spec, s2, w)
             if (s1, s2) == prev:
                 converged = True
                 break

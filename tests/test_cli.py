@@ -68,6 +68,13 @@ def test_game_value_biased_gamma():
     assert json.loads(result.output)["result"]["value"] == "15/16"
 
 
+def test_game_value_zero_denominator_gamma_exits_config():
+    result = invoke("game-value", "--p", "2", "--n", "2", "--gamma", "1/0")
+    assert result.exit_code == cli.EXIT_CONFIG
+    assert result.stderr.startswith("error:")
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_game_value_capability_exit():
     result = invoke("game-value", "--p", "11", "--method", "brute")
     assert result.exit_code == 3

@@ -115,6 +115,14 @@ def test_best_response_search_deterministic():
     assert a.value == b.value and a.strategy == b.strategy
 
 
+def test_best_response_search_rejects_bad_counts():
+    dist = GameDist.uniform(GF2)
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        best_response_search(dist, restarts=0)
+    with pytest.raises(ValueError, match="max_iters must be >= 1"):
+        best_response_search(dist, max_iters=0)
+
+
 def test_search_value_is_feasible():
     dist = GameDist(GF4, Fraction(1, 2))
     r = best_response_search(dist, restarts=8, seed=1)
