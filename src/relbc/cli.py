@@ -272,25 +272,26 @@ def cmd_attack(ctx, config_path, p, n, modulus, m, variant, rho, k0, method,
         cheat = build_attack(spec, Variant(resolve(ctx, config, "variant")),
                              resolve(ctx, config, "m", int), model,
                              game_strategy)
-        report = make_report(cheat, method=resolve(ctx, config, "method"),
-                             samples=resolve(ctx, config, "samples", int),
-                             seed=resolve(ctx, config, "seed", int),
+        resolved = {"method": resolve(ctx, config, "method"),
+                    "samples": resolve(ctx, config, "samples", int),
+                    "seed": resolve(ctx, config, "seed", int)}
+        report = make_report(cheat, **resolved,
                              upper_c=resolve(ctx, config, "upper_c", float))
-        return spec, cheat, report
+        resolved["strategy"] = resolve(ctx, config, "strategy")
+        return spec, cheat, report, resolved
 
-    spec, cheat, report = _guard(run)
+    spec, cheat, report, resolved = _guard(run)
     data = {
         "schema": 1,
         "config": {"field": spec.describe(), "m": report.m,
                    "variant": report.variant.value, "rho": report.rho,
-                   "k0": report.k0, "method": method, "samples": samples,
-                   "seed": seed, "strategy": strategy, "lineage": cheat.lineage},
+                   "k0": report.k0, **resolved, "lineage": cheat.lineage},
         "report": report.to_dict(),
         "game_strategy": cheat.game_strategy.to_dict()
         if cheat.game_strategy else None,
     }
     if transcript_out:
-        rng = random.Random(f"{seed}:attack-transcripts")
+        rng = random.Random(f"{resolved['seed']}:attack-transcripts")
         params = cheat.params
         samples_list = []
         for _ in range(transcript_count):
@@ -343,28 +344,28 @@ def cmd_sweep(ctx, config_path, p, n, modulus, m_list, variant, rho, k0,
 
     def run():
         spec = _field_from(ctx, config)
-        model = CausalModel(resolve(ctx, config, "rho", int),
-                            resolve(ctx, config, "k0", int))
+        resolved = {"seed": resolve(ctx, config, "seed", int),
+                    "samples": resolve(ctx, config, "samples", int),
+                    "variant": resolve(ctx, config, "variant"),
+                    "rho": resolve(ctx, config, "rho", int),
+                    "k0": resolve(ctx, config, "k0", int)}
+        model = CausalModel(resolved["rho"], resolved["k0"])
         ms = parse_m_list(resolve(ctx, config, "m_list"))
         game_strategy = _plugged_strategy(ctx, config, spec, model)
         rows = trend_sweep(
-            spec, ms, game_strategy, model,
-            Variant(resolve(ctx, config, "variant")),
+            spec, ms, game_strategy, model, Variant(resolved["variant"]),
             exact_cap=resolve(ctx, config, "exact_cap", int),
-            samples=resolve(ctx, config, "samples", int),
-            seed=resolve(ctx, config, "seed", int),
+            samples=resolved["samples"], seed=resolved["seed"],
             upper_c=resolve(ctx, config, "upper_c", float))
-        return spec, rows
+        return spec, rows, resolved
 
-    spec, rows = _guard(run)
+    spec, rows, resolved = _guard(run)
     if fmt == "csv":
         write_sweep_csv(rows, out)
     else:
         with open(out, "w") as fh:
             json.dump({"schema": 1,
-                       "config": {"field": spec.describe(), "seed": seed,
-                                  "samples": samples, "variant": variant,
-                                  "rho": rho, "k0": k0},
+                       "config": {"field": spec.describe(), **resolved},
                        "rows": [r.to_dict() for r in rows]}, fh, indent=2)
     if rows:
         click.echo(f"rows: {len(rows)}  empirical upper constant c* = "

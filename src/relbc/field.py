@@ -5,20 +5,32 @@ coefficient vector (c_0, ..., c_{n-1}) (constant term first) has index
 sum(c_i * p^i).  Index order is the canonical element order used for
 enumeration, table indexing and serialization; index 0 is zero and
 index 1 is one.
+
+Every operation is a table lookup.  The constructor takes g, the first
+primitive element in index order (not necessarily t), and builds once:
+
+- exp/log tables: exp[k] is the index of g^k and log[i] the discrete
+  logarithm of i.  exp repeats with period Q-1 over its first 2(Q-1)
+  entries and ends in a zero tail; log[0] points into that tail, so that
+  mul(i, j) = exp[log[i] + log[j]] is 0 when i or j is, without a branch.
+- for odd p, the Zech logarithms Z(k) = log(1 + g^k), which give
+  g^a + g^b = g^(a + Z(b - a)) (Lidl & Niederreiter, *Finite Fields*,
+  ch. 2); for p = 2, addition is XOR of the indices.
+
+For odd p, negation is multiplication by -1 = g^((Q-1)/2); for p = 2 it is
+the identity.  Inverse and power read the logarithm directly.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from array import array
 from typing import Iterator, Sequence
 
 from .errors import FieldMismatchError
 
 MAX_FIELD_SIZE = 1 << 20
-
-# Beyond this size, operations fall back to digit arithmetic instead of
-# precomputed tables (the mul table is Q^2 entries).
-_TABLE_MAX_Q = 256
 
 # Reduction polynomials for common small fields, constant term first.
 CANONICAL_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
@@ -45,6 +57,17 @@ def is_prime(p: int) -> bool:
             return False
         f += 2
     return True
+
+
+def _prime_factors(k: int) -> list[int]:
+    out, f = [], 2
+    while f * f <= k:
+        if k % f == 0:
+            out.append(f)
+            while k % f == 0:
+                k //= f
+        f += 1
+    return out + [k] if k > 1 else out
 
 
 def _poly_trim(a: Sequence[int]) -> tuple[int, ...]:
@@ -79,25 +102,22 @@ def _poly_mod(a: Sequence[int], mod: Sequence[int], p: int) -> tuple[int, ...]:
     return _poly_trim(a)
 
 
-def _poly_is_irreducible(mod: Sequence[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree 1..deg/2."""
-    n = len(mod) - 1
-    if n == 1:
-        return True
-    for d in range(1, n // 2 + 1):
+def _poly_divisor(mod: Sequence[int], p: int) -> tuple[int, ...] | None:
+    """First monic divisor of degree 1..deg/2 in canonical order, by trial
+    division; None when mod is irreducible."""
+    for d in range(1, (len(mod) - 1) // 2 + 1):
         for lower in itertools.product(range(p), repeat=d):
             div = lower + (1,)
             if not _poly_mod(mod, div, p):
-                return False
-    return True
+                return div
+    return None
 
 
 def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     """First monic irreducible polynomial of degree n in canonical index order."""
     for idx in range(p ** n):
-        lower = _decode_digits(idx, p, n)
-        mod = lower + (1,)
-        if _poly_is_irreducible(mod, p):
+        mod = _decode_digits(idx, p, n) + (1,)
+        if _poly_divisor(mod, p) is None:
             return mod
     raise RuntimeError(f"no irreducible polynomial of degree {n} over Z_{p}")
 
@@ -117,13 +137,101 @@ def _encode_digits(coeffs: Sequence[int], p: int) -> int:
     return index
 
 
+def _first_primitive(p: int, n: int, mod: Sequence[int]) -> int:
+    """Index of the first element of multiplicative order p^n - 1."""
+    order = p ** n - 1
+    exponents = [order // r for r in _prime_factors(order)]
+
+    def power(a, k):
+        result = (1,)
+        while k:
+            if k & 1:
+                result = _poly_mod(_poly_mul(result, a, p), mod, p)
+            a = _poly_mod(_poly_mul(a, a, p), mod, p)
+            k >>= 1
+        return result
+
+    return next(g for g in range(1, order + 1)
+                if all(power(_decode_digits(g, p, n), e) != (1,)
+                       for e in exponents))
+
+
+def _powers(p: int, n: int, mod: Sequence[int]) -> Iterator[int]:
+    """Indices of g^0, g^1, ..., g^(Q-2) for g the first primitive element.
+
+    x*g is Z_p-linear in the digits of x.  An index is split into a low and
+    a high half, and each half's image is read from a table of packed digit
+    vectors: one w-bit slot per digit, wide enough to hold the sum of two
+    digits plus a guard bit.  The two images are added slot-wise mod p by
+    one integer addition and a guard-bit correction, and the sum is
+    unpacked to an index through one dictionary per half.  For p = 2 the
+    slots are single bits, the packed vector is the index and the sum is XOR.
+    """
+    order = p ** n - 1
+    g = _first_primitive(p, n, mod)
+    x = 1
+    if n == 1:
+        for _ in range(order):
+            yield x
+            x = x * g % p
+        return
+    if p == 2:
+        w, add = 1, operator.xor
+    else:
+        bits = (2 * p - 2).bit_length()
+        w = bits + 1
+        slots = sum(1 << w * i for i in range(n))
+        over, guard = slots * ((1 << bits) - p), slots << bits
+
+        def add(a, b):
+            s = a + b
+            return s - ((s + over & guard) >> bits) * p
+
+    def span(images):
+        """Packed image of every x < p^len(images), images[i] being that of p^i."""
+        table = [0]
+        for image in images:
+            multiples = [0]
+            for _ in range(p - 1):
+                multiples.append(add(multiples[-1], image))
+            table = [add(a, m) for m in multiples for a in table]
+        return table
+
+    gpoly = _decode_digits(g, p, n)
+    images = [sum(c << w * k for k, c in enumerate(
+        _poly_mod(_poly_mul((0,) * i + (1,), gpoly, p), mod, p)))
+        for i in range(n)]
+    h = n // 2
+    size = p ** h
+    lo, hi = span(images[:h]), span(images[h:])
+    if p == 2:
+        for _ in range(order):
+            yield x
+            x = lo[x % size] ^ hi[x // size]
+        return
+    units = [1 << w * i for i in range(n)]
+    unpack_lo = {v: y for y, v in enumerate(span(units[:h]))}
+    unpack_hi = {v: y * size for y, v in enumerate(span(units[:n - h]))}
+    low_mask = (1 << w * h) - 1
+    for _ in range(order):
+        yield x
+        s = add(lo[x % size], hi[x // size])
+        x = unpack_lo[s & low_mask] + unpack_hi[s >> w * h]
+
+
+def _table(size: int, top: int) -> array:
+    """Zeroed array of size unsigned entries wide enough to hold top."""
+    code = next(c for c in "BHIL" if top < 1 << 8 * array(c).itemsize)
+    return array(code, [0]) * size
+
+
 class FieldSpec:
     """Description of GF(p^n): characteristic, degree and reduction polynomial.
 
     Immutable after construction; all index-level operations are pure.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "_add", "_mul", "_neg", "_inv")
+    __slots__ = ("p", "n", "q", "modulus", "_exp", "_log", "_zech", "_log_neg1")
 
     def __init__(self, p: int, n: int = 1, modulus: Sequence[int] | None = None):
         if not is_prime(p):
@@ -139,8 +247,8 @@ class FieldSpec:
         if len(modulus) != n + 1 or modulus[-1] != 1:
             raise ValueError(
                 f"modulus must be monic of degree {n}, got {list(modulus)}")
-        if not _poly_is_irreducible(modulus, p):
-            witness = _irreducibility_witness(modulus, p)
+        witness = _poly_divisor(modulus, p)
+        if witness is not None:
             raise ValueError(
                 f"modulus {list(modulus)} is reducible over Z_{p}"
                 f" (divisible by {list(witness)})")
@@ -148,7 +256,26 @@ class FieldSpec:
         self.n = n
         self.q = q
         self.modulus = modulus
-        self._add = self._mul = self._neg = self._inv = None
+
+        order = q - 1
+        exp = _table(4 * order + 1, q - 1)
+        exp[:order] = array(exp.typecode, _powers(p, n, modulus))
+        exp[order:2 * order] = exp[:order]
+        log = _table(q, 2 * order)
+        for k, x in enumerate(exp[:order]):
+            log[x] = k
+        log[0] = 2 * order
+        self._exp = exp
+        self._log = log
+        self._log_neg1 = order // 2
+        self._zech = None
+        if p != 2:
+            # Z(k) = log(g^k + 1).  Adding 1 increments the constant-term
+            # (lowest) digit mod p: log[x + 1] at position x, except where
+            # that digit is p - 1 and wraps to 0.
+            log_succ = log[1:] + log[:1]
+            log_succ[p - 1::p] = log[::p]
+            self._zech = array(log.typecode, map(log_succ.__getitem__, exp[:order]))
 
     # -- identity ---------------------------------------------------------
 
@@ -173,87 +300,45 @@ class FieldSpec:
 
     # -- index-level arithmetic ------------------------------------------
 
-    def _ensure_tables(self) -> None:
-        if self._mul is not None or self.q > _TABLE_MAX_Q:
-            return
-        p, n, q, mod = self.p, self.n, self.q, self.modulus
-        polys = [_decode_digits(i, p, n) for i in range(q)]
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for i in range(q):
-            ci = polys[i]
-            for j in range(i, q):
-                cj = polys[j]
-                s = _encode_digits([(a + b) % p for a, b in zip(ci, cj)], p)
-                add[i][j] = add[j][i] = s
-                m = _encode_digits(
-                    _poly_mod(_poly_mul(ci, cj, p), mod, p) + (0,) * n, p)
-                mul[i][j] = mul[j][i] = m
-        self._neg = [_encode_digits([(-c) % p for c in cp], p) for cp in polys]
-        self._add = add
-        self._mul = mul
-        self._inv = [0] * q
-        for i in range(1, q):
-            self._inv[i] = self._pow_slow(i, q - 2)
-
     def add(self, i: int, j: int) -> int:
-        self._ensure_tables()
-        if self._add is not None:
-            return self._add[i][j]
-        p = self.p
-        a = _decode_digits(i, p, self.n)
-        b = _decode_digits(j, p, self.n)
-        return _encode_digits([(x + y) % p for x, y in zip(a, b)], p)
+        zech = self._zech
+        if zech is None:
+            return i ^ j
+        if not i:
+            return j
+        if not j:
+            return i
+        # g^a + g^b = g^(a + Z(b - a)); a negative b - a indexes zech from
+        # its end, which is b - a mod Q-1.
+        log = self._log
+        a = log[i]
+        return self._exp[a + zech[log[j] - a]]
 
     def neg(self, i: int) -> int:
-        self._ensure_tables()
-        if self._neg is not None:
-            return self._neg[i]
-        p = self.p
-        return _encode_digits([(-c) % p for c in _decode_digits(i, p, self.n)], p)
+        if self._zech is None:
+            return i
+        return self._exp[self._log[i] + self._log_neg1]
 
     def sub(self, i: int, j: int) -> int:
+        if self._zech is None:
+            return i ^ j
         return self.add(i, self.neg(j))
 
     def mul(self, i: int, j: int) -> int:
-        self._ensure_tables()
-        if self._mul is not None:
-            return self._mul[i][j]
-        p, n = self.p, self.n
-        a = _decode_digits(i, p, n)
-        b = _decode_digits(j, p, n)
-        r = _poly_mod(_poly_mul(a, b, p), self.modulus, p)
-        return _encode_digits(r + (0,) * n, p)
+        log = self._log
+        return self._exp[log[i] + log[j]]
 
     def inv(self, i: int) -> int:
         if i == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        self._ensure_tables()
-        if self._inv is not None:
-            return self._inv[i]
-        return self._pow_slow(i, self.q - 2)
-
-    def _pow_slow(self, i: int, k: int) -> int:
-        result = 1
-        base = i
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        return self._exp[self.q - 1 - self._log[i]]
 
     def pow(self, i: int, k: int) -> int:
         if k < 0:
             i, k = self.inv(i), -k
-        result = 1
-        base = i
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        if not i:
+            return 0 if k else 1
+        return self._exp[self._log[i] * k % (self.q - 1)]
 
     # -- elements ---------------------------------------------------------
 
@@ -283,16 +368,6 @@ class FieldSpec:
     def sample(self, rng) -> "FieldElement":
         """Uniform element drawn from a caller-owned random.Random."""
         return FieldElement(self, rng.randrange(self.q))
-
-
-def _irreducibility_witness(mod: Sequence[int], p: int) -> tuple[int, ...]:
-    n = len(mod) - 1
-    for d in range(1, n // 2 + 1):
-        for lower in itertools.product(range(p), repeat=d):
-            div = lower + (1,)
-            if not _poly_mod(mod, div, p):
-                return div
-    raise RuntimeError("polynomial is irreducible")
 
 
 class FieldElement:

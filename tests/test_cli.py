@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, config precedence, exit codes."""
 
 import json
+import time
 
 from click.testing import CliRunner
 
@@ -41,6 +42,17 @@ def test_field_check_ok():
     data = json.loads(result.output)
     assert data["schema"] == 1 and data["ok"] is True
     assert data["config"]["field"] == {"p": 2, "n": 2, "modulus": [1, 1, 1]}
+
+
+def test_field_check_large_field_within_budget():
+    # The Frobenius check raises every element to the power Q; at Q = 2^16
+    # that took ~30 s by repeated squaring and is a log-table read now.
+    start = time.perf_counter()
+    result = invoke("field-check", "--p", "2", "--n", "16", "--triples", "1000")
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 0
+    assert json.loads(result.output)["ok"] is True
+    assert elapsed < 5.0
 
 
 def test_field_check_bad_field_exits_config():
@@ -142,6 +154,65 @@ def test_config_file_and_flag_precedence(tmp_path):
     # explicit flag wins over the config file
     result = invoke("attack", "--config", str(cfg), "--m", "6")
     assert json.loads(result.output)["report"]["m"] == 6
+
+
+def _replay_config(tmp_path, name, config):
+    """Config file holding an emitted JSON config, field flattened."""
+    lines = [f"{key} = {value}" for key, value in config["field"].items()
+             if key != "modulus"]
+    lines.append("modulus = " + ",".join(map(str, config["field"]["modulus"])))
+    lines += [f"{key} = {value}" for key, value in config.items()
+              if key not in ("field", "lineage")]
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_attack_records_resolved_config_and_replays(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 2\nm = 6\nvariant = symmetrized\n"
+                   "method = mc\nseed = 9\nsamples = 1000\n")
+    tpath = tmp_path / "transcripts.json"
+    result = invoke("attack", "--config", str(cfg),
+                    "--transcript-out", str(tpath))
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    config = data["config"]
+    assert (config["method"], config["seed"], config["samples"]) == ("mc", 9, 1000)
+    assert config["strategy"] == "brute"
+    estimate = data["report"]["estimate"]
+    assert (estimate["seed"], estimate["samples"]) == (9, 1000)
+    replay = invoke("attack", "--config",
+                    _replay_config(tmp_path, "replay.cfg", config))
+    assert json.loads(replay.output)["report"] == data["report"]
+    # the transcript stream follows the resolved seed, as if given by flag
+    tflag = tmp_path / "flag.json"
+    invoke("attack", "--p", "2", "--m", "6", "--variant", "symmetrized",
+           "--method", "mc", "--seed", "9", "--samples", "1000",
+           "--transcript-out", str(tflag))
+    assert tpath.read_text() == tflag.read_text()
+
+
+def test_sweep_json_records_resolved_config_and_replays(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("p = 2\nm_list = 4..6\nexact_cap = 16\nseed = 9\n"
+                   "samples = 500\nvariant = symmetrized\nrho = 2\nk0 = 1\n")
+    out = tmp_path / "sweep.json"
+    result = invoke("sweep", "--config", str(cfg), "--format", "json",
+                    "--out", str(out))
+    assert result.exit_code == 0
+    data = json.loads(out.read_text())
+    config = data["config"]
+    assert {k: config[k] for k in ("seed", "samples", "variant", "rho", "k0")} \
+        == {"seed": 9, "samples": 500, "variant": "symmetrized", "rho": 2, "k0": 1}
+    assert any(row["mc"] is not None for row in data["rows"])
+    replay_out = tmp_path / "replay.json"
+    replay_cfg = _replay_config(tmp_path, "replay.cfg", config)
+    with open(replay_cfg, "a") as fh:
+        fh.write("m_list = 4..6\nexact_cap = 16\n")
+    invoke("sweep", "--config", replay_cfg, "--format", "json",
+           "--out", str(replay_out))
+    assert json.loads(replay_out.read_text()) == data
 
 
 def test_sweep_csv(tmp_path):
