@@ -2,9 +2,12 @@
 
 Exact probabilities are uniform averages over the committed bit and all
 challenge vectors, computed as rationals.  Monte Carlo estimates come with
-exact binomial (Clopper-Pearson) confidence intervals.  The bound formulas
-are the tower lower bound 1 - (1/2)*((1-1/Q)(1-w))^floor((m-k0-1)/(rho+1))
-and the heuristic upper comparison 1/2 + c*m/sqrt(Q).
+exact binomial (Clopper-Pearson) confidence intervals, whose endpoints are
+beta quantiles found by inverting the regularized incomplete beta function
+I_x(a, b): a Lentz continued fraction evaluates the tail and safeguarded
+Halley steps solve for x.  The bound formulas are the tower lower bound
+1 - (1/2)*((1-1/Q)(1-w))^floor((m-k0-1)/(rho+1)) and the heuristic upper
+comparison 1/2 + c*m/sqrt(Q).
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-from scipy.stats import beta as _beta
 
 from .adversary import CausalModel, CheatStrategy, build_attack, tower_gamma
 from .errors import CapabilityError
@@ -59,13 +60,168 @@ def exact_cheat_probability(strategy: CheatStrategy,
     return Fraction(wins, total)
 
 
+_TINY = 1e-300
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+_CF_EPS = 1e-15
+_CF_MAX_TERMS = 100000
+# After a Halley step of relative size s the error is O(s^3): stop there
+_STEP_RTOL = 1e-5
+_QUANTILE_MAX_STEPS = 200
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b).
+
+    For b >= 50, lgamma(b) - lgamma(a + b) comes from Stirling's series
+    (truncation error < 1e-18), so it does not lose the ~1e-16 * lgamma(b)
+    that subtracting two large lgamma values would.
+    """
+    if a > b:
+        a, b = b, a
+    if b < 50.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+    def corr(z):  # lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2)
+        r = 1.0 / (z * z)
+        return (1.0 / 12 - r * (1.0 / 360 - r * (1.0 / 1260 - r / 1680))) / z
+
+    return (math.lgamma(a) - (b - 0.5) * math.log1p(a / b) - a * math.log(a + b)
+            + a + corr(b) - corr(a + b))
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """h with I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * h: the continued
+    fraction, by the modified Lentz method.
+
+    Converges quickly for x < (a+1)/(a+b+2) (Numerical Recipes, betacf).
+    """
+    apb, ap1, am1 = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - apb * x / ap1
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h = d
+    for m in range(1, _CF_MAX_TERMS):
+        m2 = m + m
+        num = m * (b - m) * x / ((am1 + m2) * (a + m2))
+        d = 1.0 + num * d
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = 1.0 + num / c
+        if abs(c) < _TINY:
+            c = _TINY
+        h *= d * c
+        num = -(a + m) * (apb + m) * x / ((a + m2) * (ap1 + m2))
+        d = 1.0 + num * d
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = 1.0 + num / c
+        if abs(c) < _TINY:
+            c = _TINY
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _CF_EPS:
+            return h
+    raise ArithmeticError(f"incomplete beta continued fraction did not converge"
+                          f" for a={a}, b={b}, x={x}")
+
+
+def _beta_quantile(p: float, a: float, b: float, upper: bool) -> float:
+    """x with I_x(a, b) = p, or with 1 - I_x(a, b) = p when upper; a, b >= 1.
+
+    The requested tail T is evaluated on the side of the continued
+    fraction's split, so a small T is never the difference of two numbers
+    near 1.  Halley steps on log T - log p (log T is concave: the beta
+    density is log-concave for a, b >= 1) start from the Numerical Recipes
+    invbetai guess, or deep in a tail from the tail's leading term (where
+    that guess can be off by orders of magnitude), and stay inside a bracket
+    updated from the sign of the residual; a step that leaves the bracket is
+    replaced by bisection.
+    """
+    log_beta = _log_beta(a, b)
+    # Deep in a tail, T ~ x^a / (a B(a, b)) (lower) or (1-x)^b / (b B(a, b))
+    # (upper); trust that form while the first neglected term is small.
+    if upper:
+        edge = math.exp((math.log(p * b) + log_beta) / b)
+        x = 1.0 - edge
+        far = (a - 1.0) * edge < 0.1
+    else:
+        x = edge = math.exp((math.log(p * a) + log_beta) / a)
+        far = (b - 1.0) * edge < 0.1
+    if not far:
+        # z: the normal deviate of the upper tail at x (NR's sign convention)
+        t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+        z = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t
+        if (p < 0.5) != upper:
+            z = -z
+        al = (z * z - 3.0) / 6.0
+        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
+        w = (z * math.sqrt(al + h) / h
+             - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0))
+             * (al + 5.0 / 6.0 - 2.0 / (3.0 * h)))
+        x = a / (a + b * math.exp(min(2.0 * w, 700.0)))
+    x = min(max(x, _TINY), _BELOW_ONE)
+
+    log_p = math.log(p)
+    split = (a + 1.0) / (a + b + 2.0)
+    lo, hi = 0.0, 1.0
+    for _ in range(_QUANTILE_MAX_STEPS):
+        # front = x^a (1-x)^b / B(a, b); the density is front / (x (1-x))
+        log_front = a * math.log(x) + b * math.log1p(-x) - log_beta
+        if x < split:
+            near, cf = not upper, _beta_cf(a, b, x) / a
+        else:
+            near, cf = upper, _beta_cf(b, a, 1.0 - x) / b
+        if near:  # T = front * cf
+            log_tail = log_front + math.log(cf)
+            slope = 1.0 / (x * (1.0 - x) * cf)
+        else:  # T = 1 - front * cf
+            front = math.exp(log_front)
+            tail = 1.0 - front * cf
+            log_tail = math.log(tail)
+            slope = front / (x * (1.0 - x) * tail)
+        if upper:
+            slope = -slope  # d log T / dx
+        residual = log_tail - log_p
+        if residual == 0.0:
+            return x
+        if (residual > 0.0) != upper:
+            hi = x
+        else:
+            lo = x
+        if slope != 0.0:
+            step = residual / slope  # Newton's step
+            # log-density slope minus d log T / dx, from the second derivative
+            bend = (a - 1.0) / x - (b - 1.0) / (1.0 - x) - slope
+            halley = x - step / (1.0 - 0.5 * min(1.0, step * bend))
+            if abs(step) <= max(_STEP_RTOL * min(x, 1.0 - x), math.ulp(x)):
+                return min(max(halley, lo), hi)
+            if lo < halley < hi:
+                x = halley
+                continue
+        x = 0.5 * (lo + hi)
+        if not lo < x < hi:  # no float left inside the bracket
+            return x
+    raise ArithmeticError(f"beta quantile did not converge for p={p}, a={a},"
+                          f" b={b}")
+
+
 def clopper_pearson(wins: int, samples: int, confidence: float = 0.99
                     ) -> tuple[float, float]:
-    """Exact binomial two-sided confidence interval."""
-    alpha = 1.0 - confidence
-    lo = 0.0 if wins == 0 else float(_beta.ppf(alpha / 2, wins, samples - wins + 1))
-    hi = 1.0 if wins == samples else float(
-        _beta.ppf(1 - alpha / 2, wins + 1, samples - wins))
+    """Exact binomial two-sided confidence interval (Clopper & Pearson 1934).
+
+    The endpoints are the alpha/2 lower quantile of Beta(wins, samples-wins+1)
+    and the alpha/2 upper quantile of Beta(wins+1, samples-wins), with
+    alpha = 1 - confidence; they are 0 and 1 at wins = 0 and wins = samples.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not 0 <= wins <= samples:
+        raise ValueError(f"wins must lie in [0, {samples}], got {wins}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    tail = (1.0 - confidence) / 2
+    lo = 0.0 if wins == 0 else _beta_quantile(
+        tail, wins, samples - wins + 1, upper=False)
+    hi = 1.0 if wins == samples else _beta_quantile(
+        tail, wins + 1, samples - wins, upper=True)
     return lo, hi
 
 

@@ -221,19 +221,25 @@ def cmd_game_value(ctx, config_path, p, n, modulus, gamma, method, restarts,
     _emit(data, out)
 
 
-def _plugged_strategy(ctx, config, spec, model):
+def _strategy_inputs(ctx, config) -> dict:
+    """Resolved inputs of the plugged game strategy, for the JSON config."""
+    return {"strategy": resolve(ctx, config, "strategy"),
+            "strategy_file": resolve(ctx, config, "strategy_file"),
+            "restarts": resolve(ctx, config, "restarts", int)}
+
+
+def _plugged_strategy(spec, model, resolved: dict):
     """Game strategy for the tower's windowed input distribution."""
-    source = resolve(ctx, config, "strategy")
+    source = resolved["strategy"]
     dist = GameDist(spec, tower_gamma(spec, model))
     if source == "file":
-        path = resolve(ctx, config, "strategy_file")
+        path = resolved["strategy_file"]
         if not path:
             raise ValueError("--strategy-file is required with --strategy file")
         with open(path) as fh:
             return DetStrategy.from_dict(json.load(fh))
     result = _game_result(spec, dist, "brute" if source == "brute" else "search",
-                          resolve(ctx, config, "restarts", int),
-                          200, resolve(ctx, config, "seed", int))
+                          resolved["restarts"], 200, resolved["seed"])
     return result.strategy
 
 
@@ -268,16 +274,18 @@ def cmd_attack(ctx, config_path, p, n, modulus, m, variant, rho, k0, method,
         spec = _field_from(ctx, config)
         model = CausalModel(resolve(ctx, config, "rho", int),
                             resolve(ctx, config, "k0", int))
-        game_strategy = _plugged_strategy(ctx, config, spec, model)
+        resolved = {"method": resolve(ctx, config, "method"),
+                    "samples": resolve(ctx, config, "samples", int),
+                    "seed": resolve(ctx, config, "seed", int),
+                    **_strategy_inputs(ctx, config),
+                    "upper_c": resolve(ctx, config, "upper_c", float)}
+        game_strategy = _plugged_strategy(spec, model, resolved)
         cheat = build_attack(spec, Variant(resolve(ctx, config, "variant")),
                              resolve(ctx, config, "m", int), model,
                              game_strategy)
-        resolved = {"method": resolve(ctx, config, "method"),
-                    "samples": resolve(ctx, config, "samples", int),
-                    "seed": resolve(ctx, config, "seed", int)}
-        report = make_report(cheat, **resolved,
-                             upper_c=resolve(ctx, config, "upper_c", float))
-        resolved["strategy"] = resolve(ctx, config, "strategy")
+        report = make_report(cheat, method=resolved["method"],
+                             samples=resolved["samples"], seed=resolved["seed"],
+                             upper_c=resolved["upper_c"])
         return spec, cheat, report, resolved
 
     spec, cheat, report, resolved = _guard(run)
@@ -344,19 +352,22 @@ def cmd_sweep(ctx, config_path, p, n, modulus, m_list, variant, rho, k0,
 
     def run():
         spec = _field_from(ctx, config)
-        resolved = {"seed": resolve(ctx, config, "seed", int),
+        ms = parse_m_list(resolve(ctx, config, "m_list"))
+        resolved = {"m_list": ",".join(map(str, ms)),
+                    "seed": resolve(ctx, config, "seed", int),
                     "samples": resolve(ctx, config, "samples", int),
                     "variant": resolve(ctx, config, "variant"),
                     "rho": resolve(ctx, config, "rho", int),
-                    "k0": resolve(ctx, config, "k0", int)}
+                    "k0": resolve(ctx, config, "k0", int),
+                    "exact_cap": resolve(ctx, config, "exact_cap", int),
+                    **_strategy_inputs(ctx, config),
+                    "upper_c": resolve(ctx, config, "upper_c", float)}
         model = CausalModel(resolved["rho"], resolved["k0"])
-        ms = parse_m_list(resolve(ctx, config, "m_list"))
-        game_strategy = _plugged_strategy(ctx, config, spec, model)
+        game_strategy = _plugged_strategy(spec, model, resolved)
         rows = trend_sweep(
             spec, ms, game_strategy, model, Variant(resolved["variant"]),
-            exact_cap=resolve(ctx, config, "exact_cap", int),
-            samples=resolved["samples"], seed=resolved["seed"],
-            upper_c=resolve(ctx, config, "upper_c", float))
+            exact_cap=resolved["exact_cap"], samples=resolved["samples"],
+            seed=resolved["seed"], upper_c=resolved["upper_c"])
         return spec, rows, resolved
 
     spec, rows, resolved = _guard(run)

@@ -2,11 +2,15 @@
 
 import csv
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import relbc
 from relbc import (
     CausalModel,
     CheatStrategy,
@@ -59,6 +63,76 @@ def test_clopper_pearson_known_values():
     lo99, hi99 = clopper_pearson(50, 100, confidence=0.99)
     lo90, hi90 = clopper_pearson(50, 100, confidence=0.90)
     assert lo99 < lo90 and hi90 < hi99
+
+
+@pytest.mark.parametrize("args", [(5, 3), (-1, 10), (11, 10), (0, 0),
+                                  (3, 10, 1.5), (3, 10, 0.0), (3, 10, 1.0),
+                                  (3, 10, -0.5), (3, 10, float("nan"))])
+def test_clopper_pearson_rejects_bad_input(args):
+    with pytest.raises(ValueError):
+        clopper_pearson(*args)
+
+
+def _binomial_cdf(n, k, x: Fraction) -> Fraction:
+    """P(Bin(n, x) <= k), exactly."""
+    num, den = x.numerator, x.denominator
+    return Fraction(sum(math.comb(n, j) * num ** j * (den - num) ** (n - j)
+                        for j in range(k + 1)), den ** n)
+
+
+def _crosses(f, x: float, level: Fraction) -> bool:
+    """f (monotone) passes level between x (1 - 1e-9) and x (1 + 1e-9)."""
+    nudge = Fraction(1, 10 ** 9)
+    below, above = f(Fraction(x) * (1 - nudge)), f(Fraction(x) * (1 + nudge))
+    return min(below, above) < level < max(below, above)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30, 200])
+def test_clopper_pearson_against_exact_binomial_tail(n):
+    """Each endpoint solves its binomial tail equation to 1e-9 relative:
+    P(X >= wins | lo) = alpha/2 and P(X <= wins | hi) = alpha/2."""
+    grid = {0, 1, 2, n // 3, n // 2, n - 2, n - 1, n}
+    for confidence in (0.5, 0.9, 0.99, 1 - 1e-6, 1 - 1e-10):
+        half = (1 - Fraction(confidence)) / 2
+        for wins in sorted(w for w in grid if 0 <= w <= n):
+            case = (wins, n, confidence)
+            lo, hi = clopper_pearson(wins, n, confidence)
+            if wins == 0:
+                assert lo == 0.0
+            else:
+                assert _crosses(lambda x: 1 - _binomial_cdf(n, wins - 1, x),
+                                lo, half), case
+            if wins == n:
+                assert hi == 1.0
+            else:
+                assert _crosses(lambda x: _binomial_cdf(n, wins, x),
+                                hi, half), case
+
+
+@pytest.mark.parametrize("n", [100, 200, 10 ** 4, 10 ** 5])
+def test_clopper_pearson_matches_scipy(n):
+    stats = pytest.importorskip("scipy.stats")
+    for confidence in (0.9, 0.99, 1 - 1e-6):
+        alpha = 1 - confidence
+        for wins in (0, 1, n // 2, n - 78, n - 1, n):
+            lo = 0.0 if wins == 0 else stats.beta.ppf(alpha / 2, wins,
+                                                      n - wins + 1)
+            hi = 1.0 if wins == n else stats.beta.ppf(1 - alpha / 2, wins + 1,
+                                                      n - wins)
+            assert clopper_pearson(wins, n, confidence) == pytest.approx(
+                (lo, hi), rel=1e-9, abs=0), (wins, n, confidence)
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(relbc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, relbc, relbc.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_mc_estimate_deterministic_per_seed():

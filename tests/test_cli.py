@@ -157,12 +157,16 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 
 def _replay_config(tmp_path, name, config):
-    """Config file holding an emitted JSON config, field flattened."""
+    """Config file holding an emitted JSON config, field flattened.
+
+    A config file has no null; an input recorded as null is left out, which
+    leaves it at its default.
+    """
     lines = [f"{key} = {value}" for key, value in config["field"].items()
              if key != "modulus"]
     lines.append("modulus = " + ",".join(map(str, config["field"]["modulus"])))
     lines += [f"{key} = {value}" for key, value in config.items()
-              if key not in ("field", "lineage")]
+              if key not in ("field", "lineage") and value is not None]
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return str(path)
@@ -193,6 +197,23 @@ def test_attack_records_resolved_config_and_replays(tmp_path):
     assert tpath.read_text() == tflag.read_text()
 
 
+def test_attack_config_records_strategy_inputs_and_upper_c(tmp_path):
+    result = invoke("attack", "--p", "2", "--m", "4", "--upper-c", "2.5")
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    config = data["config"]
+    assert {k: config[k] for k in ("strategy", "strategy_file", "restarts",
+                                   "upper_c")} == {
+        "strategy": "brute", "strategy_file": None, "restarts": 64,
+        "upper_c": 2.5}
+    replay = invoke("attack", "--config",
+                    _replay_config(tmp_path, "replay.cfg", config))
+    assert replay.exit_code == 0
+    replayed = json.loads(replay.output)
+    assert replayed["report"]["upper_c"] == 2.5
+    assert replayed == data
+
+
 def test_sweep_json_records_resolved_config_and_replays(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("p = 2\nm_list = 4..6\nexact_cap = 16\nseed = 9\n"
@@ -205,13 +226,17 @@ def test_sweep_json_records_resolved_config_and_replays(tmp_path):
     config = data["config"]
     assert {k: config[k] for k in ("seed", "samples", "variant", "rho", "k0")} \
         == {"seed": 9, "samples": 500, "variant": "symmetrized", "rho": 2, "k0": 1}
+    assert {k: config[k] for k in ("m_list", "exact_cap", "strategy",
+                                   "strategy_file", "restarts", "upper_c")} \
+        == {"m_list": "4,5,6", "exact_cap": 16, "strategy": "brute",
+            "strategy_file": None, "restarts": 64, "upper_c": 1.0}
+    assert parse_m_list(config["m_list"]) == [4, 5, 6]
     assert any(row["mc"] is not None for row in data["rows"])
     replay_out = tmp_path / "replay.json"
-    replay_cfg = _replay_config(tmp_path, "replay.cfg", config)
-    with open(replay_cfg, "a") as fh:
-        fh.write("m_list = 4..6\nexact_cap = 16\n")
-    invoke("sweep", "--config", replay_cfg, "--format", "json",
-           "--out", str(replay_out))
+    replay = invoke("sweep", "--config",
+                    _replay_config(tmp_path, "replay.cfg", config),
+                    "--format", "json", "--out", str(replay_out))
+    assert replay.exit_code == 0
     assert json.loads(replay_out.read_text()) == data
 
 
