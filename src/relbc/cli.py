@@ -200,19 +200,18 @@ def cmd_game_value(ctx, config_path, p, n, modulus, gamma, method, restarts,
     def run():
         spec = _field_from(ctx, config)
         g = _gamma_for(ctx, config, spec)
-        dist = GameDist(spec, g)
-        result = _game_result(spec, dist,
-                              resolve(ctx, config, "method"),
-                              resolve(ctx, config, "restarts", int),
-                              resolve(ctx, config, "max_iters", int),
-                              resolve(ctx, config, "seed", int))
-        return spec, g, result
+        resolved = {"method": resolve(ctx, config, "method"),
+                    "restarts": resolve(ctx, config, "restarts", int),
+                    "max_iters": resolve(ctx, config, "max_iters", int),
+                    "seed": resolve(ctx, config, "seed", int)}
+        result = _game_result(spec, GameDist(spec, g), **resolved)
+        return spec, g, result, resolved
 
-    spec, g, result = _guard(run)
+    spec, g, result, resolved = _guard(run)
     data = {
         "schema": 1,
-        "config": {"field": spec.describe(), "gamma": str(g),
-                   "method": result.method, "meta": result.meta},
+        "config": {"field": spec.describe(), "gamma": str(g), **resolved,
+                   "meta": result.meta},
         "result": result.to_dict(),
     }
     if strategy_out:

@@ -243,8 +243,16 @@ def _normalize(spec: FieldSpec, s1, s2):
             tuple(spec.sub(b, c) for b in s2))
 
 
-def _idx(v) -> int:
-    return v.index if isinstance(v, FieldElement) else int(v)
+def _idx(spec: FieldSpec, v) -> int:
+    """Canonical index of a shift given as an index or an element of spec."""
+    if isinstance(v, FieldElement):
+        if v.field != spec:
+            raise FieldMismatchError(f"shift {v} is not an element of {spec}")
+        return v.index
+    i = int(v)
+    if not 0 <= i < spec.q:
+        raise ValueError(f"shift {v!r} is not an element index of {spec}")
+    return i
 
 
 def shift_strategy(strategy: DetStrategy, u, v) -> DetStrategy:
@@ -252,10 +260,11 @@ def shift_strategy(strategy: DetStrategy, u, v) -> DetStrategy:
 
     The new tables are s1'(x) = s1(x+u) - x*v and
     s2'(y) = s2(y+v) - y*u - u*v; the shifted pair wins on (x, y) exactly
-    when the original wins on (x+u, y+v).
+    when the original wins on (x+u, y+v).  u and v are element indices in
+    [0, Q) or FieldElements of the strategy's field.
     """
     spec = strategy.field
-    u, v = _idx(u), _idx(v)
+    u, v = _idx(spec, u), _idx(spec, v)
     add, sub, mul = spec.add, spec.sub, spec.mul
     uv = mul(u, v)
     s1 = tuple(sub(strategy.s1[add(x, u)], mul(x, v)) for x in range(spec.q))
@@ -274,17 +283,37 @@ class BestShift(NamedTuple):
 def best_shift(strategy: DetStrategy, dist: GameDist) -> BestShift:
     """Best translate of a strategy under a (typically biased) distribution.
 
-    Enumerates all Q^2 shifts; since the average of the shifted values over
-    (u, v) equals the uniform winning probability, the maximum is at least
-    the uniform value of the input strategy.
+    The (u, v) translate wins on (x, y) exactly when the input wins on
+    (x+u, y+v) (see shift_strategy), so it is scored from the input's win
+    set W = {(a, b) : s1[a] + s2[b] = a*b} alone.  With integer weights
+    w[0] = A and w[x] = B for x != 0, its score is
+    B^2*|W| + B*(A-B)*(r_u + c_v) + (A-B)^2*[(u, v) in W], where r_u and c_v
+    count W's elements in row u and column v.  Building W takes Q^2 field
+    ops and scoring all Q^2 translates O(Q^2) integer ops; only the winner
+    is shifted.  Ties go to the first maximum in row-major (u, v) order.
+    Since the average of the shifted values over (u, v) equals the uniform
+    winning probability, the maximum is at least the uniform value of the
+    input strategy.
     """
     _check_same_field(strategy.field, dist.field)
-    q = strategy.field.q
-    best = None
+    spec = strategy.field
+    q = spec.q
+    add, mul = spec.add, spec.mul
+    s1, s2 = strategy.s1, strategy.s2
+    wins = [[add(s1[a], s2[b]) == mul(a, b) for b in range(q)]
+            for a in range(q)]
+    rows = [sum(row) for row in wins]
+    cols = [sum(col) for col in zip(*wins)]
+    w, den = dist.weights()
+    zero, other = w[0], w[1]
+    base = other * other * sum(rows)
+    cross, corner = other * (zero - other), (zero - other) ** 2
+    best_score, best_u, best_v = -1, 0, 0
     for u in range(q):
+        row_u, base_u = wins[u], base + cross * rows[u]
         for v in range(q):
-            shifted = shift_strategy(strategy, u, v)
-            value = win_probability(shifted, dist)
-            if best is None or value > best.value:
-                best = BestShift(u, v, shifted, value)
-    return best
+            score = base_u + cross * cols[v] + corner * row_u[v]
+            if score > best_score:
+                best_score, best_u, best_v = score, u, v
+    return BestShift(best_u, best_v, shift_strategy(strategy, best_u, best_v),
+                     Fraction(best_score, den * den))

@@ -166,7 +166,7 @@ def _replay_config(tmp_path, name, config):
              if key != "modulus"]
     lines.append("modulus = " + ",".join(map(str, config["field"]["modulus"])))
     lines += [f"{key} = {value}" for key, value in config.items()
-              if key not in ("field", "lineage") and value is not None]
+              if key not in ("field", "lineage", "meta") and value is not None]
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return str(path)
@@ -238,6 +238,53 @@ def test_sweep_json_records_resolved_config_and_replays(tmp_path):
                     "--format", "json", "--out", str(replay_out))
     assert replay.exit_code == 0
     assert json.loads(replay_out.read_text()) == data
+
+
+def _assert_replays(tmp_path, command, data):
+    """Feeding the emitted config back reproduces the whole output."""
+    replay = invoke(command, "--config",
+                    _replay_config(tmp_path, "replay.cfg", data["config"]))
+    assert replay.exit_code == 0, replay.stderr
+    assert json.loads(replay.output) == data
+
+
+def test_game_value_brute_records_method_and_replays(tmp_path):
+    result = invoke("game-value", "--p", "3", "--gamma", "1/2")
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    config = data["config"]
+    assert {k: config[k] for k in ("gamma", "method", "restarts", "max_iters",
+                                   "seed")} == {
+        "gamma": "1/2", "method": "brute", "restarts": 64, "max_iters": 200,
+        "seed": 0}
+    assert data["result"]["method"] == "brute_force"
+    _assert_replays(tmp_path, "game-value", data)
+
+
+def test_game_value_search_records_inputs_and_replays(tmp_path):
+    result = invoke("game-value", "--p", "2", "--n", "3", "--method", "search",
+                    "--restarts", "2", "--seed", "5")
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    config = data["config"]
+    assert {k: config[k] for k in ("method", "restarts", "max_iters", "seed")} \
+        == {"method": "search", "restarts": 2, "max_iters": 200, "seed": 5}
+    assert config["meta"]["restarts"] == 2
+    assert data["result"]["method"] == "best_response_search"
+    _assert_replays(tmp_path, "game-value", data)
+
+
+def test_field_check_replays(tmp_path):
+    result = invoke("field-check", "--p", "3", "--n", "2", "--triples", "300",
+                    "--seed", "4")
+    assert result.exit_code == 0
+    _assert_replays(tmp_path, "field-check", json.loads(result.output))
+
+
+def test_hiding_replays(tmp_path):
+    result = invoke("hiding", "--p", "3", "--m", "2", "--variant", "symmetrized")
+    assert result.exit_code == 0
+    _assert_replays(tmp_path, "hiding", json.loads(result.output))
 
 
 def test_sweep_csv(tmp_path):

@@ -3,10 +3,13 @@
 The greedy best response must return the same table and score as the
 original O(Q^3) pair of routines, kept verbatim below; the tower's carried
 eta must give the same responses as recomputing compute_eta from scratch at
-every tower round.
+every tower round; best_shift, which scores every translate from the win
+set's row and column counts, must return the same BestShift as the original
+O(Q^4) loop that shifts and rescores each translate.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,10 +22,14 @@ from relbc import (
     FieldSpec,
     GameDist,
     Variant,
+    best_shift,
     build_attack,
     compute_eta,
+    shift_strategy,
+    tower_gamma,
+    win_probability,
 )
-from relbc.games import _greedy_best
+from relbc.games import BestShift, _greedy_best
 
 FIELDS = {q: spec for q, spec in (
     (2, FieldSpec(2)), (3, FieldSpec(3)), (4, FieldSpec(2, 2)),
@@ -163,3 +170,96 @@ def test_carried_eta_matches_recomputed_eta(case):
     assert strategy.responses(d, xs) == expect
     for k in range(1, len(expect) + 1):
         assert strategy.respond(k, d, xs) == expect[k - 1]
+
+
+# --- reference: the original O(Q^4) best shift, verbatim --------------------
+
+def reference_best_shift(strategy: DetStrategy, dist: GameDist) -> BestShift:
+    """Best translate of a strategy under a (typically biased) distribution.
+
+    Enumerates all Q^2 shifts; since the average of the shifted values over
+    (u, v) equals the uniform winning probability, the maximum is at least
+    the uniform value of the input strategy.
+    """
+    q = strategy.field.q
+    best = None
+    for u in range(q):
+        for v in range(q):
+            shifted = shift_strategy(strategy, u, v)
+            value = win_probability(shifted, dist)
+            if best is None or value > best.value:
+                best = BestShift(u, v, shifted, value)
+    return best
+
+
+SHIFT_FIELDS = [FIELDS[q] for q in (2, 3, 4, 5, 7, 8, 9)] + [
+    FieldSpec(2, 4), FieldSpec(5, 2)]
+
+
+def _shift_gammas(spec):
+    """Uniform, both ends, two fixed biases and the tower's rho = 2, 4 gamma
+    (rho = 2 gives the uniform one again), without repeats."""
+    gammas = [Fraction(1, spec.q), Fraction(0), Fraction(1), Fraction(1, 3),
+              Fraction(7, 9)] + [tower_gamma(spec, CausalModel(rho=rho, k0=0))
+                                 for rho in (2, 4)]
+    return list(dict.fromkeys(gammas))
+
+
+def _shift_strategies(spec):
+    """All zeros, a seeded random pair, and a pair that always wins when
+    x = -1 or y = 0 (the zeros pair translated by (1, 0))."""
+    rng = random.Random(f"best-shift:{spec.q}")
+    return [DetStrategy.zeros(spec), DetStrategy.random(spec, rng),
+            shift_strategy(DetStrategy.zeros(spec), 1, 0)]
+
+
+@pytest.mark.parametrize("spec", SHIFT_FIELDS, ids=lambda s: f"q{s.q}")
+def test_best_shift_matches_quartic_reference(spec):
+    for gamma in _shift_gammas(spec):
+        dist = GameDist(spec, gamma)
+        for strategy in _shift_strategies(spec):
+            assert best_shift(strategy, dist) == reference_best_shift(strategy, dist)
+
+
+def test_best_shift_all_ties_pick_the_identity():
+    # uniform weights score every translate |W|/Q^2, and a strategy that
+    # never wins scores 0 under every distribution: the first (u, v) wins
+    spec = FIELDS[3]
+    never = DetStrategy(spec, (0, 0, 1), (1, 2, 1))
+    assert win_probability(never, GameDist(spec, Fraction(1, 2))) == 0
+    rng = random.Random("ties")
+    for strategy, gamma in ((never, Fraction(1, 2)), (never, Fraction(1)),
+                            (DetStrategy.random(FIELDS[7], rng), Fraction(1, 7))):
+        dist = GameDist(strategy.field, gamma)
+        got = best_shift(strategy, dist)
+        assert got == reference_best_shift(strategy, dist)
+        assert (got.u, got.v, got.strategy) == (0, 0, strategy)
+
+
+@st.composite
+def shift_cases(draw):
+    spec = draw(st.sampled_from(SHIFT_FIELDS[:7]))
+    q = spec.q
+    table = st.lists(st.integers(0, q - 1), min_size=q, max_size=q)
+    den = draw(st.integers(1, 12))
+    gamma = Fraction(draw(st.integers(0, den)), den)
+    return DetStrategy(spec, draw(table), draw(table)), GameDist(spec, gamma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shift_cases())
+def test_best_shift_matches_reference_on_random_tables(case):
+    strategy, dist = case
+    assert best_shift(strategy, dist) == reference_best_shift(strategy, dist)
+
+
+def test_best_shift_gf256_within_budget():
+    # the reference loop needs ~Q^4 = 4e9 field ops here (hours)
+    spec = FieldSpec(2, 8)
+    dist = GameDist(spec, tower_gamma(spec, CausalModel(rho=4, k0=0)))
+    strategy = DetStrategy.random(spec, random.Random("gf256"))
+    start = time.perf_counter()
+    got = best_shift(strategy, dist)
+    elapsed = time.perf_counter() - start
+    assert got.strategy == shift_strategy(strategy, got.u, got.v)
+    assert elapsed < 2.0

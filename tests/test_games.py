@@ -8,6 +8,8 @@ import pytest
 
 from relbc import (
     DetStrategy,
+    FieldElement,
+    FieldMismatchError,
     FieldSpec,
     GameDist,
     best_response_search,
@@ -146,6 +148,28 @@ def test_shift_identity():
     rng = random.Random(7)
     s = DetStrategy.random(GF3, rng)
     assert shift_strategy(s, 0, 0) == s
+
+
+def test_shift_accepts_indices_and_field_elements():
+    s = DetStrategy.random(GF4, random.Random(5))
+    assert shift_strategy(s, FieldElement(GF4, 3), FieldElement(GF4, 1)) \
+        == shift_strategy(s, 3, 1)
+
+
+@pytest.mark.parametrize("spec, u, v", [(GF4, -1, 0), (GF4, 0, -1), (GF4, 4, 0),
+                                         (FieldSpec(2, 5), 0, 40)])
+def test_shift_rejects_out_of_range_index(spec, u, v):
+    # negative indices used to read the field tables from the end
+    with pytest.raises(ValueError, match="not an element index"):
+        shift_strategy(DetStrategy.zeros(spec), u, v)
+
+
+def test_shift_rejects_element_of_another_field():
+    s = DetStrategy.zeros(GF4)
+    with pytest.raises(FieldMismatchError):
+        shift_strategy(s, FieldElement(GF3, 1), 0)
+    with pytest.raises(FieldMismatchError):
+        shift_strategy(s, 0, FieldElement(GF2, 1))
 
 
 def test_shift_covariance():
