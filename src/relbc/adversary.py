@@ -77,17 +77,6 @@ class CausalView:
     challenges: tuple[int, ...]
     d: Optional[int]
 
-    @property
-    def current(self) -> Optional[int]:
-        k = self.round_index
-        return self.challenges[k - 1] if 1 <= k <= len(self.challenges) else None
-
-    @property
-    def known(self) -> dict[int, int]:
-        return {j: self.challenges[j - 1]
-                for j in range(1, len(self.challenges) + 1)
-                if self.model.challenge_visible(self.round_index, j)}
-
     def x(self, j: int) -> int:
         if not (1 <= j <= len(self.challenges)
                 and self.model.challenge_visible(self.round_index, j)):

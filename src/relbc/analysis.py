@@ -24,26 +24,16 @@ from .adversary import CausalModel, CheatStrategy, build_attack, tower_gamma
 from .errors import CapabilityError
 from .field import FieldSpec
 from .games import DetStrategy, GameDist, win_probability
-from .protocol import ProtocolParams, Variant, verify_values
+from .protocol import Variant, verify_values
 
 EXACT_ENUM_CAP = 10 ** 8
 MC_TABLE_CAP = 4096
 
 
-def _resolve_params(strategy: CheatStrategy,
-                    params: Optional[ProtocolParams]) -> ProtocolParams:
-    if params is None:
-        return strategy.params
-    if params != strategy.params:
-        raise ValueError("strategy targets different protocol parameters")
-    return params
-
-
 def exact_cheat_probability(strategy: CheatStrategy,
-                            params: Optional[ProtocolParams] = None,
                             cap: int = EXACT_ENUM_CAP) -> Fraction:
     """Exact acceptance probability by full enumeration of (d, challenges)."""
-    params = _resolve_params(strategy, params)
+    params = strategy.params
     q = params.field.q
     n_ch = params.n_challenges
     total = 2 * q ** n_ch
@@ -249,14 +239,13 @@ class McEstimate:
 
 
 def mc_cheat_probability(strategy: CheatStrategy,
-                         params: Optional[ProtocolParams] = None,
                          samples: int = 10000, seed: int = 0) -> McEstimate:
     """Monte Carlo acceptance estimate over i.i.d. uniform (d, challenges).
 
     For small input spaces the verdict table is precomputed once and the
     trials reduce to index draws; the sampling distribution is identical.
     """
-    params = _resolve_params(strategy, params)
+    params = strategy.params
     if samples < 100:
         raise ValueError("samples must be >= 100")
     q = params.field.q

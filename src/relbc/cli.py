@@ -2,24 +2,27 @@
 
 Every command is deterministic given its configuration and seed, and every
 JSON output embeds the fully resolved configuration for replay.  A config
-file is a flat `key = value` text file; explicit flags take precedence over
-config entries, which take precedence over defaults.
+file is a flat `key = value` text file that becomes the command's click
+default map: it may set any option of its command by its long name, each
+value is checked by that option's type, and explicit flags take precedence
+over config entries, which take precedence over defaults.
 
-Exit codes: 0 success, 2 configuration error, 3 capability error
+Exit codes: 0 success, 2 configuration error (including a malformed config
+line or a config value of the wrong type), 3 capability error
 (enumeration/search caps), 4 property failure.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import sys
 from fractions import Fraction
 
 import click
-from click.core import ParameterSource
 
-from .adversary import CausalModel, build_attack, causality_check, tower_gamma
+from .adversary import CausalModel, build_attack, tower_gamma
 from .analysis import (
     empirical_upper_constant,
     make_report,
@@ -33,9 +36,14 @@ from .games import (
     GameDist,
     best_response_search,
     brute_force_value,
-    win_probability,
 )
-from .protocol import ProtocolParams, Variant, hiding_distribution, run_honest
+from .protocol import (
+    ProtocolParams,
+    Transcript,
+    Variant,
+    hiding_distribution,
+    verify_values,
+)
 
 EXIT_CONFIG = 2
 EXIT_CAPABILITY = 3
@@ -56,21 +64,10 @@ def load_config(path: str) -> dict[str, str]:
     return config
 
 
-def resolve(ctx: click.Context, config: dict, name: str, conv=str):
-    """Flag > config file > default."""
-    if (ctx.get_parameter_source(name) is ParameterSource.DEFAULT
-            and name in config):
-        return conv(config[name])
-    return ctx.params[name]
-
-
-def _field_from(ctx, config) -> FieldSpec:
-    p = resolve(ctx, config, "p", int)
-    n = resolve(ctx, config, "n", int)
-    modulus = resolve(ctx, config, "modulus")
+def _field_from(p: int, n: int, modulus: str) -> FieldSpec:
     mod = None
     if modulus:
-        mod = [int(c) for c in str(modulus).replace(" ", "").split(",")]
+        mod = [int(c) for c in modulus.replace(" ", "").split(",")]
     return FieldSpec(p, n, mod)
 
 
@@ -87,13 +84,26 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _guard(fn):
-    try:
-        return fn()
-    except CapabilityError as exc:
-        _fail(EXIT_CAPABILITY, str(exc))
-    except (ValueError, OSError, KeyError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
+def _exit_codes(fn):
+    """Map the errors a command body raises to the documented exit codes."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except CapabilityError as exc:
+            _fail(EXIT_CAPABILITY, str(exc))
+        except (ValueError, OSError, KeyError) as exc:
+            _fail(EXIT_CONFIG, str(exc))
+    return wrapper
+
+
+def _use_config(ctx: click.Context, param, path: str | None) -> None:
+    """Load a config file as the command's default map."""
+    if path:
+        try:
+            ctx.default_map = load_config(path)
+        except (ValueError, OSError) as exc:
+            _fail(EXIT_CONFIG, str(exc))
 
 
 def field_options(fn):
@@ -104,8 +114,8 @@ def field_options(fn):
                       help="Extension degree.")(fn)
     fn = click.option("--p", default=2, show_default=True,
                       help="Prime characteristic.")(fn)
-    fn = click.option("--config", "config_path", default=None,
-                      type=click.Path(exists=True),
+    fn = click.option("--config", default=None, type=click.Path(exists=True),
+                      is_eager=True, expose_value=False, callback=_use_config,
                       help="Flat key=value config file.")(fn)
     return fn
 
@@ -120,13 +130,10 @@ def main():
 @click.option("--triples", default=10000, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def cmd_field_check(ctx, config_path, p, n, modulus, triples, seed, out):
+@_exit_codes
+def cmd_field_check(p, n, modulus, triples, seed, out):
     """Run the field axiom suite on the configured field."""
-    config = load_config(config_path) if config_path else {}
-    spec = _guard(lambda: _field_from(ctx, config))
-    triples = resolve(ctx, config, "triples", int)
-    seed = resolve(ctx, config, "seed", int)
+    spec = _field_from(p, n, modulus)
     rng = random.Random(f"{seed}:field-check")
     q = spec.q
     failures = []
@@ -160,9 +167,8 @@ def cmd_field_check(ctx, config_path, p, n, modulus, triples, seed, out):
         sys.exit(EXIT_PROPERTY)
 
 
-def _gamma_for(ctx, config, spec) -> Fraction:
-    raw = resolve(ctx, config, "gamma")
-    if raw in (None, ""):
+def _gamma_for(raw: str, spec) -> Fraction:
+    if not raw:
         return Fraction(1, spec.q)
     try:
         return Fraction(raw)
@@ -191,27 +197,19 @@ def _game_result(spec, dist, method, restarts, max_iters, seed):
 @click.option("--out", default=None, type=click.Path())
 @click.option("--strategy-out", default=None, type=click.Path(),
               help="Persist the achieving strategy tables as JSON.")
-@click.pass_context
-def cmd_game_value(ctx, config_path, p, n, modulus, gamma, method, restarts,
-                   max_iters, seed, out, strategy_out):
+@_exit_codes
+def cmd_game_value(p, n, modulus, gamma, method, restarts, max_iters, seed,
+                   out, strategy_out):
     """Compute or search the game value for (Q, gamma)."""
-    config = load_config(config_path) if config_path else {}
-
-    def run():
-        spec = _field_from(ctx, config)
-        g = _gamma_for(ctx, config, spec)
-        resolved = {"method": resolve(ctx, config, "method"),
-                    "restarts": resolve(ctx, config, "restarts", int),
-                    "max_iters": resolve(ctx, config, "max_iters", int),
-                    "seed": resolve(ctx, config, "seed", int)}
-        result = _game_result(spec, GameDist(spec, g), **resolved)
-        return spec, g, result, resolved
-
-    spec, g, result, resolved = _guard(run)
+    spec = _field_from(p, n, modulus)
+    g = _gamma_for(gamma, spec)
+    result = _game_result(spec, GameDist(spec, g), method, restarts,
+                          max_iters, seed)
     data = {
         "schema": 1,
-        "config": {"field": spec.describe(), "gamma": str(g), **resolved,
-                   "meta": result.meta},
+        "config": {"field": spec.describe(), "gamma": str(g),
+                   "method": method, "restarts": restarts,
+                   "max_iters": max_iters, "seed": seed, "meta": result.meta},
         "result": result.to_dict(),
     }
     if strategy_out:
@@ -220,25 +218,16 @@ def cmd_game_value(ctx, config_path, p, n, modulus, gamma, method, restarts,
     _emit(data, out)
 
 
-def _strategy_inputs(ctx, config) -> dict:
-    """Resolved inputs of the plugged game strategy, for the JSON config."""
-    return {"strategy": resolve(ctx, config, "strategy"),
-            "strategy_file": resolve(ctx, config, "strategy_file"),
-            "restarts": resolve(ctx, config, "restarts", int)}
-
-
-def _plugged_strategy(spec, model, resolved: dict):
+def _plugged_strategy(spec, model, source, path, restarts, seed):
     """Game strategy for the tower's windowed input distribution."""
-    source = resolved["strategy"]
     dist = GameDist(spec, tower_gamma(spec, model))
     if source == "file":
-        path = resolved["strategy_file"]
         if not path:
             raise ValueError("--strategy-file is required with --strategy file")
         with open(path) as fh:
             return DetStrategy.from_dict(json.load(fh))
     result = _game_result(spec, dist, "brute" if source == "brute" else "search",
-                          resolved["restarts"], 200, resolved["seed"])
+                          restarts, 200, seed)
     return result.strategy
 
 
@@ -262,50 +251,38 @@ def _plugged_strategy(spec, model, resolved: dict):
               help="Persist sample cheating transcripts as JSON.")
 @click.option("--transcript-count", default=5, show_default=True)
 @click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def cmd_attack(ctx, config_path, p, n, modulus, m, variant, rho, k0, method,
-               samples, seed, strategy, strategy_file, restarts, upper_c,
-               transcript_out, transcript_count, out):
+@_exit_codes
+def cmd_attack(p, n, modulus, m, variant, rho, k0, method, samples, seed,
+               strategy, strategy_file, restarts, upper_c, transcript_out,
+               transcript_count, out):
     """Build the recursive attack and measure its cheating probability."""
-    config = load_config(config_path) if config_path else {}
-
-    def run():
-        spec = _field_from(ctx, config)
-        model = CausalModel(resolve(ctx, config, "rho", int),
-                            resolve(ctx, config, "k0", int))
-        resolved = {"method": resolve(ctx, config, "method"),
-                    "samples": resolve(ctx, config, "samples", int),
-                    "seed": resolve(ctx, config, "seed", int),
-                    **_strategy_inputs(ctx, config),
-                    "upper_c": resolve(ctx, config, "upper_c", float)}
-        game_strategy = _plugged_strategy(spec, model, resolved)
-        cheat = build_attack(spec, Variant(resolve(ctx, config, "variant")),
-                             resolve(ctx, config, "m", int), model,
-                             game_strategy)
-        report = make_report(cheat, method=resolved["method"],
-                             samples=resolved["samples"], seed=resolved["seed"],
-                             upper_c=resolved["upper_c"])
-        return spec, cheat, report, resolved
-
-    spec, cheat, report, resolved = _guard(run)
+    spec = _field_from(p, n, modulus)
+    model = CausalModel(rho, k0)
+    game_strategy = _plugged_strategy(spec, model, strategy, strategy_file,
+                                      restarts, seed)
+    cheat = build_attack(spec, Variant(variant), m, model, game_strategy)
+    report = make_report(cheat, method=method, samples=samples, seed=seed,
+                         upper_c=upper_c)
     data = {
         "schema": 1,
         "config": {"field": spec.describe(), "m": report.m,
                    "variant": report.variant.value, "rho": report.rho,
-                   "k0": report.k0, **resolved, "lineage": cheat.lineage},
+                   "k0": report.k0, "method": method, "samples": samples,
+                   "seed": seed, "strategy": strategy,
+                   "strategy_file": strategy_file, "restarts": restarts,
+                   "upper_c": upper_c, "lineage": cheat.lineage},
         "report": report.to_dict(),
         "game_strategy": cheat.game_strategy.to_dict()
         if cheat.game_strategy else None,
     }
     if transcript_out:
-        rng = random.Random(f"{resolved['seed']}:attack-transcripts")
+        rng = random.Random(f"{seed}:attack-transcripts")
         params = cheat.params
         samples_list = []
         for _ in range(transcript_count):
             d = rng.randrange(2)
             xs = tuple(rng.randrange(spec.q) for _ in range(params.n_challenges))
             ys = cheat.responses(d, xs)
-            from .protocol import Transcript, verify_values
             samples_list.append(Transcript(
                 params, d, xs, ys, verify_values(params, d, xs, ys)).to_dict())
         with open(transcript_out, "w") as fh:
@@ -339,43 +316,32 @@ def parse_m_list(raw: str) -> list[int]:
 @click.option("--strategy-file", default=None, type=click.Path())
 @click.option("--restarts", default=64, show_default=True)
 @click.option("--upper-c", default=1.0, show_default=True)
-@click.option("--format", "fmt", default="csv", show_default=True,
+@click.option("--format", default="csv", show_default=True,
               type=click.Choice(["csv", "json"]))
 @click.option("--out", required=True, type=click.Path())
-@click.pass_context
-def cmd_sweep(ctx, config_path, p, n, modulus, m_list, variant, rho, k0,
-              samples, seed, exact_cap, strategy, strategy_file, restarts,
-              upper_c, fmt, out):
+@_exit_codes
+def cmd_sweep(p, n, modulus, m_list, variant, rho, k0, samples, seed,
+              exact_cap, strategy, strategy_file, restarts, upper_c, format,
+              out):
     """Sweep attack probabilities over protocol lengths into a table file."""
-    config = load_config(config_path) if config_path else {}
-
-    def run():
-        spec = _field_from(ctx, config)
-        ms = parse_m_list(resolve(ctx, config, "m_list"))
-        resolved = {"m_list": ",".join(map(str, ms)),
-                    "seed": resolve(ctx, config, "seed", int),
-                    "samples": resolve(ctx, config, "samples", int),
-                    "variant": resolve(ctx, config, "variant"),
-                    "rho": resolve(ctx, config, "rho", int),
-                    "k0": resolve(ctx, config, "k0", int),
-                    "exact_cap": resolve(ctx, config, "exact_cap", int),
-                    **_strategy_inputs(ctx, config),
-                    "upper_c": resolve(ctx, config, "upper_c", float)}
-        model = CausalModel(resolved["rho"], resolved["k0"])
-        game_strategy = _plugged_strategy(spec, model, resolved)
-        rows = trend_sweep(
-            spec, ms, game_strategy, model, Variant(resolved["variant"]),
-            exact_cap=resolved["exact_cap"], samples=resolved["samples"],
-            seed=resolved["seed"], upper_c=resolved["upper_c"])
-        return spec, rows, resolved
-
-    spec, rows, resolved = _guard(run)
-    if fmt == "csv":
+    spec = _field_from(p, n, modulus)
+    ms = parse_m_list(m_list)
+    model = CausalModel(rho, k0)
+    game_strategy = _plugged_strategy(spec, model, strategy, strategy_file,
+                                      restarts, seed)
+    rows = trend_sweep(spec, ms, game_strategy, model, Variant(variant),
+                       exact_cap=exact_cap, samples=samples, seed=seed,
+                       upper_c=upper_c)
+    if format == "csv":
         write_sweep_csv(rows, out)
     else:
+        config = {"field": spec.describe(), "m_list": ",".join(map(str, ms)),
+                  "seed": seed, "samples": samples, "variant": variant,
+                  "rho": rho, "k0": k0, "exact_cap": exact_cap,
+                  "strategy": strategy, "strategy_file": strategy_file,
+                  "restarts": restarts, "upper_c": upper_c}
         with open(out, "w") as fh:
-            json.dump({"schema": 1,
-                       "config": {"field": spec.describe(), **resolved},
+            json.dump({"schema": 1, "config": config,
                        "rows": [r.to_dict() for r in rows]}, fh, indent=2)
     if rows:
         click.echo(f"rows: {len(rows)}  empirical upper constant c* = "
@@ -390,29 +356,21 @@ def cmd_sweep(ctx, config_path, p, n, modulus, m_list, variant, rho, k0,
 @click.option("--variant", default="standard", show_default=True,
               type=click.Choice(["standard", "symmetrized"]))
 @click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def cmd_hiding(ctx, config_path, p, n, modulus, m, variant, out):
+@_exit_codes
+def cmd_hiding(p, n, modulus, m, variant, out):
     """Verify exact view-distribution equality for every pre-reveal prefix."""
-    config = load_config(config_path) if config_path else {}
-
-    def run():
-        spec = _field_from(ctx, config)
-        params = ProtocolParams(spec, resolve(ctx, config, "m", int),
-                                Variant(resolve(ctx, config, "variant")))
-        prefixes = []
-        for r in range(1, params.n_rounds):
-            dists = hiding_distribution(params, r)
-            prefixes.append({"upto_round": r, "equal": dists[0] == dists[1]})
-        full = hiding_distribution(params, params.n_rounds)
-        return params, prefixes, full[0] == full[1]
-
-    params, prefixes, full_equal = _guard(run)
+    params = ProtocolParams(_field_from(p, n, modulus), m, Variant(variant))
+    prefixes = []
+    for r in range(1, params.n_rounds):
+        dists = hiding_distribution(params, r)
+        prefixes.append({"upto_round": r, "equal": dists[0] == dists[1]})
+    full = hiding_distribution(params, params.n_rounds)
     data = {
         "schema": 1,
         "config": {"field": params.field.describe(), "m": params.m,
                    "variant": params.variant.value},
         "prefixes": prefixes,
-        "reveal_discloses_bit": not full_equal,
+        "reveal_discloses_bit": full[0] != full[1],
     }
     _emit(data, out)
     if not all(pref["equal"] for pref in prefixes):

@@ -9,6 +9,7 @@ uniform nonzero element otherwise.  All probabilities are exact rationals.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
@@ -249,7 +250,7 @@ def _idx(spec: FieldSpec, v) -> int:
         if v.field != spec:
             raise FieldMismatchError(f"shift {v} is not an element of {spec}")
         return v.index
-    i = int(v)
+    i = operator.index(v)
     if not 0 <= i < spec.q:
         raise ValueError(f"shift {v!r} is not an element index of {spec}")
     return i

@@ -95,14 +95,12 @@ def test_view_restricts_access():
     m = CausalModel(rho=2, k0=0)
     view = m.view(3, 1, (1, 0, 1, 1))
     assert view.x(1) == 1 and view.x(3) == 1
-    assert view.round_index == 3 and view.current == 1 and view.d == 1
-    assert view.known == {1: 1, 3: 1}
+    assert view.round_index == 3 and view.d == 1
     for j in (0, -1, 2, 4, 5):  # out of range, hidden, future, past the end
         with pytest.raises(LookupError):
             view.x(j)
-    # the bit is hidden at round 1; a round past the end has no current
+    # the bit is hidden at round 1
     assert m.view(1, 1, (1, 0)).d is None
-    assert m.view(3, 1, (1, 0)).current is None
 
 
 @pytest.mark.parametrize("rho", [2, 4])
@@ -114,10 +112,8 @@ def test_lazy_view_agrees_with_challenge_visible(rho):
             for k in range(1, n + 2):
                 view = model.view(k, 1, xs)
                 assert view.d == (1 if model.d_visible(k) else None)
-                assert view.current == (xs[k - 1] if k <= n else None)
                 for j in range(-1, n + 3):
                     visible = 1 <= j <= n and model.challenge_visible(k, j)
-                    assert (j in view.known) == visible
                     if visible:
                         assert view.x(j) == xs[j - 1]
                     else:

@@ -282,10 +282,3 @@ def test_write_sweep_csv(tmp_path):
     assert len(parsed) == 3
     assert parsed[1][0] == "2" and parsed[1][1] == "4"
 
-
-def test_params_mismatch_rejected():
-    from relbc import ProtocolParams
-    s = attack_base(GF2, 3, OPT2)
-    with pytest.raises(ValueError):
-        exact_cheat_probability(s, params=ProtocolParams(GF2, 4,
-                                                         Variant.SYMMETRIZED))

@@ -3,6 +3,7 @@
 import json
 import time
 
+import pytest
 from click.testing import CliRunner
 
 from relbc import cli
@@ -154,6 +155,40 @@ def test_config_file_and_flag_precedence(tmp_path):
     # explicit flag wins over the config file
     result = invoke("attack", "--config", str(cfg), "--m", "6")
     assert json.loads(result.output)["report"]["m"] == 6
+
+
+def _assert_config_error(result):
+    """Exit 2 with an error line (ours or click's), not a traceback."""
+    assert result.exit_code == cli.EXIT_CONFIG, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert any(line.startswith(("error:", "Error:"))
+               for line in result.stderr.splitlines())
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command, args", [
+    ("field-check", ()), ("game-value", ()), ("attack", ()),
+    ("sweep", ("--out", "sweep.csv")), ("hiding", ())])
+def test_malformed_config_line_exits_config(tmp_path, command, args):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("p = 2\njust words\n")
+    result = invoke(command, "--config", str(cfg), *args)
+    _assert_config_error(result)
+    assert "not key = value" in result.stderr
+
+
+def test_field_check_config_value_of_wrong_type_exits_config(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("triples = x\n")
+    _assert_config_error(invoke("field-check", "--config", str(cfg)))
+
+
+def test_attack_config_value_of_wrong_type_exits_config(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("p = 2\nm = six\n")
+    result = invoke("attack", "--config", str(cfg))
+    _assert_config_error(result)
+    assert "Invalid value for '--m'" in result.stderr
 
 
 def _replay_config(tmp_path, name, config):

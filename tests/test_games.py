@@ -157,10 +157,17 @@ def test_shift_accepts_indices_and_field_elements():
 
 
 @pytest.mark.parametrize("spec, u, v", [(GF4, -1, 0), (GF4, 0, -1), (GF4, 4, 0),
-                                         (FieldSpec(2, 5), 0, 40)])
+                                         (FieldSpec(2, 5), 0, 40),
+                                         (GF4, 2.7, 0), (GF4, 0, "1"),
+                                         (GF4, 1.0, 0)])
 def test_shift_rejects_out_of_range_index(spec, u, v):
-    # negative indices used to read the field tables from the end
-    with pytest.raises(ValueError, match="not an element index"):
+    # negative indices used to read the field tables from the end, and a
+    # float or string shift used to be truncated or parsed by int()
+    if isinstance(u, int) and isinstance(v, int):
+        expected = pytest.raises(ValueError, match="not an element index")
+    else:
+        expected = pytest.raises(TypeError)
+    with expected:
         shift_strategy(DetStrategy.zeros(spec), u, v)
 
 
