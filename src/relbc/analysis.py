@@ -34,20 +34,21 @@ def exact_cheat_probability(strategy: CheatStrategy,
                             cap: int = EXACT_ENUM_CAP) -> Fraction:
     """Exact acceptance probability by full enumeration of (d, challenges)."""
     params = strategy.params
-    q = params.field.q
-    n_ch = params.n_challenges
-    total = 2 * q ** n_ch
+    total = 2 * params.field.q ** params.n_challenges
     if total > cap:
         raise CapabilityError(
             f"exact enumeration needs {total} transcripts (cap {cap});"
             " use mc_cheat_probability")
-    wins = 0
+    return Fraction(sum(_verdicts(strategy)), total)
+
+
+def _verdicts(strategy: CheatStrategy):
+    """Acceptance verdict of every (d, challenges), d-major in product order."""
+    params = strategy.params
     for d in (0, 1):
-        for xs in itertools.product(range(q), repeat=n_ch):
-            ys = strategy.responses(d, xs)
-            if verify_values(params, d, xs, ys):
-                wins += 1
-    return Fraction(wins, total)
+        for xs in itertools.product(range(params.field.q),
+                                    repeat=params.n_challenges):
+            yield verify_values(params, d, xs, strategy.responses(d, xs))
 
 
 _TINY = 1e-300
@@ -254,11 +255,7 @@ def mc_cheat_probability(strategy: CheatStrategy,
     space = 2 * q ** n_ch
     wins = 0
     if space <= MC_TABLE_CAP:
-        verdicts = []
-        for d in (0, 1):
-            for xs in itertools.product(range(q), repeat=n_ch):
-                verdicts.append(
-                    verify_values(params, d, xs, strategy.responses(d, xs)))
+        verdicts = list(_verdicts(strategy))
         for _ in range(samples):
             if verdicts[rng.randrange(space)]:
                 wins += 1

@@ -8,7 +8,8 @@ value is checked by that option's type, and explicit flags take precedence
 over config entries, which take precedence over defaults.
 
 Exit codes: 0 success, 2 configuration error (including a malformed config
-line or a config value of the wrong type), 3 capability error
+line, a config key that names no option of the command, a config value of
+the wrong type or a malformed strategy file), 3 capability error
 (enumeration/search caps), 4 property failure.
 """
 
@@ -101,9 +102,14 @@ def _use_config(ctx: click.Context, param, path: str | None) -> None:
     """Load a config file as the command's default map."""
     if path:
         try:
-            ctx.default_map = load_config(path)
+            config = load_config(path)
         except (ValueError, OSError) as exc:
             _fail(EXIT_CONFIG, str(exc))
+        unknown = sorted(set(config) - {p.name for p in ctx.command.params})
+        if unknown:
+            _fail(EXIT_CONFIG, f"unknown config key(s) for {ctx.command.name}: "
+                               + ", ".join(map(repr, unknown)))
+        ctx.default_map = config
 
 
 def field_options(fn):
@@ -225,7 +231,11 @@ def _plugged_strategy(spec, model, source, path, restarts, seed):
         if not path:
             raise ValueError("--strategy-file is required with --strategy file")
         with open(path) as fh:
-            return DetStrategy.from_dict(json.load(fh))
+            data = json.load(fh)
+        try:
+            return DetStrategy.from_dict(data)
+        except (TypeError, KeyError) as exc:
+            raise ValueError(f"malformed strategy file {path}: {exc}") from None
     result = _game_result(spec, dist, "brute" if source == "brute" else "search",
                           restarts, 200, seed)
     return result.strategy

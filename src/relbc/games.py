@@ -67,12 +67,15 @@ class DetStrategy:
     s2: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "s1", tuple(self.s1))
-        object.__setattr__(self, "s2", tuple(self.s2))
         q = self.field.q
-        for name, table in (("s1", self.s1), ("s2", self.s2)):
+        for name in ("s1", "s2"):
+            table = tuple(getattr(self, name))
+            # convert only when needed: tuple() of a tuple is not a copy
+            if any(type(v) is not int for v in table):
+                table = tuple(map(operator.index, table))
             if len(table) != q or any(not 0 <= v < q for v in table):
                 raise ValueError(f"{name} must be {q} valid element indices")
+            object.__setattr__(self, name, table)
 
     @classmethod
     def zeros(cls, field: FieldSpec) -> "DetStrategy":

@@ -96,10 +96,14 @@ def honest_response(params: ProtocolParams, k: int, d: int,
 
 def verify_values(params: ProtocolParams, d: int,
                   challenges: tuple[int, ...], responses: tuple[int, ...]) -> bool:
-    """Acceptance verdict; evaluates both the chained and the expanded form.
+    """Acceptance verdict from the chained value, in one pass.
 
-    The two evaluations are algebraically equal; disagreement indicates a
-    bug and raises rather than returning a verdict.
+    alpha_0 = d and alpha_i = y_i - x_i*alpha_{i-1}; the standard variant
+    accepts when y_m = alpha_{m-1}, the symmetrized one when
+    y_m = x_m*alpha_{m-1}.  Expanded, this is the sign-alternating sum
+    `adversary.compute_eta` over the tilde-transformed responses (with
+    x_m = 1 appended for the standard variant), and the tests check the
+    two forms against each other.
     """
     last = params.n_rounds
     if len(challenges) != params.n_challenges or len(responses) != last:
@@ -107,51 +111,12 @@ def verify_values(params: ProtocolParams, d: int,
     spec = params.field
     if d not in (0, 1):
         raise ValueError("committed bit must be 0 or 1")
-
-    # Chained form: alpha_i = y_i - x_i * alpha_{i-1}, alpha_0 = d.
     alpha = d
     for i in range(last - 1):
         alpha = spec.sub(responses[i], spec.mul(challenges[i], alpha))
     if params.variant is Variant.STANDARD:
-        chained = responses[last - 1] == alpha
-    else:
-        chained = responses[last - 1] == spec.mul(challenges[last - 1], alpha)
-
-    expanded = _verify_expanded(params, d, challenges, responses)
-    if chained != expanded:
-        raise RuntimeError("chained and expanded acceptance checks disagree")
-    return chained
-
-
-def _verify_expanded(params: ProtocolParams, d: int,
-                     challenges: tuple[int, ...], responses: tuple[int, ...]) -> bool:
-    """Sign-alternating summation form of the acceptance condition."""
-    spec = params.field
-    last = params.n_rounds
-    if params.variant is Variant.STANDARD:
-        # y_last == sum_{i<last} (-1)^(last-1-i) y_i prod_{i<j<last} x_j
-        #           + (-1)^(last-1) d prod x_j
-        total = 0
-        suffix = 1
-        for i in range(last - 1, 0, -1):  # i = last-1 .. 1
-            term = spec.mul(responses[i - 1], suffix)
-            if (last - 1 - i) % 2 == 1:
-                term = spec.neg(term)
-            total = spec.add(total, term)
-            suffix = spec.mul(suffix, challenges[i - 1])
-        dterm = spec.mul(d, suffix)
-        if (last - 1) % 2 == 1:
-            dterm = spec.neg(dterm)
-        return responses[last - 1] == spec.add(total, dterm)
-    # Symmetrized compact form over sign-flipped responses:
-    # sum_i ytilde_i prod_{j>i} x_j == d prod_j x_j
-    ytil = tilde_transform(spec, responses)
-    total = 0
-    suffix = 1
-    for i in range(last, 0, -1):
-        total = spec.add(total, spec.mul(ytil[i - 1], suffix))
-        suffix = spec.mul(suffix, challenges[i - 1])
-    return total == spec.mul(d, suffix)
+        return responses[last - 1] == alpha
+    return responses[last - 1] == spec.mul(challenges[last - 1], alpha)
 
 
 def tilde_transform(spec: FieldSpec, responses: tuple[int, ...]) -> tuple[int, ...]:

@@ -170,11 +170,14 @@ def _assert_config_error(result):
     ("field-check", ()), ("game-value", ()), ("attack", ()),
     ("sweep", ("--out", "sweep.csv")), ("hiding", ())])
 def test_malformed_config_line_exits_config(tmp_path, command, args):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("p = 2\njust words\n")
-    result = invoke(command, "--config", str(cfg), *args)
-    _assert_config_error(result)
-    assert "not key = value" in result.stderr
+    # a line that is not key = value, and a key that names no option
+    for body, message in (("p = 2\njust words\n", "not key = value"),
+                          ("p = 2\nsample = 1000\n", "'sample'")):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(body)
+        result = invoke(command, "--config", str(cfg), *args)
+        _assert_config_error(result)
+        assert message in result.stderr
 
 
 def test_field_check_config_value_of_wrong_type_exits_config(tmp_path):
@@ -189,6 +192,25 @@ def test_attack_config_value_of_wrong_type_exits_config(tmp_path):
     result = invoke("attack", "--config", str(cfg))
     _assert_config_error(result)
     assert "Invalid value for '--m'" in result.stderr
+
+
+_GF2 = {"p": 2, "n": 1, "modulus": [0, 1]}
+
+
+@pytest.mark.parametrize("body", [
+    {"field": _GF2, "s1": 5, "s2": [0, 0]},
+    {"field": _GF2, "s1": ["a", 1], "s2": [0, 0]},
+    {"field": 2, "s1": [0, 1], "s2": [0, 0]},
+    [0, 1],
+    {"field": _GF2, "s1": [0.5, 1], "s2": [0, 0]},
+])
+def test_attack_malformed_strategy_file_exits_config(tmp_path, body):
+    spath = tmp_path / "strategy.json"
+    spath.write_text(json.dumps(body))
+    result = invoke("attack", "--p", "2", "--m", "4", "--strategy", "file",
+                    "--strategy-file", str(spath))
+    _assert_config_error(result)
+    assert "malformed strategy file" in result.stderr
 
 
 def _replay_config(tmp_path, name, config):

@@ -144,6 +144,16 @@ def test_strategy_round_trip():
     assert DetStrategy.from_dict(s.to_dict()) == s
 
 
+@pytest.mark.parametrize("s1, error", [((0.5, 1), TypeError),
+                                        (("a", 1), TypeError),
+                                        ((0, 2), ValueError),
+                                        ((0,), ValueError)])
+def test_strategy_rejects_bad_table(s1, error):
+    # a float entry used to pass the range check and fail later in ^
+    with pytest.raises(error):
+        DetStrategy(GF2, s1, (0, 0))
+
+
 def test_shift_identity():
     rng = random.Random(7)
     s = DetStrategy.random(GF3, rng)

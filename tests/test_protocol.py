@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relbc import (
     FieldSpec,
@@ -12,6 +14,7 @@ from relbc import (
     ProtocolParams,
     Transcript,
     Variant,
+    compute_eta,
     hiding_distribution,
     honest_response,
     run_honest,
@@ -128,6 +131,46 @@ def test_verify_matches_explicit_chain():
             else:
                 expect = ys[3] == GF3.mul(xs[3], alpha)
             assert verify_values(params, d, xs, ys) == expect
+
+
+@st.composite
+def transcripts(draw):
+    """(params, d, xs, ys, honest): random responses, or an honest run's,
+    which are uniform over the accepting transcripts for (d, xs)."""
+    spec = draw(st.sampled_from([GF2, GF3, FieldSpec(2, 2), FieldSpec(5),
+                                 FieldSpec(3, 2)]))
+    variant = draw(st.sampled_from(list(Variant)))
+    m = draw(st.integers(1 if variant is Variant.STANDARD else 2, 8))
+    params = ProtocolParams(spec, m, variant)
+
+    def elements(n):
+        return tuple(draw(st.lists(st.integers(0, spec.q - 1),
+                                   min_size=n, max_size=n)))
+
+    d = draw(st.integers(0, 1))
+    xs = elements(params.n_challenges)
+    honest = draw(st.booleans())
+    if honest:
+        rand = HonestSharedRandomness(elements(params.n_rounds), xs)
+        ys = tuple(honest_response(params, k, d, rand)
+                   for k in range(1, params.n_rounds + 1))
+    else:
+        ys = elements(params.n_rounds)
+    return params, d, xs, ys, honest
+
+
+@settings(max_examples=500, deadline=None)
+@given(transcripts())
+def test_verify_matches_compute_eta(case):
+    # the chained check equals the expanded sign-alternating sum; the
+    # standard variant is the symmetrized one with x_m = 1
+    params, d, xs, ys, honest = case
+    spec = params.field
+    xs_ext = xs + (1,) if params.variant is Variant.STANDARD else xs
+    accepted = compute_eta(spec, d, xs_ext, tilde_transform(spec, ys)) == 0
+    assert verify_values(params, d, xs, ys) == accepted
+    if honest:
+        assert accepted
 
 
 def test_tilde_transform_self_inverse():
