@@ -19,14 +19,19 @@ protocol.tilde_transform) and converted back at the boundary.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, Iterator, Optional
 
 from .field import FieldSpec
 from .games import DetStrategy
-from .protocol import ProtocolParams, Variant
+from .protocol import ProtocolParams, Variant, verify_values
+
+# Largest input space 2*Q^n whose verdicts a strategy keeps as a table.
+MC_TABLE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,7 @@ def compute_eta(spec: FieldSpec, d: int, challenges: tuple[int, ...],
     return spec.sub(spec.mul(d, suffix), total)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheatStrategy:
     """Per-round deterministic response functions for one protocol variant.
 
@@ -116,7 +121,8 @@ class CheatStrategy:
     by causality_check, which perturbs inputs outside the view.  The view
     checks visibility when a challenge is read, and the tower rounds also
     keep their carried eta in the per-call cache under a non-round key, so
-    evaluating a transcript costs O(m) field ops.
+    evaluating a transcript costs O(m) field ops.  The strategy is frozen,
+    so its verdict table, built on first use, cannot go stale.
     """
 
     field: FieldSpec
@@ -129,7 +135,7 @@ class CheatStrategy:
     meta: dict = _field(default_factory=dict)
 
     def __post_init__(self):
-        self.variant = Variant(self.variant)
+        object.__setattr__(self, "variant", Variant(self.variant))
         if len(self.rounds) != self.params.n_rounds:
             raise ValueError(
                 f"{len(self.rounds)} round functions for {self.params.n_rounds}"
@@ -142,6 +148,23 @@ class CheatStrategy:
     @property
     def n_challenges(self) -> int:
         return self.params.n_challenges
+
+    def verdicts(self) -> Iterator[bool]:
+        """Acceptance verdict of every (d, challenges), d-major in product
+        order."""
+        params = self.params
+        for d in (0, 1):
+            for xs in itertools.product(range(self.field.q),
+                                        repeat=params.n_challenges):
+                yield verify_values(params, d, xs, self.responses(d, xs))
+
+    @cached_property
+    def verdict_table(self) -> Optional[bytes]:
+        """verdicts() as one 0/1 byte per input, built once per strategy, or
+        None when the input space exceeds MC_TABLE_CAP."""
+        if 2 * self.field.q ** self.n_challenges > MC_TABLE_CAP:
+            return None
+        return bytes(self.verdicts())
 
     def _fill(self, upto: int, d: int, xs: tuple[int, ...],
               cache: dict) -> None:

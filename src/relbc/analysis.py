@@ -13,7 +13,6 @@ comparison 1/2 + c*m/sqrt(Q).
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -27,7 +26,8 @@ from .games import DetStrategy, GameDist, win_probability
 from .protocol import Variant, verify_values
 
 EXACT_ENUM_CAP = 10 ** 8
-MC_TABLE_CAP = 4096
+# Most 32-bit words drawn by one getrandbits call in _table_wins (128 KiB).
+_DRAW_BLOCK_WORDS = 1 << 15
 
 
 def exact_cheat_probability(strategy: CheatStrategy,
@@ -39,16 +39,7 @@ def exact_cheat_probability(strategy: CheatStrategy,
         raise CapabilityError(
             f"exact enumeration needs {total} transcripts (cap {cap});"
             " use mc_cheat_probability")
-    return Fraction(sum(_verdicts(strategy)), total)
-
-
-def _verdicts(strategy: CheatStrategy):
-    """Acceptance verdict of every (d, challenges), d-major in product order."""
-    params = strategy.params
-    for d in (0, 1):
-        for xs in itertools.product(range(params.field.q),
-                                    repeat=params.n_challenges):
-            yield verify_values(params, d, xs, strategy.responses(d, xs))
+    return Fraction(sum(strategy.verdicts()), total)
 
 
 _TINY = 1e-300
@@ -239,12 +230,47 @@ class McEstimate:
                 "confidence": self.confidence}
 
 
+def _table_wins(table: bytes, samples: int, rng: random.Random) -> int:
+    """Wins among `samples` draws of table[rng.randrange(len(table))], for a
+    table of 0/1 bytes.
+
+    Tables of at most 256 entries are drawn in bulk, and the draws are the
+    ones the randrange loop makes: randrange(n) keeps the top
+    k = n.bit_length() bits of one 32-bit Mersenne Twister word per try and
+    tries again while they are >= n, and getrandbits(32*w) returns w such
+    words, least significant first.  Each word's top byte is translated to
+    the verdict of its top k bits, the bytes of rejected tries are deleted in
+    the same pass, and the wins are counted among the first `samples`
+    accepted draws.  Larger tables draw one index at a time.
+    """
+    space = len(table)
+    k = space.bit_length()
+    if k > 8:
+        return sum(table[rng.randrange(space)] for _ in range(samples))
+    shift = 8 - k
+    code = bytes(table[i >> shift] for i in range(space << shift))
+    rejected = bytes(range(len(code), 256))
+    code = code.ljust(256, b"\0")
+    wins = 0
+    remaining = samples
+    while remaining:
+        words = min(_DRAW_BLOCK_WORDS,
+                    (remaining << k) // space + remaining // 16 + 32)
+        data = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        drawn = data[3::4].translate(code, rejected)[:remaining]
+        wins += drawn.count(1)
+        remaining -= len(drawn)
+    return wins
+
+
 def mc_cheat_probability(strategy: CheatStrategy,
                          samples: int = 10000, seed: int = 0) -> McEstimate:
     """Monte Carlo acceptance estimate over i.i.d. uniform (d, challenges).
 
-    For small input spaces the verdict table is precomputed once and the
-    trials reduce to index draws; the sampling distribution is identical.
+    For input spaces of at most MC_TABLE_CAP the trials are index draws
+    from the strategy's verdict table, which is built once per strategy.
+    Spaces of at most 256 draw their indices in bulk; the stream is the one
+    per-draw randrange calls give, so seeded estimates do not change.
     """
     params = strategy.params
     if samples < 100:
@@ -252,14 +278,11 @@ def mc_cheat_probability(strategy: CheatStrategy,
     q = params.field.q
     n_ch = params.n_challenges
     rng = random.Random(f"{seed}:mc")
-    space = 2 * q ** n_ch
-    wins = 0
-    if space <= MC_TABLE_CAP:
-        verdicts = list(_verdicts(strategy))
-        for _ in range(samples):
-            if verdicts[rng.randrange(space)]:
-                wins += 1
+    table = strategy.verdict_table
+    if table is not None:
+        wins = _table_wins(table, samples, rng)
     else:
+        wins = 0
         for _ in range(samples):
             d = rng.randrange(2)
             xs = tuple(rng.randrange(q) for _ in range(n_ch))

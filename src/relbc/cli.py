@@ -61,7 +61,10 @@ def load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"config line is not key = value: {line!r}")
             key, value = line.split("=", 1)
-            config[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in config:
+                raise ValueError(f"config key given twice: {key!r}")
+            config[key] = value.strip()
     return config
 
 

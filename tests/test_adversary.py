@@ -1,5 +1,6 @@
 """Cheating strategies, the recursive attack tower, and causality auditing."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -145,6 +146,14 @@ def test_cheat_strategy_round_count_checked():
     with pytest.raises(ValueError):
         CheatStrategy(GF2, Variant.SYMMETRIZED, 3, BASE,
                       (lambda d, xs, v, c: 0,) * 2)
+
+
+def test_cheat_strategy_is_frozen():
+    s = zeros_strategy(GF2, Variant.SYMMETRIZED, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.m = 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.rounds = s.rounds[:1]
 
 
 def test_zeros_strategy_value():

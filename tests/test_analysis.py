@@ -38,6 +38,7 @@ from relbc.errors import CapabilityError
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
 OPT2 = brute_force_value(GameDist.uniform(GF2)).strategy
+OPT3 = brute_force_value(GameDist.uniform(GF3)).strategy
 BASE = CausalModel()
 
 
@@ -142,6 +143,44 @@ def test_mc_estimate_deterministic_per_seed():
     assert a == b
     c = mc_cheat_probability(s, samples=1000, seed=6)
     assert a.mean != c.mean or a.wins != c.wins or a.seed != c.seed
+
+
+@pytest.mark.parametrize("strategy, wins", [
+    # space 128, draw width k = 8
+    (attack_base(GF2, 6, OPT2), (9934, 9935, 9930)),
+    # space 1458, k = 11
+    (build_attack(GF3, Variant.SYMMETRIZED, 6, BASE, OPT3), (9731, 9747, 9742)),
+    # space 4374: beyond the table cap, one sample at a time
+    (build_attack(GF3, Variant.SYMMETRIZED, 7, BASE, OPT3), (9838, 9848, 9823)),
+], ids=["q2-m6-table", "q3-m6-table", "q3-m7-direct"])
+def test_mc_seeded_wins_are_pinned(strategy, wins):
+    # the seeded streams are part of the output: a changed draw shows here
+    assert tuple(mc_cheat_probability(strategy, samples=10 ** 4, seed=seed).wins
+                 for seed in (0, 1, 2)) == wins
+
+
+def test_verdict_table_built_once_per_strategy():
+    calls = [0, 0, 0]
+
+    def counting(k):
+        def fn(d, xs, view, cache):
+            calls[k] += 1
+            return 0
+        return fn
+
+    s = CheatStrategy(GF2, Variant.SYMMETRIZED, 3, BASE,
+                      tuple(counting(k) for k in range(3)))
+    mc_cheat_probability(s, samples=1000, seed=0)
+    mc_cheat_probability(s, samples=1000, seed=1)
+    # one call per round per input of the 2 * 2^3 input space
+    assert calls == [16, 16, 16]
+
+
+def test_no_verdict_table_beyond_the_cap():
+    within = build_attack(GF3, Variant.SYMMETRIZED, 6, BASE, OPT3)
+    beyond = build_attack(GF3, Variant.SYMMETRIZED, 7, BASE, OPT3)
+    assert len(within.verdict_table) == 2 * 3 ** 6
+    assert beyond.verdict_table is None
 
 
 def test_mc_estimate_covers_exact_value():

@@ -170,9 +170,13 @@ def _assert_config_error(result):
     ("field-check", ()), ("game-value", ()), ("attack", ()),
     ("sweep", ("--out", "sweep.csv")), ("hiding", ())])
 def test_malformed_config_line_exits_config(tmp_path, command, args):
-    # a line that is not key = value, and a key that names no option
+    # a line that is not key = value, a key that names no option, and a key
+    # given twice (also as its dashed spelling)
     for body, message in (("p = 2\njust words\n", "not key = value"),
-                          ("p = 2\nsample = 1000\n", "'sample'")):
+                          ("p = 2\nsample = 1000\n", "'sample'"),
+                          ("p = 2\np = 3\n", "given twice: 'p'"),
+                          ("p = 2\nm-list = 4\nm_list = 5\n",
+                           "given twice: 'm_list'")):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(body)
         result = invoke(command, "--config", str(cfg), *args)

@@ -5,7 +5,9 @@ original O(Q^3) pair of routines, kept verbatim below; the tower's carried
 eta must give the same responses as recomputing compute_eta from scratch at
 every tower round; best_shift, which scores every translate from the win
 set's row and column counts, must return the same BestShift as the original
-O(Q^4) loop that shifts and rescores each translate.
+O(Q^4) loop that shifts and rescores each translate; the bulk verdict-table
+draws must count the same wins as the original per-draw randrange loop on
+the same random.Random stream.
 """
 
 import random
@@ -29,6 +31,7 @@ from relbc import (
     tower_gamma,
     win_probability,
 )
+from relbc.analysis import _table_wins
 from relbc.games import BestShift, _greedy_best
 
 FIELDS = {q: spec for q, spec in (
@@ -263,3 +266,68 @@ def test_best_shift_gf256_within_budget():
     elapsed = time.perf_counter() - start
     assert got.strategy == shift_strategy(strategy, got.u, got.v)
     assert elapsed < 2.0
+
+
+# --- reference: the original per-draw verdict-table loop, verbatim ----------
+
+def reference_table_wins(verdicts, samples: int, rng: random.Random) -> int:
+    space = len(verdicts)
+    wins = 0
+    for _ in range(samples):
+        if verdicts[rng.randrange(space)]:
+            wins += 1
+    return wins
+
+
+def _same_wins(table: bytes, samples: int, seed: int) -> int:
+    got = _table_wins(table, samples, random.Random(f"{seed}:mc"))
+    assert got == reference_table_wins(table, samples,
+                                       random.Random(f"{seed}:mc"))
+    return got
+
+
+# 2^j - 1, 2^j and 2^j + 1 for every draw width k = 2..13, and the cap 4096
+DRAW_SPACES = sorted({n for j in range(1, 14) for n in (2 ** j - 1, 2 ** j,
+                                                         2 ** j + 1)
+                      if n >= 2 and n.bit_length() <= 13} | {4096})
+
+
+@pytest.mark.parametrize("space", DRAW_SPACES)
+def test_table_wins_match_randrange_loop(space):
+    rng = random.Random(f"table:{space}")
+    table = bytes(rng.randrange(2) for _ in range(space))
+    for seed in range(3):
+        _same_wins(table, 1000, seed)
+
+
+@pytest.mark.parametrize("space", [2, 3, 128, 129, 1458, 4096])
+def test_table_wins_all_win_and_all_loss(space):
+    assert _same_wins(bytes([1]) * space, 500, 7) == 500
+    assert _same_wins(bytes(space), 500, 7) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=2, max_size=256),
+       st.integers(0, 2 ** 32), st.integers(100, 3000))
+def test_table_wins_match_randrange_loop_on_random_tables(table, seed, samples):
+    _same_wins(bytes(table), samples, seed)
+
+
+class _CountingRandom(random.Random):
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("space, seed", [(17, 45), (129, 291)])
+def test_table_wins_refill_when_first_block_is_short(space, seed):
+    # seeds found by search: the first block's accepted draws fall short of
+    # 100, so a second getrandbits block is needed
+    table = bytes(i % 2 for i in range(space))
+    rng = _CountingRandom(f"{seed}:mc")
+    got = _table_wins(table, 100, rng)
+    assert rng.calls == 2
+    assert got == reference_table_wins(table, 100,
+                                       _CountingRandom(f"{seed}:mc"))
