@@ -3,7 +3,6 @@ game over GF(Q), the multi-round protocol, and recursive cheating attacks."""
 
 from .adversary import (
     CausalModel,
-    CausalView,
     CheatStrategy,
     attack_base,
     attack_general,

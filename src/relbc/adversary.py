@@ -5,7 +5,10 @@ What each round's function may read is fixed by a causal model: the current
 challenge, every challenge old enough to have propagated across (rho rounds),
 and every challenge received at the same location (same round parity).  The
 committed bit is modeled as an extra challenge delivered at the decision
-round k0 and propagating the same way.
+round k0 and propagating the same way.  Round functions get the bit and the
+whole challenge tuple; the tower checks its rounds' fixed reads against the
+model once, when it builds them, and causality_check audits any strategy by
+perturbing what its rounds should not see.
 
 The recursive attack spends rho+1 rounds per step: it stays silent, computes
 the corrective factor eta for the prefix, then plays a two-player game on the
@@ -21,10 +24,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as _field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .field import FieldSpec
 from .games import DetStrategy
@@ -60,37 +63,8 @@ class CausalModel:
         """The bit is a pseudo-challenge delivered at round k0."""
         return k >= self.k0 + self.rho or (k >= self.k0 and (k - self.k0) % 2 == 0)
 
-    def view(self, k: int, d: int, challenges: tuple[int, ...]) -> "CausalView":
-        return CausalView(self, k, challenges,
-                          d if self.d_visible(k) else None)
 
-
-@dataclass(slots=True)
-class CausalView:
-    """Everything a round function is allowed to read.
-
-    The view holds the whole challenge tuple but checks
-    CausalModel.challenge_visible on every read, so building one per round
-    costs O(1) instead of a dict of the O(m) visible challenges.  It is not
-    frozen, because a frozen dataclass costs about 1 us more to build and
-    one is built per round; a round function that rebinds its view's fields
-    changes nothing outside its own call.
-    """
-
-    model: CausalModel
-    round_index: int
-    challenges: tuple[int, ...]
-    d: Optional[int]
-
-    def x(self, j: int) -> int:
-        if not (1 <= j <= len(self.challenges)
-                and self.model.challenge_visible(self.round_index, j)):
-            raise LookupError(
-                f"challenge x_{j} is not visible at round {self.round_index}")
-        return self.challenges[j - 1]
-
-
-RoundFn = Callable[[int, tuple[int, ...], CausalView, dict], int]
+RoundFn = Callable[[int, tuple[int, ...], dict], int]
 
 
 def compute_eta(spec: FieldSpec, d: int, challenges: tuple[int, ...],
@@ -114,15 +88,15 @@ def compute_eta(spec: FieldSpec, d: int, challenges: tuple[int, ...],
 class CheatStrategy:
     """Per-round deterministic response functions for one protocol variant.
 
-    Round functions take (d, challenges, view, cache) and return a
-    sign-flipped response; cache maps earlier rounds to their sign-flipped
-    outputs so recursive constructions need not recompute the prefix.
-    Compliant functions read only the view and cache; compliance is audited
-    by causality_check, which perturbs inputs outside the view.  The view
-    checks visibility when a challenge is read, and the tower rounds also
-    keep their carried eta in the per-call cache under a non-round key, so
-    evaluating a transcript costs O(m) field ops.  The strategy is frozen,
-    so its verdict table, built on first use, cannot go stale.
+    Round functions take (d, challenges, cache) and return a sign-flipped
+    response; cache maps earlier rounds to their sign-flipped outputs so
+    recursive constructions need not recompute the prefix.  A compliant
+    round k reads only the bit and challenges its causal model lets round k
+    see, plus the cache; causality_check audits this by perturbing the
+    inputs round k may not see.  The tower rounds also keep their carried
+    eta in the per-call cache under a non-round key, so evaluating a
+    transcript costs O(m) field ops.  The strategy is frozen, so its
+    verdict table, built on first use, cannot go stale.
     """
 
     field: FieldSpec
@@ -132,7 +106,6 @@ class CheatStrategy:
     rounds: tuple[RoundFn, ...]
     lineage: str = "custom"
     game_strategy: Optional[DetStrategy] = None
-    meta: dict = _field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
@@ -168,16 +141,13 @@ class CheatStrategy:
 
     def _fill(self, upto: int, d: int, xs: tuple[int, ...],
               cache: dict) -> None:
-        view, rounds = self.model.view, self.rounds
+        rounds = self.rounds
         for k in range(1, upto + 1):
-            if k not in cache:
-                cache[k] = rounds[k - 1](d, xs, view(k, d, xs), cache)
+            cache[k] = rounds[k - 1](d, xs, cache)
 
-    def respond(self, k: int, d: int, xs: tuple[int, ...],
-                cache: Optional[dict] = None) -> int:
+    def respond(self, k: int, d: int, xs: tuple[int, ...]) -> int:
         """Actual (un-flipped) response at round k for the given challenges."""
-        if cache is None:
-            cache = {}
+        cache: dict = {}
         self._fill(k, d, xs, cache)
         yt = cache[k]
         return yt if k % 2 == 1 else self.field.neg(yt)
@@ -191,7 +161,7 @@ class CheatStrategy:
                      for k in range(1, n + 1))
 
 
-def _zero_round(d, xs, view, cache) -> int:
+def _zero_round(d, xs, cache) -> int:
     return 0
 
 
@@ -199,25 +169,37 @@ def _zero_round(d, xs, view, cache) -> int:
 _ETA_KEY = "eta"
 
 
-def _eta_at(spec: FieldSpec, prefix: int, view: CausalView,
+def _eta_at(spec: FieldSpec, prefix: int, d: int, xs: tuple[int, ...],
             cache: dict) -> int:
     """eta of the first `prefix` rounds, carried forward as
     eta_k = x_k * eta_{k-1} - ytilde_k from the latest value memoised in the
     per-call cache, so a whole transcript costs O(m) field ops."""
-    if view.d is None:
-        raise LookupError(f"bit not yet known at round {view.round_index}")
-    k, eta = cache.get(_ETA_KEY, (0, view.d))
+    k, eta = cache.get(_ETA_KEY, (0, d))
     if k > prefix:
-        k, eta = 0, view.d
+        k, eta = 0, d
     mul, sub = spec.mul, spec.sub
     for j in range(k + 1, prefix + 1):
-        eta = sub(mul(view.x(j), eta), cache[j])
+        eta = sub(mul(xs[j - 1], eta), cache[j])
     cache[_ETA_KEY] = (prefix, eta)
     return eta
 
 
+def _check_reads(model: CausalModel, k: int, n: int,
+                 reads: Iterable[int]) -> None:
+    """Raise LookupError unless round k may read the bit and each challenge
+    index in `reads` of a transcript with n challenges."""
+    if not model.d_visible(k):
+        raise LookupError(f"bit not yet known at round {k}")
+    for j in reads:
+        if not (1 <= j <= n and model.challenge_visible(k, j)):
+            raise LookupError(f"challenge x_{j} is not visible at round {k}")
+
+
 def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,
                   game_strategy: DetStrategy) -> list[RoundFn]:
+    """Round functions of the tower.  The bit and challenges each round
+    reads are fixed by its position, so they are checked against the model
+    once, here, rather than on every call."""
     rho, k0 = model.rho, model.k0
     steps = (m - k0) // (rho + 1)
     rounds: list[RoundFn] = [_zero_round] * k0
@@ -225,13 +207,14 @@ def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,
     def make_first(prefix: int) -> RoundFn:
         ka = prefix + rho
         window = [j for j in range(prefix + 1, ka + 1) if (ka - j) % 2 == 0]
+        _check_reads(model, ka, m, [*range(1, prefix + 1), *window])
         s1 = game_strategy.s1
 
-        def fn(d, xs, view, cache):
-            eta = _eta_at(spec, prefix, view, cache)
+        def fn(d, xs, cache):
+            eta = _eta_at(spec, prefix, d, xs, cache)
             xin = 1
             for j in window:
-                xin = spec.mul(xin, view.x(j))
+                xin = spec.mul(xin, xs[j - 1])
             return spec.mul(eta, s1[xin])
         return fn
 
@@ -239,14 +222,15 @@ def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,
         kb = prefix + rho + 1
         window = [j for j in range(prefix + 1, prefix + rho + 1)
                   if (kb - j) % 2 == 0]
+        _check_reads(model, kb, m, [*range(1, prefix + 1), *window, kb])
         s2 = game_strategy.s2
 
-        def fn(d, xs, view, cache):
-            eta = _eta_at(spec, prefix, view, cache)
+        def fn(d, xs, cache):
+            eta = _eta_at(spec, prefix, d, xs, cache)
             yin = 1
             for j in window:
-                yin = spec.mul(yin, view.x(j))
-            return spec.mul(spec.mul(eta, s2[yin]), view.x(kb))
+                yin = spec.mul(yin, xs[j - 1])
+            return spec.mul(spec.mul(eta, s2[yin]), xs[kb - 1])
         return fn
 
     for s in range(steps):
@@ -292,8 +276,7 @@ def attack_general(spec: FieldSpec, m: int, model: CausalModel,
             f" {model}; nearest valid tower is m = {nearest}")
     rounds = _tower_rounds(spec, m, model, game_strategy)
     return CheatStrategy(spec, Variant.SYMMETRIZED, m, model, tuple(rounds),
-                         lineage=lineage, game_strategy=game_strategy,
-                         meta={"steps": steps})
+                         lineage=lineage, game_strategy=game_strategy)
 
 
 def tower_gamma(spec: FieldSpec, model: CausalModel) -> Fraction:
@@ -315,14 +298,13 @@ def symmetrize_up(s: CheatStrategy) -> CheatStrategy:
     old_final = s.rounds[m - 1]
     spec = s.field
 
-    def final(d, xs, view, cache):
-        inner = model.view(m, d, xs[:-1])
-        return spec.mul(view.x(m), old_final(d, xs[:-1], inner, cache))
+    def final(d, xs, cache):
+        return spec.mul(xs[m - 1], old_final(d, xs[:-1], cache))
 
     return CheatStrategy(spec, Variant.SYMMETRIZED, m, model,
                          s.rounds[:-1] + (final,),
                          lineage=f"symmetrize_up({s.lineage})",
-                         game_strategy=s.game_strategy, meta=dict(s.meta))
+                         game_strategy=s.game_strategy)
 
 
 def desymmetrize(s: CheatStrategy) -> CheatStrategy:
@@ -338,7 +320,7 @@ def desymmetrize(s: CheatStrategy) -> CheatStrategy:
     return CheatStrategy(s.field, Variant.STANDARD, s.m + 1, s.model,
                          s.rounds + (_zero_round,),
                          lineage=f"desymmetrize({s.lineage})",
-                         game_strategy=s.game_strategy, meta=dict(s.meta))
+                         game_strategy=s.game_strategy)
 
 
 def extend_symmetrized(s: CheatStrategy, extra: int) -> CheatStrategy:
@@ -357,7 +339,7 @@ def extend_symmetrized(s: CheatStrategy, extra: int) -> CheatStrategy:
     return CheatStrategy(s.field, Variant.SYMMETRIZED, s.m + extra, s.model,
                          s.rounds + (_zero_round,) * extra,
                          lineage=f"pad+{extra}({s.lineage})",
-                         game_strategy=s.game_strategy, meta=dict(s.meta))
+                         game_strategy=s.game_strategy)
 
 
 def zeros_strategy(spec: FieldSpec, variant: Variant, m: int,
@@ -411,7 +393,7 @@ def causality_check(s: CheatStrategy, model: Optional[CausalModel] = None,
                     trials: int = 100, seed: int = 0) -> CausalityReport:
     """Audit a strategy against a causal model by input perturbation.
 
-    For each round and trial, every input outside the round's view is
+    For each round and trial, every input the model hides from the round is
     perturbed one at a time; any change in the round's output is recorded
     as a violation.  Report-only; compliant strategies yield zero
     violations.
@@ -433,7 +415,7 @@ def causality_check(s: CheatStrategy, model: Optional[CausalModel] = None,
             if d_hidden and s.respond(k, 1 - d, xs) != base:
                 violations.append({"round": k, "input": "d", "trial": t})
             for j in hidden:
-                alt = (xs[j - 1] + rng.randrange(1, q)) % q if q > 1 else xs[j - 1]
+                alt = (xs[j - 1] + rng.randrange(1, q)) % q
                 pert = xs[:j - 1] + (alt,) + xs[j:]
                 if s.respond(k, d, pert) != base:
                     violations.append({"round": k, "input": f"x{j}", "trial": t})

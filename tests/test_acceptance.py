@@ -157,7 +157,7 @@ def _random_full_information_strategy(spec, m, seed):
     functions of the committed bit and the challenges received so far."""
 
     def make(k):
-        def fn(d, xs, view, cache):
+        def fn(d, xs, cache):
             key = f"{seed}:{k}:{d}:{xs[:min(k, len(xs))]}"
             return random.Random(key).randrange(spec.q)
         return fn
@@ -247,12 +247,12 @@ def test_criterion_08_causality_compliance():
             report = causality_check(s, trials=1000, seed=0)
             assert report.ok, report.violations[:3]
 
-        def peek(d, xs, view, cache):
+        def peek(d, xs, cache):
             return xs[2]  # future challenge, invisible at round 1
 
         mutant = CheatStrategy(GF2, Variant.SYMMETRIZED, 3, CausalModel(),
-                               (peek, lambda d, xs, v, c: 0,
-                                lambda d, xs, v, c: 0))
+                               (peek, lambda d, xs, c: 0,
+                                lambda d, xs, c: 0))
         assert not causality_check(mutant, trials=1000, seed=0).ok
 
 

@@ -30,6 +30,7 @@ from relbc import (
     win_probability,
     zeros_strategy,
 )
+from relbc.adversary import _check_reads
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -92,34 +93,54 @@ def test_bit_visibility():
     assert late.d_visible(5)
 
 
-def test_view_restricts_access():
+def test_read_check_rejects_what_the_model_hides():
     m = CausalModel(rho=2, k0=0)
-    view = m.view(3, 1, (1, 0, 1, 1))
-    assert view.x(1) == 1 and view.x(3) == 1
-    assert view.round_index == 3 and view.d == 1
+    _check_reads(m, 3, 4, (1, 3))
     for j in (0, -1, 2, 4, 5):  # out of range, hidden, future, past the end
-        with pytest.raises(LookupError):
-            view.x(j)
+        with pytest.raises(LookupError,
+                           match=f"challenge x_{j} is not visible at round 3"):
+            _check_reads(m, 3, 4, (j,))
     # the bit is hidden at round 1
-    assert m.view(1, 1, (1, 0)).d is None
+    with pytest.raises(LookupError, match="bit not yet known at round 1"):
+        _check_reads(m, 1, 2, ())
 
 
 @pytest.mark.parametrize("rho", [2, 4])
-def test_lazy_view_agrees_with_challenge_visible(rho):
+def test_read_check_agrees_with_challenge_visible(rho):
     for k0 in (0, 1, 3):
         model = CausalModel(rho=rho, k0=k0)
         for n in range(1, 9):
-            xs = tuple(range(10, 10 + n))
             for k in range(1, n + 2):
-                view = model.view(k, 1, xs)
-                assert view.d == (1 if model.d_visible(k) else None)
+                if not model.d_visible(k):
+                    with pytest.raises(LookupError):
+                        _check_reads(model, k, n, ())
+                    continue
                 for j in range(-1, n + 3):
-                    visible = 1 <= j <= n and model.challenge_visible(k, j)
-                    if visible:
-                        assert view.x(j) == xs[j - 1]
+                    if 1 <= j <= n and model.challenge_visible(k, j):
+                        _check_reads(model, k, n, (j,))
                     else:
                         with pytest.raises(LookupError):
-                            view.x(j)
+                            _check_reads(model, k, n, (j,))
+
+
+@pytest.mark.parametrize("rho", [2, 4, 6])
+def test_towers_pass_their_read_check(rho):
+    for k0 in (0, 1, 3):
+        model = CausalModel(rho=rho, k0=k0)
+        for steps in (1, 2, 3):
+            m = k0 + steps * (rho + 1)
+            assert len(attack_general(GF2, m, model, OPT2).rounds) == m
+
+
+def test_tower_rejects_a_model_that_hides_its_reads():
+    class Blind(CausalModel):
+        def challenge_visible(self, k, j):
+            return j == k
+
+    # the second round of the step reads x_1 alongside its own x_3
+    with pytest.raises(LookupError,
+                       match="challenge x_1 is not visible at round 3"):
+        attack_general(GF2, 3, Blind(), OPT2)
 
 
 def test_compute_eta_zero_iff_condition_holds():
@@ -145,7 +166,7 @@ def test_compute_eta_length_mismatch():
 def test_cheat_strategy_round_count_checked():
     with pytest.raises(ValueError):
         CheatStrategy(GF2, Variant.SYMMETRIZED, 3, BASE,
-                      (lambda d, xs, v, c: 0,) * 2)
+                      (lambda d, xs, c: 0,) * 2)
 
 
 def test_cheat_strategy_is_frozen():
@@ -154,6 +175,8 @@ def test_cheat_strategy_is_frozen():
         s.m = 4
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.rounds = s.rounds[:1]
+    hash(s)
+    hash(attack_base(GF2, 6, OPT2))
 
 
 def test_zeros_strategy_value():
@@ -269,7 +292,7 @@ def test_symmetrize_up_dominates():
         tables = tuple(rng.randrange(3) for _ in range(9))
 
         def make(i):
-            return lambda d, xs, view, cache: tables[(i * 3 + d) % 9]
+            return lambda d, xs, cache: tables[(i * 3 + d) % 9]
 
         std = CheatStrategy(GF3, Variant.STANDARD, 3,
                             CausalModel(rho=2, k0=0),
@@ -290,7 +313,7 @@ def test_symmetrization_sandwich():
             consts = tuple(rng.randrange(q) for _ in range(m + 1))
 
             def const(i):
-                return lambda d, xs, view, cache: consts[i]
+                return lambda d, xs, cache: consts[i]
 
             model = CausalModel(rho=2, k0=0)
             std = CheatStrategy(spec, Variant.STANDARD, m, model,
@@ -346,12 +369,12 @@ def test_causality_check_passes_constructed_attacks():
 
 def test_causality_check_detects_noncausal_mutant():
     # round 1 peeks at the future challenge x_2
-    def peek(d, xs, view, cache):
+    def peek(d, xs, cache):
         return xs[1]
 
     mutant = CheatStrategy(GF2, Variant.SYMMETRIZED, 3, BASE,
-                           (peek, lambda d, xs, v, c: 0,
-                            lambda d, xs, v, c: 0))
+                           (peek, lambda d, xs, c: 0,
+                            lambda d, xs, c: 0))
     report = causality_check(mutant, trials=50, seed=2)
     assert not report.ok
     assert any(v["round"] == 1 and v["input"] == "x2"
@@ -360,12 +383,12 @@ def test_causality_check_detects_noncausal_mutant():
 
 def test_causality_check_detects_early_bit_use():
     # round 1 depends on d, which is not visible there
-    def use_d(d, xs, view, cache):
+    def use_d(d, xs, cache):
         return d
 
     mutant = CheatStrategy(GF2, Variant.SYMMETRIZED, 3, BASE,
-                           (use_d, lambda d, xs, v, c: 0,
-                            lambda d, xs, v, c: 0))
+                           (use_d, lambda d, xs, c: 0,
+                            lambda d, xs, c: 0))
     report = causality_check(mutant, trials=50, seed=3)
     assert any(v["input"] == "d" for v in report.violations)
 

@@ -163,7 +163,7 @@ def test_verdict_table_built_once_per_strategy():
     calls = [0, 0, 0]
 
     def counting(k):
-        def fn(d, xs, view, cache):
+        def fn(d, xs, cache):
             calls[k] += 1
             return 0
         return fn
