@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+from array import array
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from typing import NamedTuple
@@ -19,6 +20,9 @@ from .errors import CapabilityError, FieldMismatchError
 from .field import FieldElement, FieldSpec
 
 BRUTE_FORCE_MAX_Q = 9
+# Best responses read two Q x Q tables (2 x 32 MB at Q = 4096, 2 x 8 GB at
+# Q = 2^16) and take Q^2 steps each, so larger searches are refused.
+SEARCH_MAX_Q = 4096
 
 
 @dataclass(frozen=True)
@@ -145,25 +149,41 @@ def _score(spec: FieldSpec, s1, s2, w) -> int:
     return total
 
 
-def _greedy_best(spec: FieldSpec, other, w) -> tuple[tuple[int, ...], int]:
+def _game_tables(spec: FieldSpec) -> tuple[list[array], list[array]]:
+    """Product and difference tables: prod[y][x] = x*y, minus[c][a] = c - a.
+
+    Built once per solve, so the best responses below index rows instead of
+    calling field methods; each row is a byte array up to Q = 256 and a
+    16-bit one above.
+    """
+    q = spec.q
+    code = "B" if q <= 256 else "H"
+    mul, sub = spec.mul, spec.sub
+    prod = [array(code, [mul(x, y) for x in range(q)]) for y in range(q)]
+    minus = [array(code, [sub(c, a) for a in range(q)]) for c in range(q)]
+    return prod, minus
+
+
+def _greedy_best(tables, other, w) -> tuple[tuple[int, ...], int]:
     """Optimal table for one player against the other's fixed table.
 
     Serves both players: the game is symmetric, as a + b = x*y with a
     commutative product, so player 1 against s2 is player 2 against s1.  For
     each own input y, the other player's input x makes b = x*y - other[x]
     win, so w[x] goes into a Q-bucket score at that b; the answer is the
-    first maximum, i.e. ties go to the smallest index.  O(Q^2) field ops.
+    first maximum, i.e. ties go to the smallest index.  O(Q^2) lookups in
+    the _game_tables of the field.
 
     Returns the table and the total integer score (weights squared scale).
     """
-    q = spec.q
-    mul, sub = spec.mul, spec.sub
+    prod, minus = tables
+    q = len(prod)
     table = []
     total = 0
-    for y in range(q):
+    for y, row in enumerate(prod):
         score = [0] * q
-        for x in range(q):
-            score[sub(mul(x, y), other[x])] += w[x]
+        for px, ox, wx in zip(row, other, w):
+            score[minus[px][ox]] += wx
         best = max(score)
         table.append(score.index(best))
         total += w[y] * best
@@ -173,9 +193,18 @@ def _greedy_best(spec: FieldSpec, other, w) -> tuple[tuple[int, ...], int]:
 def brute_force_value(dist: GameDist) -> GameValueResult:
     """Exact optimum over deterministic strategy pairs.
 
-    Enumerates every s1 table and pairs it with the greedy best-response s2,
+    Pairs every s1 table with s1(0) = 0 with the greedy best-response s2,
     which attains the per-s1 optimum, so the overall maximum is exact.
     Deterministic strategies suffice: randomized ones are convex mixtures.
+
+    Fixing s1(0) = 0 loses nothing and returns the same pair as scoring all
+    Q^Q tables in product order.  Subtracting a constant c from s1 moves
+    each of y's score buckets from b to b + c, a permutation, so the
+    greedy score is unchanged for any weights, biased ones included.  Every
+    maximiser with s1(0) = c thus has an equal-scoring twin s1 - c with
+    s1(0) = 0.  In product order the whole s1(0) = 0 block comes first, so
+    the first maximum, and its greedy s2, lie in it.  Q^(Q-1) tables are
+    scored.
     """
     spec = dist.field
     q = spec.q
@@ -184,16 +213,19 @@ def brute_force_value(dist: GameDist) -> GameValueResult:
             f"brute force is capped at Q <= {BRUTE_FORCE_MAX_Q} (got Q={q});"
             " use best_response_search")
     w, den = dist.weights()
+    tables = _game_tables(spec)
     best_score = -1
     best_pair = None
-    for s1 in itertools.product(range(q), repeat=q):
-        s2, score = _greedy_best(spec, s1, w)
+    for rest in itertools.product(range(q), repeat=q - 1):
+        s1 = (0,) + rest
+        s2, score = _greedy_best(tables, s1, w)
         if score > best_score:
             best_score = score
             best_pair = (s1, s2)
     strategy = DetStrategy(spec, *best_pair)
     return GameValueResult(Fraction(best_score, den * den), strategy,
-                           "brute_force", {"q": q})
+                           "brute_force",
+                           {"q": q, "tables_scored": q ** (q - 1)})
 
 
 def best_response_search(dist: GameDist, restarts: int = 8,
@@ -203,7 +235,8 @@ def best_response_search(dist: GameDist, restarts: int = 8,
     The returned value is an exactly evaluated feasible strategy, hence a
     certified lower bound on the game value.  The constant-shift degeneracy
     (adding c to s1, subtracting it from s2) is removed by renormalizing
-    s2(0) = 0 after every update.
+    s2(0) = 0 after every update.  Capped at Q <= SEARCH_MAX_Q, the largest
+    field whose _game_tables are built.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -211,20 +244,31 @@ def best_response_search(dist: GameDist, restarts: int = 8,
         raise ValueError("max_iters must be >= 1")
     spec = dist.field
     q = spec.q
+    if q > SEARCH_MAX_Q:
+        raise CapabilityError(
+            f"best-response search is capped at Q <= {SEARCH_MAX_Q}"
+            f" (got Q={q})")
     w, den = dist.weights()
+    tables = _game_tables(spec)
+    minus = tables[1]
     rng = random.Random(f"{seed}:best-response-search")
     best_score = -1
     best_pair = None
     all_converged = True
+    responses = 0
     for _ in range(restarts):
         s1 = tuple(rng.randrange(q) for _ in range(q))
         s2 = tuple(rng.randrange(q) for _ in range(q))
         converged = False
         for _ in range(max_iters):
             prev = (s1, s2)
-            s2, _sc = _greedy_best(spec, s1, w)
-            s1, s2 = _normalize(spec, s1, s2)
-            s1, score = _greedy_best(spec, s2, w)
+            s2, _sc = _greedy_best(tables, s1, w)
+            # s2 - c pairs with s1 + c, but s1 is recomputed from s2 next
+            c = s2[0]
+            if c:
+                s2 = tuple(minus[b][c] for b in s2)
+            s1, score = _greedy_best(tables, s2, w)
+            responses += 2
             if (s1, s2) == prev:
                 converged = True
                 break
@@ -236,15 +280,8 @@ def best_response_search(dist: GameDist, restarts: int = 8,
     return GameValueResult(Fraction(best_score, den * den), strategy,
                            "best_response_search",
                            {"restarts": restarts, "max_iters": max_iters,
-                            "seed": seed, "converged": all_converged})
-
-
-def _normalize(spec: FieldSpec, s1, s2):
-    c = s2[0]
-    if c == 0:
-        return tuple(s1), tuple(s2)
-    return (tuple(spec.add(a, c) for a in s1),
-            tuple(spec.sub(b, c) for b in s2))
+                            "seed": seed, "converged": all_converged,
+                            "best_responses": responses})
 
 
 def _idx(spec: FieldSpec, v) -> int:

@@ -94,6 +94,12 @@ def test_game_value_capability_exit():
     assert "best_response_search" in result.stderr
 
 
+def test_game_value_search_past_cap_exits_capability():
+    result = invoke("game-value", "--p", "2", "--n", "13", "--method", "search")
+    assert result.exit_code == 3
+    assert "capped at Q <= 4096" in result.stderr
+
+
 def test_game_value_search_with_strategy_out(tmp_path):
     spath = tmp_path / "strategy.json"
     result = invoke("game-value", "--p", "3", "--method", "search",

@@ -1,7 +1,9 @@
 """The fast paths against straightforward references.
 
 The greedy best response must return the same table and score as the
-original O(Q^3) pair of routines, kept verbatim below; the tower's carried
+original O(Q^3) pair of routines, kept verbatim below; the brute force over
+s1(0) = 0 with table lookups must return the same value and pair as the
+original loop over all Q^Q tables with field-method calls; the tower's carried
 eta must give the same responses as recomputing compute_eta from scratch at
 every tower round; best_shift, which scores every translate from the win
 set's row and column counts, must return the same BestShift as the original
@@ -10,6 +12,7 @@ draws must count the same wins as the original per-draw randrange loop on
 the same random.Random stream.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -25,6 +28,7 @@ from relbc import (
     GameDist,
     Variant,
     best_shift,
+    brute_force_value,
     build_attack,
     compute_eta,
     shift_strategy,
@@ -32,7 +36,7 @@ from relbc import (
     win_probability,
 )
 from relbc.analysis import _table_wins
-from relbc.games import BestShift, _greedy_best
+from relbc.games import BestShift, _game_tables, _greedy_best
 
 FIELDS = {q: spec for q, spec in (
     (2, FieldSpec(2)), (3, FieldSpec(3)), (4, FieldSpec(2, 2)),
@@ -104,20 +108,69 @@ def _tables(spec, rng):
 @pytest.mark.parametrize("q", sorted(FIELDS))
 def test_greedy_best_matches_cubic_reference(q):
     spec = FIELDS[q]
+    tables = _game_tables(spec)
     rng = random.Random(f"greedy:{q}")
     for gamma in _gammas(q):
         w, _den = GameDist(spec, gamma).weights()
         for table in _tables(spec, rng):
-            assert _greedy_best(spec, table, w) == _greedy_best_s2(spec, table, w)
-            assert _greedy_best(spec, table, w) == _greedy_best_s1(spec, table, w)
+            assert _greedy_best(tables, table, w) == _greedy_best_s2(spec, table, w)
+            assert _greedy_best(tables, table, w) == _greedy_best_s1(spec, table, w)
 
 
 def test_greedy_best_breaks_ties_to_smallest_index():
     spec = FIELDS[5]
     w, _den = GameDist.uniform(spec).weights()
     # against all zeros, every nonzero y sees each answer win exactly once
-    table, _score = _greedy_best(spec, (0,) * 5, w)
+    table, _score = _greedy_best(_game_tables(spec), (0,) * 5, w)
     assert table == (0,) * 5
+
+
+# --- reference: brute force over every s1, with field-method calls --------
+
+def _method_greedy_best(spec: FieldSpec, other, w) -> tuple[tuple[int, ...], int]:
+    """The original greedy best response, verbatim: two field calls a cell."""
+    q = spec.q
+    mul, sub = spec.mul, spec.sub
+    table = []
+    total = 0
+    for y in range(q):
+        score = [0] * q
+        for x in range(q):
+            score[sub(mul(x, y), other[x])] += w[x]
+        best = max(score)
+        table.append(score.index(best))
+        total += w[y] * best
+    return tuple(table), total
+
+
+def reference_brute_force(dist: GameDist):
+    """The original brute-force loop, verbatim: all Q^Q tables in product order.
+
+    Returns the value and the (s1, s2) pair of the first maximum.
+    """
+    spec = dist.field
+    q = spec.q
+    w, den = dist.weights()
+    best_score = -1
+    best_pair = None
+    for s1 in itertools.product(range(q), repeat=q):
+        s2, score = _method_greedy_best(spec, s1, w)
+        if score > best_score:
+            best_score = score
+            best_pair = (s1, s2)
+    return Fraction(best_score, den * den), best_pair
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_brute_force_matches_full_enumeration(q):
+    spec = FIELDS[q]
+    for gamma in (Fraction(1, q), tower_gamma(spec, CausalModel(rho=4)),
+                  Fraction(0), Fraction(1, 2), Fraction(1)):
+        dist = GameDist(spec, gamma)
+        fast = brute_force_value(dist)
+        value, (s1, s2) = reference_brute_force(dist)
+        assert fast.value == value, gamma
+        assert fast.strategy.s1 == s1 and fast.strategy.s2 == s2, gamma
 
 
 # --- reference: the tower with eta recomputed at every round ---------------

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from relbc import (
+    CapabilityError,
+    CausalModel,
     DetStrategy,
     FieldElement,
     FieldMismatchError,
@@ -16,8 +18,10 @@ from relbc import (
     best_shift,
     brute_force_value,
     shift_strategy,
+    tower_gamma,
     win_probability,
 )
+from relbc import games
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -123,6 +127,39 @@ def test_best_response_search_rejects_bad_counts():
         best_response_search(dist, restarts=0)
     with pytest.raises(ValueError, match="max_iters must be >= 1"):
         best_response_search(dist, max_iters=0)
+
+
+def test_best_response_search_golden_results():
+    # pinned from the method-call implementation the table lookups replaced
+    gf16, gf27 = FieldSpec(2, 4), FieldSpec(3, 3)
+    r = best_response_search(GameDist.uniform(gf16), seed=1)
+    assert r.value == Fraction(29, 128)
+    assert r.strategy.s1 == (0, 10, 7, 3, 6, 4, 11, 0, 8, 0, 9, 0, 10, 2, 0, 0)
+    assert r.strategy.s2 == (0, 0, 14, 1, 15, 6, 0, 10, 0, 12, 0, 4, 2, 7, 8, 5)
+    assert r.meta["converged"] is True
+    dist = GameDist(gf27, tower_gamma(gf27, CausalModel(rho=4)))
+    r = best_response_search(dist, seed=3)
+    assert r.value == Fraction(29744, 177147)
+    assert r.strategy.s1 == (19,) + (0,) * 26
+    assert r.strategy.s2 == (0,) + (11,) * 26
+    assert r.meta["converged"] is True
+
+
+def test_best_response_search_cap_builds_no_tables(monkeypatch):
+    def no_tables(spec):
+        raise AssertionError("tables built past the cap")
+    monkeypatch.setattr(games, "_game_tables", no_tables)
+    assert FieldSpec(2, 13).q > games.SEARCH_MAX_Q
+    with pytest.raises(CapabilityError, match="capped at Q <= 4096"):
+        best_response_search(GameDist.uniform(FieldSpec(2, 13)))
+
+
+def test_meta_counts_work():
+    assert brute_force_value(GameDist.uniform(GF3)).meta == {
+        "q": 3, "tables_scored": 9}
+    # one iteration per restart: two best responses each
+    r = best_response_search(GameDist.uniform(GF4), restarts=3, max_iters=1)
+    assert r.meta["best_responses"] == 6
 
 
 def test_search_value_is_feasible():
