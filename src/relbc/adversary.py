@@ -10,11 +10,17 @@ whole challenge tuple; the tower checks its rounds' fixed reads against the
 model once, when it builds them, and causality_check audits any strategy by
 perturbing what its rounds should not see.
 
-The recursive attack spends rho+1 rounds per step: it stays silent, computes
-the corrective factor eta for the prefix, then plays a two-player game on the
-windowed challenge products; a win, a zero final challenge, or eta = 0 each
-make the step's condition collapse, which drives the acceptance probability
-towards 1 exponentially in the number of steps.
+A transcript is evaluated along one chain, eta_0 = d and
+eta_k = x_k*eta_{k-1} - ytilde_k (x = 1 for the standard variant's final
+round): it is accepted exactly when eta_n = 0, and each round also gets the
+chain so far.  eta_j depends only on the bit and x_1..x_j, so a compliant
+round reads eta_j only for prefixes whose challenges it may see.
+
+The recursive attack spends rho+1 rounds per step: it stays silent, reads
+the corrective factor eta of the prefix off the chain, then plays a
+two-player game on the windowed challenge products; a win, a zero final
+challenge, or eta = 0 each make the step's condition collapse, which drives
+the acceptance probability towards 1 exponentially in the number of steps.
 
 Strategies are built in sign-flipped response space (see
 protocol.tilde_transform) and converted back at the boundary.
@@ -31,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .field import FieldSpec
 from .games import DetStrategy
-from .protocol import ProtocolParams, Variant, verify_values
+from .protocol import ProtocolParams, Variant
 
 # Largest input space 2*Q^n whose verdicts a strategy keeps as a table.
 MC_TABLE_CAP = 4096
@@ -64,7 +70,7 @@ class CausalModel:
         return k >= self.k0 + self.rho or (k >= self.k0 and (k - self.k0) % 2 == 0)
 
 
-RoundFn = Callable[[int, tuple[int, ...], dict], int]
+RoundFn = Callable[[int, tuple[int, ...], list[int]], int]
 
 
 def compute_eta(spec: FieldSpec, d: int, challenges: tuple[int, ...],
@@ -88,15 +94,16 @@ def compute_eta(spec: FieldSpec, d: int, challenges: tuple[int, ...],
 class CheatStrategy:
     """Per-round deterministic response functions for one protocol variant.
 
-    Round functions take (d, challenges, cache) and return a sign-flipped
-    response; cache maps earlier rounds to their sign-flipped outputs so
-    recursive constructions need not recompute the prefix.  A compliant
-    round k reads only the bit and challenges its causal model lets round k
-    see, plus the cache; causality_check audits this by perturbing the
-    inputs round k may not see.  The tower rounds also keep their carried
-    eta in the per-call cache under a non-round key, so evaluating a
-    transcript costs O(m) field ops.  The strategy is frozen, so its
-    verdict table, built on first use, cannot go stale.
+    Round functions take (d, challenges, etas) and return a sign-flipped
+    response ytilde_k.  etas is the chain so far: etas[0] = d and
+    etas[j] = x_j*etas[j-1] - ytilde_j for j < k, so an earlier output is
+    ytilde_j = x_j*etas[j-1] - etas[j].  A compliant round k reads only the
+    bit and the challenges its causal model lets round k see, and eta_j
+    only for prefixes j whose challenges it may see; causality_check audits
+    this by perturbing the inputs round k may not see.  One pass along the
+    chain evaluates a transcript in O(m) field ops and gives its verdict
+    (accepts).  The strategy is frozen, so its verdict table, built on
+    first use, cannot go stale.
     """
 
     field: FieldSpec
@@ -125,11 +132,11 @@ class CheatStrategy:
     def verdicts(self) -> Iterator[bool]:
         """Acceptance verdict of every (d, challenges), d-major in product
         order."""
-        params = self.params
+        accepts = self.accepts
         for d in (0, 1):
             for xs in itertools.product(range(self.field.q),
-                                        repeat=params.n_challenges):
-                yield verify_values(params, d, xs, self.responses(d, xs))
+                                        repeat=self.n_challenges):
+                yield accepts(d, xs)
 
     @cached_property
     def verdict_table(self) -> Optional[bytes]:
@@ -139,49 +146,44 @@ class CheatStrategy:
             return None
         return bytes(self.verdicts())
 
-    def _fill(self, upto: int, d: int, xs: tuple[int, ...],
-              cache: dict) -> None:
-        rounds = self.rounds
-        for k in range(1, upto + 1):
-            cache[k] = rounds[k - 1](d, xs, cache)
+    def _chain(self, d: int, xs: tuple[int, ...], upto: int) -> list[int]:
+        """eta_0..eta_upto of the transcript the rounds play on (d, xs)."""
+        mul, sub = self.field.mul, self.field.sub
+        etas = [d]
+        push = etas.append
+        eta = d
+        for fn, x in zip(self.rounds[:upto], xs):
+            eta = sub(mul(x, eta), fn(d, xs, etas))
+            push(eta)
+        if len(etas) <= upto:  # the standard variant's final round: x = 1
+            push(sub(eta, self.rounds[upto - 1](d, xs, etas)))
+        return etas
+
+    def accepts(self, d: int, xs: tuple[int, ...]) -> bool:
+        """Verdict on (d, xs): the chain ends at eta_n = 0.  This is
+        verify_values' test, whose chained value is alpha_k = (-1)^k*eta_k."""
+        return self._chain(d, xs, len(self.rounds))[-1] == 0
 
     def respond(self, k: int, d: int, xs: tuple[int, ...]) -> int:
         """Actual (un-flipped) response at round k for the given challenges."""
-        cache: dict = {}
-        self._fill(k, d, xs, cache)
-        yt = cache[k]
+        yt = self.rounds[k - 1](d, xs, self._chain(d, xs, k - 1))
         return yt if k % 2 == 1 else self.field.neg(yt)
 
     def responses(self, d: int, xs: tuple[int, ...]) -> tuple[int, ...]:
-        cache: dict = {}
-        n = len(self.rounds)
-        self._fill(n, d, xs, cache)
+        """Actual responses of every round.  Each round is called again on
+        the chain before it rather than read back from the chain, so
+        verify_values on these responses checks accepts independently."""
+        etas = self._chain(d, xs, len(self.rounds))
         neg = self.field.neg
-        return tuple(cache[k] if k % 2 == 1 else neg(cache[k])
-                     for k in range(1, n + 1))
+        out = []
+        for k, fn in enumerate(self.rounds, 1):
+            yt = fn(d, xs, etas[:k])
+            out.append(yt if k % 2 == 1 else neg(yt))
+        return tuple(out)
 
 
-def _zero_round(d, xs, cache) -> int:
+def _zero_round(d, xs, etas) -> int:
     return 0
-
-
-# Per-call cache key (not a round index) of the latest carried eta.
-_ETA_KEY = "eta"
-
-
-def _eta_at(spec: FieldSpec, prefix: int, d: int, xs: tuple[int, ...],
-            cache: dict) -> int:
-    """eta of the first `prefix` rounds, carried forward as
-    eta_k = x_k * eta_{k-1} - ytilde_k from the latest value memoised in the
-    per-call cache, so a whole transcript costs O(m) field ops."""
-    k, eta = cache.get(_ETA_KEY, (0, d))
-    if k > prefix:
-        k, eta = 0, d
-    mul, sub = spec.mul, spec.sub
-    for j in range(k + 1, prefix + 1):
-        eta = sub(mul(xs[j - 1], eta), cache[j])
-    cache[_ETA_KEY] = (prefix, eta)
-    return eta
 
 
 def _check_reads(model: CausalModel, k: int, n: int,
@@ -210,8 +212,8 @@ def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,
         _check_reads(model, ka, m, [*range(1, prefix + 1), *window])
         s1 = game_strategy.s1
 
-        def fn(d, xs, cache):
-            eta = _eta_at(spec, prefix, d, xs, cache)
+        def fn(d, xs, etas):
+            eta = etas[prefix]
             xin = 1
             for j in window:
                 xin = spec.mul(xin, xs[j - 1])
@@ -225,8 +227,8 @@ def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,
         _check_reads(model, kb, m, [*range(1, prefix + 1), *window, kb])
         s2 = game_strategy.s2
 
-        def fn(d, xs, cache):
-            eta = _eta_at(spec, prefix, d, xs, cache)
+        def fn(d, xs, etas):
+            eta = etas[prefix]
             yin = 1
             for j in window:
                 yin = spec.mul(yin, xs[j - 1])
@@ -298,8 +300,8 @@ def symmetrize_up(s: CheatStrategy) -> CheatStrategy:
     old_final = s.rounds[m - 1]
     spec = s.field
 
-    def final(d, xs, cache):
-        return spec.mul(xs[m - 1], old_final(d, xs[:-1], cache))
+    def final(d, xs, etas):
+        return spec.mul(xs[m - 1], old_final(d, xs[:-1], etas))
 
     return CheatStrategy(spec, Variant.SYMMETRIZED, m, model,
                          s.rounds[:-1] + (final,),

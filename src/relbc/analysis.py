@@ -17,16 +17,16 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .adversary import CausalModel, CheatStrategy, build_attack, tower_gamma
 from .errors import CapabilityError
 from .field import FieldSpec
 from .games import DetStrategy, GameDist, win_probability
-from .protocol import Variant, verify_values
+from .protocol import Variant
 
 EXACT_ENUM_CAP = 10 ** 8
-# Most 32-bit words drawn by one getrandbits call in _table_wins (128 KiB).
+# Most 32-bit words drawn by one getrandbits call in _bulk_randrange (128 KiB).
 _DRAW_BLOCK_WORDS = 1 << 15
 
 
@@ -230,37 +230,69 @@ class McEstimate:
                 "confidence": self.confidence}
 
 
+def _bulk_randrange(rng: random.Random, space: int, count: int,
+                    code: bytes) -> Iterator[bytes]:
+    """Blocks of `count` successive rng.randrange(space) draws in all, for
+    space <= 256, each translated through `code`.
+
+    The draws are the ones the randrange loop makes: randrange(space) keeps
+    the top k = space.bit_length() bits of one 32-bit Mersenne Twister word
+    per try and tries again while they are >= space, and getrandbits(32*w)
+    returns w such words, least significant first.  So each word's top byte
+    t is translated to code[t] (code is indexed by the top byte, not by the
+    draw t >> (8 - k)) and the bytes of rejected tries are deleted in the
+    same pass.
+    """
+    k = space.bit_length()
+    rejected = bytes(range(space << (8 - k), 256))
+    while count:
+        words = min(_DRAW_BLOCK_WORDS,
+                    (count << k) // space + count // 16 + 32)
+        data = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        block = data[3::4].translate(code, rejected)[:count]
+        count -= len(block)
+        yield block
+
+
 def _table_wins(table: bytes, samples: int, rng: random.Random) -> int:
     """Wins among `samples` draws of table[rng.randrange(len(table))], for a
-    table of 0/1 bytes.
-
-    Tables of at most 256 entries are drawn in bulk, and the draws are the
-    ones the randrange loop makes: randrange(n) keeps the top
-    k = n.bit_length() bits of one 32-bit Mersenne Twister word per try and
-    tries again while they are >= n, and getrandbits(32*w) returns w such
-    words, least significant first.  Each word's top byte is translated to
-    the verdict of its top k bits, the bytes of rejected tries are deleted in
-    the same pass, and the wins are counted among the first `samples`
-    accepted draws.  Larger tables draw one index at a time.
-    """
+    table of 0/1 bytes.  Tables of at most 256 entries are drawn in bulk,
+    the same draws; larger tables draw one index at a time."""
     space = len(table)
-    k = space.bit_length()
-    if k > 8:
+    shift = 8 - space.bit_length()
+    if shift < 0:
         return sum(table[rng.randrange(space)] for _ in range(samples))
-    shift = 8 - k
     code = bytes(table[i >> shift] for i in range(space << shift))
-    rejected = bytes(range(len(code), 256))
-    code = code.ljust(256, b"\0")
-    wins = 0
-    remaining = samples
-    while remaining:
-        words = min(_DRAW_BLOCK_WORDS,
-                    (remaining << k) // space + remaining // 16 + 32)
-        data = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        drawn = data[3::4].translate(code, rejected)[:remaining]
-        wins += drawn.count(1)
-        remaining -= len(drawn)
-    return wins
+    return sum(block.count(1) for block in _bulk_randrange(
+        rng, space, samples, code.ljust(256, b"\0")))
+
+
+def _transcripts(rng: random.Random, q: int, n_ch: int, samples: int
+                 ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """`samples` uniform (d, challenges), each drawn as d = randrange(2)
+    followed by n_ch draws of randrange(q).
+
+    For q = 2^j <= 128 the draws come in bulk, the same ones: randrange(2)
+    and randrange(q) both keep a word exactly when its top bit is 0, and
+    then read d = top byte >> 6 and x = top byte >> (7 - j), so
+    d = x >> (j - 1).
+    """
+    if q > 128 or q & (q - 1):
+        for _ in range(samples):
+            d = rng.randrange(2)
+            yield d, tuple(rng.randrange(q) for _ in range(n_ch))
+        return
+    width = n_ch + 1
+    shift = 8 - q.bit_length()
+    d_shift = 6 - shift
+    code = bytes(t >> shift for t in range(128)).ljust(256, b"\0")
+    rest = b""
+    for block in _bulk_randrange(rng, q, samples * width, code):
+        draws = rest + block
+        end = len(draws) - len(draws) % width
+        for i in range(0, end, width):
+            yield draws[i] >> d_shift, tuple(draws[i + 1:i + width])
+        rest = draws[end:]
 
 
 def mc_cheat_probability(strategy: CheatStrategy,
@@ -268,26 +300,23 @@ def mc_cheat_probability(strategy: CheatStrategy,
     """Monte Carlo acceptance estimate over i.i.d. uniform (d, challenges).
 
     For input spaces of at most MC_TABLE_CAP the trials are index draws
-    from the strategy's verdict table, which is built once per strategy.
-    Spaces of at most 256 draw their indices in bulk; the stream is the one
-    per-draw randrange calls give, so seeded estimates do not change.
+    from the strategy's verdict table, which is built once per strategy;
+    larger spaces play each drawn transcript.  Tables of at most 256
+    entries, and transcripts over GF(2^j) up to GF(128), are drawn in bulk;
+    the stream is the one per-draw randrange calls give, so seeded
+    estimates do not change.
     """
     params = strategy.params
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    q = params.field.q
-    n_ch = params.n_challenges
     rng = random.Random(f"{seed}:mc")
     table = strategy.verdict_table
     if table is not None:
         wins = _table_wins(table, samples, rng)
     else:
-        wins = 0
-        for _ in range(samples):
-            d = rng.randrange(2)
-            xs = tuple(rng.randrange(q) for _ in range(n_ch))
-            if verify_values(params, d, xs, strategy.responses(d, xs)):
-                wins += 1
+        accepts = strategy.accepts
+        wins = sum(accepts(d, xs) for d, xs in _transcripts(
+            rng, params.field.q, params.n_challenges, samples))
     lo, hi = clopper_pearson(wins, samples)
     return McEstimate(wins / samples, lo, hi, samples, seed, wins)
 

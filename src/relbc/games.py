@@ -19,7 +19,9 @@ from typing import NamedTuple
 from .errors import CapabilityError, FieldMismatchError
 from .field import FieldElement, FieldSpec
 
-BRUTE_FORCE_MAX_Q = 9
+# GF(7) scores 7^6 tables in ~2 s; GF(8) and GF(9) would take ~2 min and
+# ~40 min, so they are refused.
+BRUTE_FORCE_MAX_Q = 7
 # Best responses read two Q x Q tables (2 x 32 MB at Q = 4096, 2 x 8 GB at
 # Q = 2^16) and take Q^2 steps each, so larger searches are refused.
 SEARCH_MAX_Q = 4096

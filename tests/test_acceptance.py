@@ -25,6 +25,7 @@ from relbc import (
     causality_check,
     desymmetrize,
     exact_cheat_probability,
+    extend_symmetrized,
     hiding_distribution,
     mc_cheat_probability,
     shift_strategy,
@@ -157,7 +158,7 @@ def _random_full_information_strategy(spec, m, seed):
     functions of the committed bit and the challenges received so far."""
 
     def make(k):
-        def fn(d, xs, cache):
+        def fn(d, xs, etas):
             key = f"{seed}:{k}:{d}:{xs[:min(k, len(xs))]}"
             return random.Random(key).randrange(spec.q)
         return fn
@@ -194,6 +195,22 @@ def test_criterion_05_symmetrization_chain():
                 g_sym = exact_cheat_probability(sym)
                 g_next = exact_cheat_probability(longer)
                 assert g_m <= g_sym == g_next
+
+
+def test_accepts_matches_verify_values_on_full_information_strategies():
+    # the one-pass verdict against the verifier on the lifted, extended and
+    # desymmetrized forms of arbitrary (non-causal) strategies
+    for spec, m in ((GF2, 4), (GF3, 3)):
+        for trial in range(5):
+            std = _random_full_information_strategy(spec, m, trial)
+            sym = symmetrize_up(std)
+            for s in (std, sym, desymmetrize(sym), extend_symmetrized(sym, 2)):
+                params = s.params
+                for d in (0, 1):
+                    for xs in itertools.product(range(spec.q),
+                                                repeat=params.n_challenges):
+                        assert s.accepts(d, xs) == verify_values(
+                            params, d, xs, s.responses(d, xs)), (s.lineage, xs)
 
 
 def test_criterion_06_generalized_attack():
@@ -247,7 +264,7 @@ def test_criterion_08_causality_compliance():
             report = causality_check(s, trials=1000, seed=0)
             assert report.ok, report.violations[:3]
 
-        def peek(d, xs, cache):
+        def peek(d, xs, etas):
             return xs[2]  # future challenge, invisible at round 1
 
         mutant = CheatStrategy(GF2, Variant.SYMMETRIZED, 3, CausalModel(),

@@ -292,7 +292,7 @@ def test_symmetrize_up_dominates():
         tables = tuple(rng.randrange(3) for _ in range(9))
 
         def make(i):
-            return lambda d, xs, cache: tables[(i * 3 + d) % 9]
+            return lambda d, xs, etas: tables[(i * 3 + d) % 9]
 
         std = CheatStrategy(GF3, Variant.STANDARD, 3,
                             CausalModel(rho=2, k0=0),
@@ -313,7 +313,7 @@ def test_symmetrization_sandwich():
             consts = tuple(rng.randrange(q) for _ in range(m + 1))
 
             def const(i):
-                return lambda d, xs, cache: consts[i]
+                return lambda d, xs, etas: consts[i]
 
             model = CausalModel(rho=2, k0=0)
             std = CheatStrategy(spec, Variant.STANDARD, m, model,
@@ -369,7 +369,7 @@ def test_causality_check_passes_constructed_attacks():
 
 def test_causality_check_detects_noncausal_mutant():
     # round 1 peeks at the future challenge x_2
-    def peek(d, xs, cache):
+    def peek(d, xs, etas):
         return xs[1]
 
     mutant = CheatStrategy(GF2, Variant.SYMMETRIZED, 3, BASE,
@@ -383,7 +383,7 @@ def test_causality_check_detects_noncausal_mutant():
 
 def test_causality_check_detects_early_bit_use():
     # round 1 depends on d, which is not visible there
-    def use_d(d, xs, cache):
+    def use_d(d, xs, etas):
         return d
 
     mutant = CheatStrategy(GF2, Variant.SYMMETRIZED, 3, BASE,
@@ -402,3 +402,46 @@ def test_respond_matches_responses():
         ys = s.responses(d, xs)
         for k in range(1, 4):
             assert s.respond(k, d, xs) == ys[k - 1]
+
+
+def assert_accepts_matches_verify_values(strategy):
+    """accepts against verify_values on the responses, on every input."""
+    params = strategy.params
+    for d in (0, 1):
+        for xs in itertools.product(range(params.field.q),
+                                    repeat=params.n_challenges):
+            assert strategy.accepts(d, xs) == verify_values(
+                params, d, xs, strategy.responses(d, xs)), (d, xs)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("k0", [0, 1, 2])
+@pytest.mark.parametrize("rho", [2, 4])
+@pytest.mark.parametrize("spec", [GF2, GF3, FieldSpec(2, 2)],
+                         ids=lambda s: f"q{s.q}")
+def test_accepts_matches_verify_values_on_every_input(spec, rho, k0, variant):
+    model = CausalModel(rho=rho, k0=k0)
+    game = DetStrategy.random(spec, random.Random(f"{spec.q}:{rho}:{k0}"))
+    # one tower step (the standard variant adds its silent final round),
+    # plus one padding round below Q = 4
+    m = k0 + rho + 1 + (variant is Variant.STANDARD)
+    for extra in (0, 1) if spec.q < 4 else (0,):
+        strategy = build_attack(spec, variant, m + extra, model, game)
+        assert strategy.lineage != "zeros"
+        assert_accepts_matches_verify_values(strategy)
+
+
+def test_accepts_matches_verify_values_for_zeros_and_single_round():
+    for spec, opt in ((GF2, OPT2), (GF3, OPT3)):
+        assert_accepts_matches_verify_values(
+            zeros_strategy(spec, Variant.STANDARD, 1))
+        assert_accepts_matches_verify_values(
+            zeros_strategy(spec, Variant.SYMMETRIZED, 4))
+        assert_accepts_matches_verify_values(
+            build_attack(spec, Variant.STANDARD, 1, BASE, opt))
+        rng = random.Random(f"single:{spec.q}")
+        tables = [[rng.randrange(spec.q) for _ in range(2 * spec.q)]
+                  for _ in range(2)]
+        single = CheatStrategy(spec, Variant.STANDARD, 1, BASE, tuple(
+            (lambda d, xs, etas, t=t: t[d * spec.q + xs[0]]) for t in tables))
+        assert_accepts_matches_verify_values(single)

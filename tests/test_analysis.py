@@ -14,6 +14,7 @@ import relbc
 from relbc import (
     CausalModel,
     CheatStrategy,
+    DetStrategy,
     FieldSpec,
     GameDist,
     Variant,
@@ -37,6 +38,7 @@ from relbc.errors import CapabilityError
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
+GF16 = FieldSpec(2, 4)
 OPT2 = brute_force_value(GameDist.uniform(GF2)).strategy
 OPT3 = brute_force_value(GameDist.uniform(GF3)).strategy
 BASE = CausalModel()
@@ -145,6 +147,14 @@ def test_mc_estimate_deterministic_per_seed():
     assert a.mean != c.mean or a.wins != c.wins or a.seed != c.seed
 
 
+def _echo_strategy(spec, m):
+    """Round k answers d + x_k: acceptance near 1/3 at GF(2), so the wins
+    move with any change of the drawn stream."""
+    return CheatStrategy(spec, Variant.SYMMETRIZED, m, BASE, tuple(
+        (lambda d, xs, etas, k=k: spec.add(d, xs[k - 1]))
+        for k in range(1, m + 1)))
+
+
 @pytest.mark.parametrize("strategy, wins", [
     # space 128, draw width k = 8
     (attack_base(GF2, 6, OPT2), (9934, 9935, 9930)),
@@ -152,7 +162,13 @@ def test_mc_estimate_deterministic_per_seed():
     (build_attack(GF3, Variant.SYMMETRIZED, 6, BASE, OPT3), (9731, 9747, 9742)),
     # space 4374: beyond the table cap, one sample at a time
     (build_attack(GF3, Variant.SYMMETRIZED, 7, BASE, OPT3), (9838, 9848, 9823)),
-], ids=["q2-m6-table", "q3-m6-table", "q3-m7-direct"])
+    # beyond the table cap at Q = 16 and Q = 2: whole transcripts in bulk
+    (build_attack(GF16, Variant.STANDARD, 9, BASE,
+                  DetStrategy.random(GF16, random.Random(16))),
+     (6534, 6571, 6465)),
+    (_echo_strategy(GF2, 12), (3289, 3393, 3261)),
+], ids=["q2-m6-table", "q3-m6-table", "q3-m7-direct", "q16-m9-bulk",
+        "q2-m12-bulk"])
 def test_mc_seeded_wins_are_pinned(strategy, wins):
     # the seeded streams are part of the output: a changed draw shows here
     assert tuple(mc_cheat_probability(strategy, samples=10 ** 4, seed=seed).wins
@@ -163,7 +179,7 @@ def test_verdict_table_built_once_per_strategy():
     calls = [0, 0, 0]
 
     def counting(k):
-        def fn(d, xs, cache):
+        def fn(d, xs, etas):
             calls[k] += 1
             return 0
         return fn

@@ -94,6 +94,12 @@ def test_game_value_capability_exit():
     assert "best_response_search" in result.stderr
 
 
+def test_game_value_brute_at_gf9_exits_capability():
+    result = invoke("game-value", "--p", "3", "--n", "2", "--method", "brute")
+    assert result.exit_code == 3
+    assert "capped at Q <= 7" in result.stderr
+
+
 def test_game_value_search_past_cap_exits_capability():
     result = invoke("game-value", "--p", "2", "--n", "13", "--method", "search")
     assert result.exit_code == 3

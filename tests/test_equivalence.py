@@ -5,11 +5,13 @@ original O(Q^3) pair of routines, kept verbatim below; the brute force over
 s1(0) = 0 with table lookups must return the same value and pair as the
 original loop over all Q^Q tables with field-method calls; the tower's carried
 eta must give the same responses as recomputing compute_eta from scratch at
-every tower round; best_shift, which scores every translate from the win
-set's row and column counts, must return the same BestShift as the original
-O(Q^4) loop that shifts and rescores each translate; the bulk verdict-table
-draws must count the same wins as the original per-draw randrange loop on
-the same random.Random stream.
+every tower round, and its verdict must be verify_values' verdict on those
+responses; best_shift, which scores every translate from the win set's row
+and column counts, must return the same BestShift as the original O(Q^4)
+loop that shifts and rescores each translate; on the same random.Random
+stream, the bulk verdict-table draws must count the same wins as the
+original per-draw randrange loop, and the bulk transcript draws must give
+the same transcripts as the original per-sample randrange calls.
 """
 
 import itertools
@@ -33,9 +35,11 @@ from relbc import (
     compute_eta,
     shift_strategy,
     tower_gamma,
+    verify_values,
     win_probability,
 )
-from relbc.analysis import _table_wins
+from relbc import analysis
+from relbc.analysis import _table_wins, _transcripts
 from relbc.games import BestShift, _game_tables, _greedy_best
 
 FIELDS = {q: spec for q, spec in (
@@ -226,6 +230,8 @@ def test_carried_eta_matches_recomputed_eta(case):
     assert strategy.responses(d, xs) == expect
     for k in range(1, len(expect) + 1):
         assert strategy.respond(k, d, xs) == expect[k - 1]
+    assert strategy.accepts(d, xs) == verify_values(strategy.params, d, xs,
+                                                    expect)
 
 
 # --- reference: the original O(Q^4) best shift, verbatim --------------------
@@ -384,3 +390,38 @@ def test_table_wins_refill_when_first_block_is_short(space, seed):
     assert rng.calls == 2
     assert got == reference_table_wins(table, 100,
                                        _CountingRandom(f"{seed}:mc"))
+
+
+# --- reference: the original per-sample transcript draws ---------------------
+
+def reference_transcripts(rng: random.Random, q: int, n_ch: int,
+                          samples: int) -> list:
+    out = []
+    for _ in range(samples):
+        d = rng.randrange(2)
+        xs = tuple(rng.randrange(q) for _ in range(n_ch))
+        out.append((d, xs))
+    return out
+
+
+@pytest.mark.parametrize("n_ch", [1, 4, 12])
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 128, 3, 256])
+def test_bulk_transcripts_match_randrange_loop(q, n_ch, monkeypatch):
+    # small blocks, so every estimate spans many getrandbits blocks and rows
+    # straddle block boundaries; q = 3 and 256 take the per-draw loop
+    monkeypatch.setattr(analysis, "_DRAW_BLOCK_WORDS", 61)
+    rng = _CountingRandom(f"{q}:{n_ch}:mc")
+    got = list(_transcripts(rng, q, n_ch, 300))
+    assert got == reference_transcripts(random.Random(f"{q}:{n_ch}:mc"),
+                                        q, n_ch, 300)
+    if q <= 128 and q & (q - 1) == 0:
+        assert rng.calls > 1
+
+
+def test_bulk_transcripts_span_full_size_blocks():
+    # 2000 samples of 13 draws need ~52,000 words: two 32,768-word blocks
+    rng = _CountingRandom("blocks:mc")
+    got = list(_transcripts(rng, 16, 12, 2000))
+    assert rng.calls == 2
+    assert got == reference_transcripts(random.Random("blocks:mc"), 16, 12,
+                                        2000)

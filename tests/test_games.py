@@ -154,6 +154,16 @@ def test_best_response_search_cap_builds_no_tables(monkeypatch):
         best_response_search(GameDist.uniform(FieldSpec(2, 13)))
 
 
+@pytest.mark.parametrize("spec", [FieldSpec(2, 3), FieldSpec(3, 2)],
+                         ids=["q8", "q9"])
+def test_brute_force_refuses_q_above_7(spec, monkeypatch):
+    def no_tables(spec):
+        raise AssertionError("tables built past the cap")
+    monkeypatch.setattr(games, "_game_tables", no_tables)
+    with pytest.raises(CapabilityError, match="capped at Q <= 7"):
+        brute_force_value(GameDist.uniform(spec))
+
+
 def test_meta_counts_work():
     assert brute_force_value(GameDist.uniform(GF3)).meta == {
         "q": 3, "tables_scored": 9}
