@@ -21,6 +21,12 @@ the corrective factor eta of the prefix off the chain, then plays a
 two-player game on the windowed challenge products; a win, a zero final
 challenge, or eta = 0 each make the step's condition collapse, which drives
 the acceptance probability towards 1 exponentially in the number of steps.
+The step's two game rounds read eta only at the step's prefix p and are
+linear in it, so the step takes eta_p to eta_p*f, where f is what the
+step's rounds give on a chain with eta_p = 1.  A tower transcript therefore
+ends at eta_n = d * prod(silent challenges) * prod(step factors), the
+silent challenges being those of the k0 quiet prefix and of the padding
+rounds, and its verdict stops at the first zero factor.
 
 Strategies are built in sign-flipped response space (see
 protocol.tilde_transform) and converted back at the boundary.
@@ -102,8 +108,10 @@ class CheatStrategy:
     only for prefixes j whose challenges it may see; causality_check audits
     this by perturbing the inputs round k may not see.  One pass along the
     chain evaluates a transcript in O(m) field ops and gives its verdict
-    (accepts).  The strategy is frozen, so its verdict table, built on
-    first use, cannot go stale.
+    (accepts).  When the rounds form a tower (_step_plan), accepts instead
+    multiplies out the step factors and stops at the first zero one.  The
+    strategy is frozen, so its verdict table and step plan, built on first
+    use, cannot go stale.
     """
 
     field: FieldSpec
@@ -159,10 +167,66 @@ class CheatStrategy:
             push(sub(eta, self.rounds[upto - 1](d, xs, etas)))
         return etas
 
+    @cached_property
+    def _step_plan(self) -> Optional[tuple[tuple[int, ...],
+                                           tuple[tuple[int, int], ...],
+                                           list[int]]]:
+        """(silent challenge positions, step spans, a list of ones) when
+        every round is _zero_round or a game round of _tower_rounds in tower
+        position, else None.
+
+        A step span (p, p + rho + 1), 0-based, is rho - 1 zero rounds, then
+        the first and the second game round of prefix p, all within the
+        challenges.  Every other round is a zero round, and below
+        n_challenges its challenge is silent: it multiplies eta.
+        """
+        rounds, n, rho = self.rounds, self.n_challenges, self.model.rho
+        silent, steps = [], []
+        k = 0
+        while k < len(rounds):
+            kb = k + rho + 1
+            if (kb <= n
+                    and getattr(rounds[kb - 2], "tower_step", None) == (k, 1)
+                    and getattr(rounds[kb - 1], "tower_step", None) == (k, 2)
+                    and all(fn is _zero_round for fn in rounds[k:kb - 2])):
+                steps.append((k, kb))
+                k = kb
+            elif rounds[k] is _zero_round:
+                if k < n:
+                    silent.append(k)
+                k += 1
+            else:
+                return None
+        return tuple(silent), tuple(steps), [1] * (n + 1)
+
     def accepts(self, d: int, xs: tuple[int, ...]) -> bool:
         """Verdict on (d, xs): the chain ends at eta_n = 0.  This is
-        verify_values' test, whose chained value is alpha_k = (-1)^k*eta_k."""
-        return self._chain(d, xs, len(self.rounds))[-1] == 0
+        verify_values' test, whose chained value is alpha_k = (-1)^k*eta_k.
+
+        For a tower (_step_plan), eta_n = d * prod(silent challenges) *
+        prod(step factors), where a step's factor is its rounds' chain from
+        eta = 1, played with every eta read as 1.  This holds because a game
+        round reads eta only at its step's prefix and is linear in it.  So
+        the verdict is true at d = 0, a zero silent challenge or the first
+        zero step factor, and the rounds after it are not called.
+        """
+        plan = self._step_plan
+        if plan is None:
+            return self._chain(d, xs, len(self.rounds))[-1] == 0
+        silent, steps, ones = plan
+        if not d:
+            return True
+        for j in silent:
+            if not xs[j]:
+                return True
+        mul, sub, rounds = self.field.mul, self.field.sub, self.rounds
+        for lo, hi in steps:
+            eta = 1
+            for k in range(lo, hi):
+                eta = sub(mul(xs[k], eta), rounds[k](d, xs, ones))
+            if not eta:
+                return True
+        return False
 
     def respond(self, k: int, d: int, xs: tuple[int, ...]) -> int:
         """Actual (un-flipped) response at round k for the given challenges."""
@@ -201,7 +265,9 @@ def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,
                   game_strategy: DetStrategy) -> list[RoundFn]:
     """Round functions of the tower.  The bit and challenges each round
     reads are fixed by its position, so they are checked against the model
-    once, here, rather than on every call."""
+    once, here, rather than on every call.  Each step's first and second
+    game round carry tower_step = (prefix, 1) and (prefix, 2), which
+    CheatStrategy._step_plan reads."""
     rho, k0 = model.rho, model.k0
     steps = (m - k0) // (rho + 1)
     rounds: list[RoundFn] = [_zero_round] * k0
@@ -218,6 +284,7 @@ def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,
             for j in window:
                 xin = spec.mul(xin, xs[j - 1])
             return spec.mul(eta, s1[xin])
+        fn.tower_step = (prefix, 1)
         return fn
 
     def make_second(prefix: int) -> RoundFn:
@@ -233,6 +300,7 @@ def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,
             for j in window:
                 yin = spec.mul(yin, xs[j - 1])
             return spec.mul(spec.mul(eta, s2[yin]), xs[kb - 1])
+        fn.tower_step = (prefix, 2)
         return fn
 
     for s in range(steps):

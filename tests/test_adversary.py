@@ -1,6 +1,7 @@
 """Cheating strategies, the recursive attack tower, and causality auditing."""
 
 import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -404,13 +405,17 @@ def test_respond_matches_responses():
             assert s.respond(k, d, xs) == ys[k - 1]
 
 
-def assert_accepts_matches_verify_values(strategy):
-    """accepts against verify_values on the responses, on every input."""
+def assert_accepts_matches_chain(strategy):
+    """accepts against verify_values on the responses and against the end
+    of the chain, on every input."""
     params = strategy.params
+    n = len(strategy.rounds)
     for d in (0, 1):
         for xs in itertools.product(range(params.field.q),
                                     repeat=params.n_challenges):
-            assert strategy.accepts(d, xs) == verify_values(
+            verdict = strategy.accepts(d, xs)
+            assert verdict == (strategy._chain(d, xs, n)[-1] == 0), (d, xs)
+            assert verdict == verify_values(
                 params, d, xs, strategy.responses(d, xs)), (d, xs)
 
 
@@ -428,20 +433,145 @@ def test_accepts_matches_verify_values_on_every_input(spec, rho, k0, variant):
     for extra in (0, 1) if spec.q < 4 else (0,):
         strategy = build_attack(spec, variant, m + extra, model, game)
         assert strategy.lineage != "zeros"
-        assert_accepts_matches_verify_values(strategy)
+        assert_accepts_matches_chain(strategy)
 
 
 def test_accepts_matches_verify_values_for_zeros_and_single_round():
     for spec, opt in ((GF2, OPT2), (GF3, OPT3)):
-        assert_accepts_matches_verify_values(
+        assert_accepts_matches_chain(
             zeros_strategy(spec, Variant.STANDARD, 1))
-        assert_accepts_matches_verify_values(
+        assert_accepts_matches_chain(
             zeros_strategy(spec, Variant.SYMMETRIZED, 4))
-        assert_accepts_matches_verify_values(
+        assert_accepts_matches_chain(
             build_attack(spec, Variant.STANDARD, 1, BASE, opt))
         rng = random.Random(f"single:{spec.q}")
         tables = [[rng.randrange(spec.q) for _ in range(2 * spec.q)]
                   for _ in range(2)]
         single = CheatStrategy(spec, Variant.STANDARD, 1, BASE, tuple(
             (lambda d, xs, etas, t=t: t[d * spec.q + xs[0]]) for t in tables))
-        assert_accepts_matches_verify_values(single)
+        assert_accepts_matches_chain(single)
+
+
+TOWER_CASES = ([(GF2, rho, k0) for rho in (2, 4) for k0 in (0, 1, 2)]
+               + [(GF3, 2, k0) for k0 in (0, 1, 2)]
+               + [(FieldSpec(2, 2), 2, k0) for k0 in (0, 1)])
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("spec, rho, k0", TOWER_CASES,
+                         ids=lambda c: f"q{c.q}" if isinstance(c, FieldSpec)
+                         else str(c))
+def test_step_verdict_matches_chain_across_steps(spec, rho, k0, variant):
+    # two tower steps, then a padding round while the input space stays
+    # small, so the verdict crosses step boundaries and silent challenges
+    model = CausalModel(rho=rho, k0=k0)
+    game = DetStrategy.random(spec, random.Random(f"steps:{spec.q}:{rho}:{k0}"))
+    m = k0 + 2 * (rho + 1) + (variant is Variant.STANDARD)
+    for extra in (0, 1):
+        strategy = build_attack(spec, variant, m + extra, model, game)
+        if extra and 2 * spec.q ** strategy.n_challenges > 2 ** 14:
+            break
+        silent, steps, _ = strategy._step_plan
+        assert len(steps) == 2
+        assert silent == tuple(range(k0)) + tuple(
+            range(k0 + 2 * (rho + 1), strategy.n_challenges))
+        assert_accepts_matches_chain(strategy)
+
+
+def test_towers_off_the_step_plan_take_the_chain():
+    # rounds Z F0 S0 Z F3 S3 Z: zero rounds, and the first and second game
+    # rounds of prefixes 0 and 3.  Each variant below breaks the tower's
+    # form: an unmarked game round, a step's rounds swapped, a step one
+    # round late, a second round of another prefix, a quiet round that
+    # answers.
+    tower = build_attack(GF2, Variant.STANDARD, 7, BASE, OPT2)
+    first, second = tower.rounds[1], tower.rounds[2]
+    assert first.tower_step == (0, 1) and second.tower_step == (0, 2)
+    plain = dataclasses.replace(tower, rounds=(
+        tower.rounds[:2] + (lambda d, xs, etas: second(d, xs, etas),)
+        + tower.rounds[3:]))
+    swapped = dataclasses.replace(tower, rounds=(
+        tower.rounds[:1] + (second, first) + tower.rounds[3:]))
+    late = dataclasses.replace(tower, rounds=(
+        (tower.rounds[0],) + tower.rounds[:3] + tower.rounds[4:]))
+    mixed = dataclasses.replace(tower, rounds=(
+        tower.rounds[:5] + (second,) + tower.rounds[6:]))
+    loud = dataclasses.replace(tower, rounds=(
+        (lambda d, xs, etas: xs[0],) + tower.rounds[1:]))
+    for strategy in (symmetrize_up(tower), plain, swapped, late, mixed, loud):
+        assert strategy._step_plan is None
+        assert_accepts_matches_chain(strategy)
+    assert exact_cheat_probability(plain) == exact_cheat_probability(tower)
+
+
+def test_step_verdict_stops_at_the_first_zero_factor():
+    model = CausalModel(rho=2, k0=1)
+    tower = build_attack(GF3, Variant.SYMMETRIZED, 7, model, OPT3)
+    called = []
+
+    def spy(k, fn):
+        @functools.wraps(fn)
+        def wrapped(d, xs, etas):
+            called.append(k)
+            return fn(d, xs, etas)
+        return wrapped
+
+    # zero rounds stay as they are: the step plan knows them by identity
+    spied = dataclasses.replace(tower, rounds=tuple(
+        fn if fn is tower.rounds[0] else spy(k, fn)
+        for k, fn in enumerate(tower.rounds, 1)))
+    # the wrappers keep their marks, so the step plan still applies
+    assert spied._step_plan == tower._step_plan
+    assert spied._step_plan[1] == ((1, 4), (4, 7))
+    xs = (1, 2, 1, 0, 1, 2, 1)
+    assert spied.accepts(0, xs) and called == []
+    # x_4 = 0 zeroes the first step's factor; the second step is skipped
+    assert spied.accepts(1, xs) and called == [3, 4]
+    called.clear()
+    # the first step survives and the second collapses: both are called
+    xs = (1, 2, 1, 1, 1, 2, 1)
+    assert spied.accepts(1, xs) == tower.accepts(1, xs)
+    assert called == [3, 4, 6, 7]
+
+
+def _windows(xs, rho, spec):
+    """The first and second game inputs of a step whose challenges are xs:
+    the products of its first rho challenges at odd and even offsets."""
+    xin = yin = 1
+    for j in range(1, rho, 2):
+        xin = spec.mul(xin, xs[j])
+    for j in range(0, rho, 2):
+        yin = spec.mul(yin, xs[j])
+    return xin, yin
+
+
+@pytest.mark.parametrize("rho", [2, 4])
+@pytest.mark.parametrize("spec", [GF2, GF3, FieldSpec(2, 2), FieldSpec(5)],
+                         ids=lambda s: f"q{s.q}")
+def test_step_factor_is_zero_exactly_when_the_step_collapses(spec, rho):
+    # the paper's reduction: a step's factor vanishes exactly when its last
+    # challenge is 0 or the plugged strategy wins CHSH_Q on the windowed
+    # challenge products; two steps where the input space is small
+    model = CausalModel(rho=rho, k0=0)
+    span = rho + 1
+    steps = 2 if spec.q ** (2 * span) <= 5 ** 6 else 1
+    for seed in range(3):
+        game = DetStrategy.random(spec, random.Random(f"win:{spec.q}:{rho}:{seed}"))
+        tower = attack_general(spec, steps * span, model, game)
+        assert tower._step_plan[:2] == (
+            (), tuple((s * span, (s + 1) * span) for s in range(steps)))
+
+        def collapses(xs):
+            xin, yin = _windows(xs, rho, spec)
+            return xs[rho] == 0 or spec.add(
+                game.s1[xin], game.s2[yin]) == spec.mul(xin, yin)
+
+        survivors = 0
+        for xs in itertools.product(range(spec.q), repeat=steps * span):
+            expect = any(collapses(xs[s * span:(s + 1) * span])
+                         for s in range(steps))
+            assert tower.accepts(1, xs) == expect, xs
+            survivors += not expect
+        w = win_probability(game, GameDist(spec, tower_gamma(spec, model)))
+        assert Fraction(survivors, spec.q ** (steps * span)) \
+            == ((1 - Fraction(1, spec.q)) * (1 - w)) ** steps

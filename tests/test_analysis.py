@@ -38,7 +38,9 @@ from relbc.errors import CapabilityError
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
+GF4 = FieldSpec(2, 2)
 GF16 = FieldSpec(2, 4)
+GF256 = FieldSpec(2, 8)
 OPT2 = brute_force_value(GameDist.uniform(GF2)).strategy
 OPT3 = brute_force_value(GameDist.uniform(GF3)).strategy
 BASE = CausalModel()
@@ -167,8 +169,16 @@ def _echo_strategy(spec, m):
                   DetStrategy.random(GF16, random.Random(16))),
      (6534, 6571, 6465)),
     (_echo_strategy(GF2, 12), (3289, 3393, 3261)),
+    # Q = 256 draws one randrange per challenge
+    (build_attack(GF256, Variant.SYMMETRIZED, 31, BASE,
+                  DetStrategy.random(GF256, random.Random(256))),
+     (5420, 5405, 5404)),
+    # rho = 4 with a quiet prefix, in bulk
+    (build_attack(GF4, Variant.STANDARD, 13, CausalModel(rho=4, k0=1),
+                  DetStrategy.random(GF4, random.Random(4))),
+     (8962, 8934, 8981)),
 ], ids=["q2-m6-table", "q3-m6-table", "q3-m7-direct", "q16-m9-bulk",
-        "q2-m12-bulk"])
+        "q2-m12-bulk", "q256-m31-direct", "q4-m13-rho4"])
 def test_mc_seeded_wins_are_pinned(strategy, wins):
     # the seeded streams are part of the output: a changed draw shows here
     assert tuple(mc_cheat_probability(strategy, samples=10 ** 4, seed=seed).wins
