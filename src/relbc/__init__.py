@@ -16,13 +16,12 @@ from .adversary import (
     zeros_strategy,
 )
 from .analysis import (
-    CheatReport,
+    AttackRow,
     McEstimate,
-    SweepRow,
     clopper_pearson,
     empirical_upper_constant,
+    evaluate,
     exact_cheat_probability,
-    make_report,
     mc_cheat_probability,
     predicted_attack_probability,
     theory_lower_bound,

@@ -351,6 +351,25 @@ def theory_upper_bound(m: int, q: int, c: float = 1.0) -> float:
     return min(1.0, 0.5 + c * m / math.sqrt(q))
 
 
+def _closed_form(q: int, variant: Variant, m: int, model: CausalModel,
+                 w_gamma: Optional[Fraction]) -> Fraction:
+    """predicted_attack_probability from the plugged strategy's w_gamma
+    (None when no strategy is plugged)."""
+    half = Fraction(1, 2)
+    miss = 1 - Fraction(1, q)
+    if Variant(variant) is Variant.STANDARD:
+        if m - 1 < 2:
+            return 1 - half * miss ** (max(m, 2) - 1)
+        m -= 1  # the symmetrized attack on m - 1 rounds, desymmetrized
+    steps = (m - model.k0) // (model.rho + 1)
+    if steps < 1 or w_gamma is None:
+        return 1 - half * miss ** m
+    tower_m = model.k0 + steps * (model.rho + 1)
+    step_factor = miss * (1 - w_gamma)
+    deficit = half * miss ** model.k0 * step_factor ** steps * miss ** (m - tower_m)
+    return 1 - deficit
+
+
 def predicted_attack_probability(spec: FieldSpec, variant: Variant, m: int,
                                  model: CausalModel,
                                  game_strategy: Optional[DetStrategy]
@@ -363,28 +382,36 @@ def predicted_attack_probability(spec: FieldSpec, variant: Variant, m: int,
     by (1-1/Q) per padding round.  Matches enumeration wherever the latter
     is feasible.
     """
-    variant = Variant(variant)
-    q = spec.q
-    half = Fraction(1, 2)
-    miss = 1 - Fraction(1, q)
-    if variant is Variant.STANDARD:
-        if m - 1 < 2:
-            return 1 - half * miss ** (max(m, 2) - 1)
-        return predicted_attack_probability(
-            spec, Variant.SYMMETRIZED, m - 1, model, game_strategy)
-    steps = (m - model.k0) // (model.rho + 1)
-    if steps < 1 or game_strategy is None:
-        return 1 - half * miss ** m
-    tower_m = model.k0 + steps * (model.rho + 1)
-    w_gamma = win_probability(game_strategy, GameDist(spec, tower_gamma(spec, model)))
-    step_factor = miss * (1 - w_gamma)
-    deficit = half * miss ** model.k0 * step_factor ** steps * miss ** (m - tower_m)
-    return 1 - deficit
+    w_gamma = None if game_strategy is None else win_probability(
+        game_strategy, GameDist(spec, tower_gamma(spec, model)))
+    return _closed_form(spec.q, variant, m, model, w_gamma)
 
 
-@dataclass
-class CheatReport:
-    """Measured cheating probability next to the matching bound values."""
+_UNPLUGGED = (Fraction(0), None)
+
+
+def _plugged_values(spec: FieldSpec, model: CausalModel,
+                    game_strategy: Optional[DetStrategy]
+                    ) -> tuple[Fraction, Optional[Fraction]]:
+    """(w, w_gamma): the plugged strategy's exact value on the uniform game
+    and on the tower's windowed inputs; (0, None) when none is plugged."""
+    if game_strategy is None:
+        return _UNPLUGGED
+    windowed = GameDist(spec, tower_gamma(spec, model))
+    w = win_probability(game_strategy, GameDist.uniform(spec))
+    w_gamma = (w if windowed.is_uniform
+               else win_probability(game_strategy, windowed))
+    return w, w_gamma
+
+
+def _ratio(x: Optional[Fraction]) -> Optional[str]:
+    return None if x is None else f"{x.numerator}/{x.denominator}"
+
+
+@dataclass(frozen=True)
+class AttackRow:
+    """A measured cheating probability next to w, the closed form and the
+    bound values; one `attack` report or one `sweep` row."""
 
     q: int
     m: int
@@ -393,90 +420,85 @@ class CheatReport:
     k0: int
     w: Fraction
     exact: Optional[Fraction]
-    estimate: Optional[McEstimate]
-    theory_lower: Fraction
-    theory_upper: float
+    mc: Optional[McEstimate]
+    closed_form: Fraction
+    lower_bound: Fraction
+    upper_bound: float
     upper_c: float
 
     @property
     def value(self) -> float:
-        return float(self.exact) if self.exact is not None else self.estimate.mean
+        return float(self.exact) if self.exact is not None else self.mc.mean
 
     @property
     def epsilon(self) -> float:
         """Binding gap: measured probability minus one half."""
         return self.value - 0.5
 
+    @property
+    def t(self) -> float:
+        """m / sqrt(Q)."""
+        return self.m / math.sqrt(self.q)
+
     def to_dict(self) -> dict:
+        """The `sweep` JSON row."""
+        return {
+            "q": self.q, "m": self.m, "rho": self.rho, "k0": self.k0,
+            "w": _ratio(self.w), "exact": _ratio(self.exact),
+            "mc": None if self.mc is None else self.mc.to_dict(),
+            "closed_form": _ratio(self.closed_form),
+            "closed_form_float": float(self.closed_form),
+            "lower_bound": _ratio(self.lower_bound),
+            "lower_bound_float": float(self.lower_bound),
+            "upper_bound": self.upper_bound, "t": self.t,
+        }
+
+    def report_dict(self) -> dict:
+        """The `attack` JSON report block."""
         return {
             "q": self.q, "m": self.m, "variant": self.variant.value,
-            "rho": self.rho, "k0": self.k0,
-            "w": f"{self.w.numerator}/{self.w.denominator}",
-            "exact": (None if self.exact is None
-                      else f"{self.exact.numerator}/{self.exact.denominator}"),
+            "rho": self.rho, "k0": self.k0, "w": _ratio(self.w),
+            "exact": _ratio(self.exact),
             "exact_float": None if self.exact is None else float(self.exact),
-            "estimate": None if self.estimate is None else self.estimate.to_dict(),
-            "theory_lower": f"{self.theory_lower.numerator}/{self.theory_lower.denominator}",
-            "theory_lower_float": float(self.theory_lower),
-            "theory_upper": self.theory_upper,
-            "upper_c": self.upper_c,
+            "estimate": None if self.mc is None else self.mc.to_dict(),
+            "theory_lower": _ratio(self.lower_bound),
+            "theory_lower_float": float(self.lower_bound),
+            "theory_upper": self.upper_bound, "upper_c": self.upper_c,
             "epsilon": self.epsilon,
         }
 
 
-def make_report(strategy: CheatStrategy, method: str = "exact",
-                samples: int = 10000, seed: int = 0,
-                upper_c: float = 1.0) -> CheatReport:
-    params = strategy.params
-    q = params.field.q
-    model = strategy.model
-    w = (win_probability(strategy.game_strategy, GameDist.uniform(params.field))
-         if strategy.game_strategy is not None else Fraction(0))
-    exact = estimate = None
+def _evaluate(strategy: CheatStrategy, method: str, samples: int, seed: int,
+              upper_c: float, w: Fraction, w_gamma: Optional[Fraction]
+              ) -> AttackRow:
+    params, model = strategy.params, strategy.model
+    q, m = params.field.q, params.m
     if method == "exact":
-        exact = exact_cheat_probability(strategy)
+        exact, mc = exact_cheat_probability(strategy), None
     elif method == "mc":
-        estimate = mc_cheat_probability(strategy, samples=samples, seed=seed)
+        exact, mc = None, mc_cheat_probability(strategy, samples, seed)
     else:
         raise ValueError(f"unknown method {method!r}")
-    lower = theory_lower_bound(params.m, q, w, model.rho, model.k0)
-    upper = theory_upper_bound(params.m, q, upper_c)
-    return CheatReport(q, params.m, params.variant, model.rho, model.k0, w,
-                       exact, estimate, lower, upper, upper_c)
+    return AttackRow(q, m, params.variant, model.rho, model.k0, w, exact, mc,
+                     _closed_form(q, params.variant, m, model, w_gamma),
+                     theory_lower_bound(m, q, w, model.rho, model.k0),
+                     theory_upper_bound(m, q, upper_c), upper_c)
 
 
-@dataclass
-class SweepRow:
-    q: int
-    m: int
-    rho: int
-    k0: int
-    w: Fraction
-    exact: Optional[Fraction]
-    mc: Optional[McEstimate]
-    closed_form: Fraction
-    lower_bound: Fraction
-    upper_bound: float
-    t: float
+def evaluate(strategy: CheatStrategy, method: str = "exact",
+             samples: int = 10000, seed: int = 0,
+             upper_c: float = 1.0) -> AttackRow:
+    """The strategy's acceptance probability, enumerated (method "exact")
+    or estimated from `samples` draws seeded by `seed` (method "mc").
 
-    @property
-    def value(self) -> float:
-        return float(self.exact) if self.exact is not None else self.mc.mean
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q, "m": self.m, "rho": self.rho, "k0": self.k0,
-            "w": f"{self.w.numerator}/{self.w.denominator}",
-            "exact": (None if self.exact is None
-                      else f"{self.exact.numerator}/{self.exact.denominator}"),
-            "mc": None if self.mc is None else self.mc.to_dict(),
-            "closed_form": f"{self.closed_form.numerator}/{self.closed_form.denominator}",
-            "closed_form_float": float(self.closed_form),
-            "lower_bound": f"{self.lower_bound.numerator}/{self.lower_bound.denominator}",
-            "lower_bound_float": float(self.lower_bound),
-            "upper_bound": self.upper_bound,
-            "t": self.t,
-        }
+    w, which the lower bound uses, is the uniform game value of the
+    strategy's plugged game strategy, or 0 when none is plugged (no tower
+    step fits).  closed_form is build_attack's value at the strategy's
+    parameters.
+    """
+    values = _plugged_values(strategy.params.field, strategy.model,
+                             strategy.game_strategy)
+    return _evaluate(strategy, method, samples, seed, upper_c, *values)
 
 
 def trend_sweep(spec: FieldSpec, m_values: Sequence[int],
@@ -485,35 +507,27 @@ def trend_sweep(spec: FieldSpec, m_values: Sequence[int],
                     variant: Variant = Variant.STANDARD,
                     exact_cap: int = 2 * 10 ** 5,
                     samples: int = 20000, seed: int = 0,
-                    upper_c: float = 1.0) -> list[SweepRow]:
-    """One attack evaluation per protocol length, with bound columns.
+                    upper_c: float = 1.0) -> list[AttackRow]:
+    """One evaluated attack per protocol length.
 
-    Rows small enough to enumerate are exact; the rest are Monte Carlo
-    estimates, each alongside the construction's closed-form value.
+    Row m is enumerated when its 2*Q^n transcripts fit in exact_cap, and
+    is otherwise a Monte Carlo estimate seeded with seed + m.  The plugged
+    strategy's game values are computed once per sweep.
     """
     model = model or CausalModel()
-    w = win_probability(game_strategy, GameDist.uniform(spec))
-    q = spec.q
+    plugged = _plugged_values(spec, model, game_strategy)
     rows = []
     for m in m_values:
         strategy = build_attack(spec, variant, m, model, game_strategy)
-        params = strategy.params
-        closed = predicted_attack_probability(spec, variant, m, model,
-                                              strategy.game_strategy)
-        exact = mc = None
-        if 2 * q ** params.n_challenges <= exact_cap:
-            exact = exact_cheat_probability(strategy)
-        else:
-            mc = mc_cheat_probability(strategy, samples=samples,
-                                      seed=seed + m)
-        lower = theory_lower_bound(m, q, w, model.rho, model.k0)
-        rows.append(SweepRow(q, m, model.rho, model.k0, w, exact, mc, closed,
-                             lower, theory_upper_bound(m, q, upper_c),
-                             m / math.sqrt(q)))
+        method = ("exact" if 2 * spec.q ** strategy.params.n_challenges
+                  <= exact_cap else "mc")
+        values = _UNPLUGGED if strategy.game_strategy is None else plugged
+        rows.append(_evaluate(strategy, method, samples, seed + m, upper_c,
+                              *values))
     return rows
 
 
-def empirical_upper_constant(rows: Sequence[SweepRow]) -> float:
+def empirical_upper_constant(rows: Sequence[AttackRow]) -> float:
     """Smallest c for which every measured row satisfies the upper formula."""
     return max((row.value - 0.5) * math.sqrt(row.q) / row.m for row in rows)
 
@@ -522,7 +536,7 @@ SWEEP_COLUMNS = ["q", "m", "rho", "k0", "w_num", "w_den", "g_num", "g_den",
                  "mc_mean", "mc_ci", "lower_bound", "upper_bound_c"]
 
 
-def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
+def write_sweep_csv(rows: Sequence[AttackRow], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)

@@ -26,7 +26,7 @@ import click
 from .adversary import CausalModel, build_attack, tower_gamma
 from .analysis import (
     empirical_upper_constant,
-    make_report,
+    evaluate,
     trend_sweep,
     write_sweep_csv,
 )
@@ -274,17 +274,15 @@ def cmd_attack(p, n, modulus, m, variant, rho, k0, method, samples, seed,
     game_strategy = _plugged_strategy(spec, model, strategy, strategy_file,
                                       restarts, seed)
     cheat = build_attack(spec, Variant(variant), m, model, game_strategy)
-    report = make_report(cheat, method=method, samples=samples, seed=seed,
-                         upper_c=upper_c)
+    row = evaluate(cheat, method, samples, seed, upper_c)
     data = {
         "schema": 1,
-        "config": {"field": spec.describe(), "m": report.m,
-                   "variant": report.variant.value, "rho": report.rho,
-                   "k0": report.k0, "method": method, "samples": samples,
+        "config": {"field": spec.describe(), "m": m, "variant": variant,
+                   "rho": rho, "k0": k0, "method": method, "samples": samples,
                    "seed": seed, "strategy": strategy,
                    "strategy_file": strategy_file, "restarts": restarts,
                    "upper_c": upper_c, "lineage": cheat.lineage},
-        "report": report.to_dict(),
+        "report": row.report_dict(),
         "game_strategy": cheat.game_strategy.to_dict()
         if cheat.game_strategy else None,
     }
@@ -304,14 +302,21 @@ def cmd_attack(p, n, modulus, m, variant, rho, k0, method, samples, seed,
 
 
 def parse_m_list(raw: str) -> list[int]:
-    """Either "4..31" or a comma list "4,7,10"; empty string means no rows."""
+    """Either "4..31" (lo <= hi) or a comma list "4,7,10"; empty string means
+    no rows."""
     raw = raw.strip()
     if not raw:
         return []
-    if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in raw.split(",")]
+    try:
+        if ".." not in raw:
+            return [int(x) for x in raw.split(",")]
+        lo, hi = map(int, raw.split("..", 1))
+        if lo <= hi:
+            return list(range(lo, hi + 1))
+    except ValueError:
+        pass
+    raise ValueError(f"--m-list {raw!r} is neither lo..hi with lo <= hi nor a"
+                     " comma list of integers such as 4,7,10")
 
 
 @main.command("sweep")

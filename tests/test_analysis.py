@@ -23,8 +23,8 @@ from relbc import (
     build_attack,
     clopper_pearson,
     empirical_upper_constant,
+    evaluate,
     exact_cheat_probability,
-    make_report,
     mc_cheat_probability,
     predicted_attack_probability,
     theory_lower_bound,
@@ -289,25 +289,35 @@ def test_closed_form_matches_enumeration_q3():
                                             BASE, opt3)
 
 
-def test_make_report_exact():
-    rep = make_report(attack_base(GF2, 6, OPT2), method="exact")
+def test_evaluate_exact():
+    rep = evaluate(attack_base(GF2, 6, OPT2), method="exact")
     assert rep.exact == Fraction(127, 128)
-    assert rep.estimate is None
+    assert rep.mc is None
     assert rep.w == Fraction(3, 4)
-    assert rep.theory_lower == theory_lower_bound(6, 2, Fraction(3, 4))
+    assert rep.lower_bound == theory_lower_bound(6, 2, Fraction(3, 4))
     assert rep.value == float(Fraction(127, 128))
     assert rep.epsilon == rep.value - 0.5
-    d = rep.to_dict()
+    d = rep.report_dict()
     assert d["exact"] == "127/128" and d["variant"] == "symmetrized"
 
 
-def test_make_report_mc():
-    rep = make_report(attack_base(GF2, 6, OPT2), method="mc",
-                      samples=5000, seed=9)
-    assert rep.exact is None and rep.estimate is not None
-    assert rep.estimate.samples == 5000
+def test_evaluate_mc():
+    rep = evaluate(attack_base(GF2, 6, OPT2), method="mc",
+                   samples=5000, seed=9)
+    assert rep.exact is None and rep.mc is not None
+    assert rep.mc.samples == 5000
     with pytest.raises(ValueError):
-        make_report(attack_base(GF2, 3, OPT2), method="nope")
+        evaluate(attack_base(GF2, 3, OPT2), method="nope")
+
+
+def test_evaluate_without_plugged_strategy_reports_w_zero():
+    # no tower step fits in a standard m = 3 attack: nothing is plugged
+    rep = evaluate(build_attack(GF2, Variant.STANDARD, 3, BASE, OPT2))
+    assert rep.w == 0
+    assert rep.exact == rep.closed_form == Fraction(7, 8)
+    rows = trend_sweep(GF2, [3, 4], OPT2)
+    assert [r.w for r in rows] == [0, Fraction(3, 4)]
+    assert rows[0] == rep
 
 
 def test_trend_sweep_rows():

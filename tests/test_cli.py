@@ -19,6 +19,19 @@ def test_parse_m_list():
     assert parse_m_list("4,7,10") == [4, 7, 10]
     assert parse_m_list("5") == [5]
     assert parse_m_list("") == []
+    assert parse_m_list(" 4 .. 4 ") == [4]
+    for raw in ("4..", "..7", "4,x", "4,,5", "9..4", "4..7..9", "a"):
+        with pytest.raises(ValueError, match="--m-list"):
+            parse_m_list(raw)
+
+
+@pytest.mark.parametrize("raw", ["4..", "4,x", "9..4"])
+def test_sweep_rejects_malformed_m_list(tmp_path, raw):
+    out = tmp_path / "sweep.csv"
+    result = invoke("sweep", "--p", "2", "--m-list", raw, "--out", str(out))
+    assert result.exit_code == 2
+    assert "--m-list" in result.stderr and "lo..hi" in result.stderr
+    assert not out.exists()
 
 
 def test_load_config(tmp_path):
@@ -378,6 +391,27 @@ def test_sweep_json(tmp_path):
     assert result.exit_code == 0
     data = json.loads(out.read_text())
     assert data["schema"] == 1 and len(data["rows"]) == 2
+
+
+@pytest.mark.parametrize("p, n, m, variant", [
+    ("2", "2", "7", "symmetrized"),  # a padded tower
+    ("2", "1", "3", "standard"),     # no tower step fits: nothing plugged
+])
+def test_attack_and_sweep_agree(tmp_path, p, n, m, variant):
+    common = ("--p", p, "--n", n, "--variant", variant, "--rho", "2",
+              "--k0", "0")
+    attack = invoke("attack", *common, "--m", m, "--method", "exact")
+    assert attack.exit_code == 0, attack.stderr
+    report = json.loads(attack.output)["report"]
+    out = tmp_path / "sweep.json"
+    sweep = invoke("sweep", *common, "--m-list", m, "--format", "json",
+                   "--out", str(out))
+    assert sweep.exit_code == 0, sweep.stderr
+    [row] = json.loads(out.read_text())["rows"]
+    assert row["exact"] is not None and row["exact"] == report["exact"]
+    assert row["w"] == report["w"]
+    assert row["lower_bound"] == report["theory_lower"]
+    assert row["closed_form"] == row["exact"]
 
 
 def test_hiding_ok():
