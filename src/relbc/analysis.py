@@ -26,7 +26,7 @@ from .games import DetStrategy, GameDist, win_probability
 from .protocol import Variant
 
 EXACT_ENUM_CAP = 10 ** 8
-# Most 32-bit words drawn by one getrandbits call in _bulk_randrange (128 KiB).
+# Most 32-bit words drawn by one getrandbits call (128 KiB).
 _DRAW_BLOCK_WORDS = 1 << 15
 
 
@@ -230,6 +230,14 @@ class McEstimate:
                 "confidence": self.confidence}
 
 
+def _block_words(space: int, count: int) -> int:
+    """Words for one getrandbits block that should hold `count` accepted
+    randrange(space) tries, with a margin: a try is kept with probability
+    space / 2^space.bit_length()."""
+    return min(_DRAW_BLOCK_WORDS,
+               (count << space.bit_length()) // space + count // 16 + 32)
+
+
 def _bulk_randrange(rng: random.Random, space: int, count: int,
                     code: bytes) -> Iterator[bytes]:
     """Blocks of `count` successive rng.randrange(space) draws in all, for
@@ -246,22 +254,45 @@ def _bulk_randrange(rng: random.Random, space: int, count: int,
     k = space.bit_length()
     rejected = bytes(range(space << (8 - k), 256))
     while count:
-        words = min(_DRAW_BLOCK_WORDS,
-                    (count << k) // space + count // 16 + 32)
+        words = _block_words(space, count)
         data = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
         block = data[3::4].translate(code, rejected)[:count]
         count -= len(block)
         yield block
 
 
+def _word_draws(rng: random.Random, space: int, count: int) -> list[int]:
+    """The successive rng.randrange(space) draws made from the words of one
+    getrandbits block sized for about `count` of them.
+
+    A try of randrange(space) reads one word w and keeps its top
+    k = space.bit_length() bits, w >> (32 - k), unless they are >= space,
+    that is unless w >= space << (32 - k).  MAX_FIELD_SIZE = 2^20 (and
+    MC_TABLE_CAP = 4096) keep k <= 21, so one word always covers one try.
+    cast("I") reads the little-endian bytes as native words, so on a
+    big-endian host each word is byte-swapped: still uniform, but not
+    randrange's stream.
+    """
+    words = _block_words(space, count)
+    shift = 32 - space.bit_length()
+    limit = space << shift
+    data = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+    return [w >> shift for w in memoryview(data).cast("I") if w < limit]
+
+
 def _table_wins(table: bytes, samples: int, rng: random.Random) -> int:
     """Wins among `samples` draws of table[rng.randrange(len(table))], for a
-    table of 0/1 bytes.  Tables of at most 256 entries are drawn in bulk,
-    the same draws; larger tables draw one index at a time."""
+    table of 0/1 bytes, the same draws in bulk: tables of fewer than 256
+    entries translate the top byte of each word, larger ones read words."""
     space = len(table)
     shift = 8 - space.bit_length()
     if shift < 0:
-        return sum(table[rng.randrange(space)] for _ in range(samples))
+        wins = 0
+        while samples:
+            draws = _word_draws(rng, space, samples)[:samples]
+            wins += sum(map(table.__getitem__, draws))
+            samples -= len(draws)
+        return wins
     code = bytes(table[i >> shift] for i in range(space << shift))
     return sum(block.count(1) for block in _bulk_randrange(
         rng, space, samples, code.ljust(256, b"\0")))
@@ -270,19 +301,34 @@ def _table_wins(table: bytes, samples: int, rng: random.Random) -> int:
 def _transcripts(rng: random.Random, q: int, n_ch: int, samples: int
                  ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """`samples` uniform (d, challenges), each drawn as d = randrange(2)
-    followed by n_ch draws of randrange(q).
+    followed by n_ch draws of randrange(q), the same draws in bulk.
 
-    For q = 2^j <= 128 the draws come in bulk, the same ones: randrange(2)
-    and randrange(q) both keep a word exactly when its top bit is 0, and
-    then read d = top byte >> 6 and x = top byte >> (7 - j), so
-    d = x >> (j - 1).
+    For q = 2^j <= 128, randrange(2) and randrange(q) both keep a word
+    exactly when its top bit is 0, and then read d = top byte >> 6 and
+    x = top byte >> (7 - j), so d = x >> (j - 1).  Other q read words:
+    with k = q.bit_length(), randrange(q) keeps x = w >> (32 - k) when
+    w < q << (32 - k), and randrange(2) keeps w >> 30 when w < 2^31, a
+    subset of those words.  So d is tried on the draws of randrange(q): a
+    try is kept when x < 2^(k-1), and then d = x >> (k - 2).  Only q = 2^j
+    keeps every try, so a row takes n_ch + q / 2^(k-1) draws on average.
     """
-    if q > 128 or q & (q - 1):
-        for _ in range(samples):
-            d = rng.randrange(2)
-            yield d, tuple(rng.randrange(q) for _ in range(n_ch))
-        return
     width = n_ch + 1
+    if q > 128 or q & (q - 1):
+        k = q.bit_length()
+        half, d_shift = 1 << (k - 1), k - 2
+        draws = []
+        while samples:
+            draws += _word_draws(rng, q, samples * (n_ch * half + q) // half)
+            i, end = 0, len(draws) - n_ch
+            while samples and i < end:
+                if draws[i] >= half:
+                    i += 1
+                    continue
+                yield draws[i] >> d_shift, tuple(draws[i + 1:i + width])
+                i += width
+                samples -= 1
+            del draws[:i]
+        return
     shift = 8 - q.bit_length()
     d_shift = 6 - shift
     code = bytes(t >> shift for t in range(128)).ljust(256, b"\0")
@@ -301,10 +347,11 @@ def mc_cheat_probability(strategy: CheatStrategy,
 
     For input spaces of at most MC_TABLE_CAP the trials are index draws
     from the strategy's verdict table, which is built once per strategy;
-    larger spaces play each drawn transcript.  Tables of at most 256
-    entries, and transcripts over GF(2^j) up to GF(128), are drawn in bulk;
-    the stream is the one per-draw randrange calls give, so seeded
-    estimates do not change.
+    larger spaces play each drawn transcript.  Every draw is made in bulk
+    from getrandbits blocks: draws of at most 8 bits (tables of fewer than
+    256 entries, transcripts over GF(2^j) up to GF(128)) from the top byte
+    of each 32-bit word, all others from the whole word.  The stream is the
+    one per-draw randrange calls give, so seeded estimates do not change.
     """
     params = strategy.params
     if samples < 100:
@@ -479,10 +526,13 @@ def _evaluate(strategy: CheatStrategy, method: str, samples: int, seed: int,
         exact, mc = None, mc_cheat_probability(strategy, samples, seed)
     else:
         raise ValueError(f"unknown method {method!r}")
+    # Below one tower step the bound's exponent is 0 and its value 1/2;
+    # theory_lower_bound rejects the shortest of those lengths.
+    lower = (theory_lower_bound(m, q, w, model.rho, model.k0)
+             if m - model.k0 - 1 >= model.rho + 1 else Fraction(1, 2))
     return AttackRow(q, m, params.variant, model.rho, model.k0, w, exact, mc,
                      _closed_form(q, params.variant, m, model, w_gamma),
-                     theory_lower_bound(m, q, w, model.rho, model.k0),
-                     theory_upper_bound(m, q, upper_c), upper_c)
+                     lower, theory_upper_bound(m, q, upper_c), upper_c)
 
 
 def evaluate(strategy: CheatStrategy, method: str = "exact",

@@ -162,14 +162,14 @@ def _echo_strategy(spec, m):
     (attack_base(GF2, 6, OPT2), (9934, 9935, 9930)),
     # space 1458, k = 11
     (build_attack(GF3, Variant.SYMMETRIZED, 6, BASE, OPT3), (9731, 9747, 9742)),
-    # space 4374: beyond the table cap, one sample at a time
+    # space 4374: beyond the table cap, whole transcripts read from words
     (build_attack(GF3, Variant.SYMMETRIZED, 7, BASE, OPT3), (9838, 9848, 9823)),
     # beyond the table cap at Q = 16 and Q = 2: whole transcripts in bulk
     (build_attack(GF16, Variant.STANDARD, 9, BASE,
                   DetStrategy.random(GF16, random.Random(16))),
      (6534, 6571, 6465)),
     (_echo_strategy(GF2, 12), (3289, 3393, 3261)),
-    # Q = 256 draws one randrange per challenge
+    # Q = 256 reads whole transcripts from words too
     (build_attack(GF256, Variant.SYMMETRIZED, 31, BASE,
                   DetStrategy.random(GF256, random.Random(256))),
      (5420, 5405, 5404)),
@@ -183,6 +183,25 @@ def test_mc_seeded_wins_are_pinned(strategy, wins):
     # the seeded streams are part of the output: a changed draw shows here
     assert tuple(mc_cheat_probability(strategy, samples=10 ** 4, seed=seed).wins
                  for seed in (0, 1, 2)) == wins
+
+
+def test_mc_draws_never_call_randrange(monkeypatch):
+    strategies = [
+        build_attack(GF3, Variant.SYMMETRIZED, 7, BASE, OPT3),   # transcripts
+        build_attack(GF3, Variant.SYMMETRIZED, 6, BASE, OPT3),   # 1458 entries
+        build_attack(GF2, Variant.SYMMETRIZED, 7, BASE, OPT2),   # 256 entries
+        build_attack(GF256, Variant.SYMMETRIZED, 31, BASE,
+                     DetStrategy.random(GF256, random.Random(256))),
+    ]
+    assert [s.verdict_table and len(s.verdict_table) for s in strategies] \
+        == [None, 1458, 256, None]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Monte Carlo draw called randrange")
+
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    for s in strategies:
+        assert mc_cheat_probability(s, samples=1000, seed=0).samples == 1000
 
 
 def test_verdict_table_built_once_per_strategy():

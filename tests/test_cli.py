@@ -6,7 +6,16 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from relbc import cli
+from relbc import (
+    CausalModel,
+    FieldSpec,
+    GameDist,
+    Variant,
+    brute_force_value,
+    cli,
+    predicted_attack_probability,
+    tower_gamma,
+)
 from relbc.cli import load_config, main, parse_m_list
 
 
@@ -412,6 +421,37 @@ def test_attack_and_sweep_agree(tmp_path, p, n, m, variant):
     assert row["w"] == report["w"]
     assert row["lower_bound"] == report["theory_lower"]
     assert row["closed_form"] == row["exact"]
+
+
+def _predicted(p, m, variant, rho, k0):
+    spec, model = FieldSpec(p), CausalModel(rho, k0)
+    game = brute_force_value(GameDist(spec, tower_gamma(spec, model)))
+    value = predicted_attack_probability(spec, Variant(variant), m, model,
+                                         game.strategy)
+    return f"{value.numerator}/{value.denominator}"
+
+
+@pytest.mark.parametrize("m, k0", [(2, 0), (3, 2)])
+def test_attack_below_the_bound_domain(m, k0):
+    # theory_lower_bound rejects these lengths; the row reports its
+    # exponent-0 value 1/2
+    result = invoke("attack", "--p", "2", "--m", str(m), "--k0", str(k0))
+    assert result.exit_code == 0, result.stderr
+    report = json.loads(result.output)["report"]
+    assert report["exact"] == _predicted(2, m, "symmetrized", 2, k0)
+    assert report["theory_lower"] == "1/2"
+
+
+def test_sweep_from_below_the_bound_domain(tmp_path):
+    out = tmp_path / "sweep.json"
+    result = invoke("sweep", "--p", "2", "--m-list", "2..5", "--format",
+                    "json", "--out", str(out))
+    assert result.exit_code == 0, result.stderr
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["m"] for row in rows] == [2, 3, 4, 5]
+    for row in rows:
+        assert row["exact"] == _predicted(2, row["m"], "standard", 2, 0)
+    assert rows[0]["lower_bound"] == "1/2"
 
 
 def test_hiding_ok():

@@ -380,10 +380,11 @@ class _CountingRandom(random.Random):
         return super().getrandbits(k)
 
 
-@pytest.mark.parametrize("space, seed", [(17, 45), (129, 291)])
+@pytest.mark.parametrize("space, seed", [(17, 45), (129, 291), (257, 105)])
 def test_table_wins_refill_when_first_block_is_short(space, seed):
     # seeds found by search: the first block's accepted draws fall short of
-    # 100, so a second getrandbits block is needed
+    # 100, so a second getrandbits block is needed (257 entries read words,
+    # the others top bytes)
     table = bytes(i % 2 for i in range(space))
     rng = _CountingRandom(f"{seed}:mc")
     got = _table_wins(table, 100, rng)
@@ -405,17 +406,29 @@ def reference_transcripts(rng: random.Random, q: int, n_ch: int,
 
 
 @pytest.mark.parametrize("n_ch", [1, 4, 12])
-@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 128, 3, 256])
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 128,
+                               3, 5, 27, 256, 4096, 2 ** 16, 2 ** 20])
 def test_bulk_transcripts_match_randrange_loop(q, n_ch, monkeypatch):
     # small blocks, so every estimate spans many getrandbits blocks and rows
-    # straddle block boundaries; q = 3 and 256 take the per-draw loop
+    # straddle block boundaries; q = 2^j <= 128 reads top bytes, the other
+    # q read words, where only odd q rejects tries of d that it keeps for x
     monkeypatch.setattr(analysis, "_DRAW_BLOCK_WORDS", 61)
     rng = _CountingRandom(f"{q}:{n_ch}:mc")
     got = list(_transcripts(rng, q, n_ch, 300))
     assert got == reference_transcripts(random.Random(f"{q}:{n_ch}:mc"),
                                         q, n_ch, 300)
-    if q <= 128 and q & (q - 1) == 0:
-        assert rng.calls > 1
+    assert rng.calls > 1
+
+
+@pytest.mark.parametrize("q, n_ch, seed", [(3, 4, 3505), (5, 1, 22)])
+def test_word_transcripts_refill_when_first_block_is_short(q, n_ch, seed):
+    # seeds found by search: the first full-size block's rows fall short of
+    # 100, so the rest carries over into a second getrandbits block
+    rng = _CountingRandom(f"{seed}:mc")
+    got = list(_transcripts(rng, q, n_ch, 100))
+    assert rng.calls == 2
+    assert got == reference_transcripts(random.Random(f"{seed}:mc"), q, n_ch,
+                                        100)
 
 
 def test_bulk_transcripts_span_full_size_blocks():
