@@ -429,6 +429,8 @@ def build_attack(spec: FieldSpec, variant: Variant, m: int,
     Builds the largest strict tower that fits and pads the remaining rounds
     with silent rounds (symmetrized) or the silent final round (standard).
     """
+    if game_strategy.field != spec:
+        raise ValueError("game strategy is over a different field")
     variant = Variant(variant)
     if variant is Variant.STANDARD:
         if m - 1 < 2:

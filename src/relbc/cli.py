@@ -136,7 +136,8 @@ def main():
 
 @main.command("field-check")
 @field_options
-@click.option("--triples", default=10000, show_default=True)
+@click.option("--triples", default=10000, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default=None, type=click.Path())
 @_exit_codes
@@ -262,7 +263,8 @@ def _plugged_strategy(spec, model, source, path, restarts, seed):
 @click.option("--upper-c", default=1.0, show_default=True)
 @click.option("--transcript-out", default=None, type=click.Path(),
               help="Persist sample cheating transcripts as JSON.")
-@click.option("--transcript-count", default=5, show_default=True)
+@click.option("--transcript-count", default=5, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--out", default=None, type=click.Path())
 @_exit_codes
 def cmd_attack(p, n, modulus, m, variant, rho, k0, method, samples, seed,

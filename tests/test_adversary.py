@@ -344,6 +344,14 @@ def test_build_attack_short_falls_back_to_zeros():
     assert s2.lineage == "zeros"
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7])
+def test_build_attack_rejects_strategy_over_another_field(m, variant):
+    # also at lengths where no tower step fits and no strategy is plugged
+    with pytest.raises(ValueError, match="different field"):
+        build_attack(GF2, variant, m, BASE, OPT3)
+
+
 def test_d_zero_always_accepted():
     # eta stays zero when d = 0, so every challenge vector is accepted
     for s in (attack_base(GF2, 6, OPT2), attack_base(GF3, 3, OPT3)):

@@ -78,6 +78,12 @@ def test_field_check_large_field_within_budget():
     assert elapsed < 5.0
 
 
+def test_field_check_negative_triples_exits_config():
+    result = invoke("field-check", "--p", "3", "--triples", "-5")
+    _assert_config_error(result)
+    assert "--triples" in result.stderr
+
+
 def test_field_check_bad_field_exits_config():
     result = invoke("field-check", "--p", "6")
     assert result.exit_code == 2
@@ -159,6 +165,25 @@ def test_attack_from_strategy_file(tmp_path):
 def test_attack_strategy_file_missing_path():
     result = invoke("attack", "--p", "2", "--strategy", "file")
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("m", ["2", "4"])
+def test_attack_strategy_file_over_another_field_exits_config(tmp_path, m):
+    spath = tmp_path / "gf3.json"
+    invoke("game-value", "--p", "3", "--strategy-out", str(spath))
+    result = invoke("attack", "--p", "2", "--m", m, "--strategy", "file",
+                    "--strategy-file", str(spath))
+    _assert_config_error(result)
+    assert "different field" in result.stderr
+
+
+def test_attack_negative_transcript_count_exits_config(tmp_path):
+    tpath = tmp_path / "transcripts.json"
+    result = invoke("attack", "--p", "2", "--m", "3",
+                    "--transcript-out", str(tpath), "--transcript-count", "-3")
+    _assert_config_error(result)
+    assert "--transcript-count" in result.stderr
+    assert not tpath.exists()
 
 
 def test_attack_transcripts(tmp_path):

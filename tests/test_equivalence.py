@@ -407,11 +407,13 @@ def reference_transcripts(rng: random.Random, q: int, n_ch: int,
 
 @pytest.mark.parametrize("n_ch", [1, 4, 12])
 @pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 128,
-                               3, 5, 27, 256, 4096, 2 ** 16, 2 ** 20])
+                               3, 5, 27, 131, 243, 256, 4096, 2 ** 16,
+                               2 ** 20])
 def test_bulk_transcripts_match_randrange_loop(q, n_ch, monkeypatch):
     # small blocks, so every estimate spans many getrandbits blocks and rows
-    # straddle block boundaries; q = 2^j <= 128 reads top bytes, the other
-    # q read words, where only odd q rejects tries of d that it keeps for x
+    # straddle block boundaries; q < 256 reads top bytes, larger q read
+    # words, and only q other than 2^j rejects tries of d that it keeps
+    # for x (131 and 243 on the byte side at the full width k = 8)
     monkeypatch.setattr(analysis, "_DRAW_BLOCK_WORDS", 61)
     rng = _CountingRandom(f"{q}:{n_ch}:mc")
     got = list(_transcripts(rng, q, n_ch, 300))
