@@ -21,12 +21,15 @@ the corrective factor eta of the prefix off the chain, then plays a
 two-player game on the windowed challenge products; a win, a zero final
 challenge, or eta = 0 each make the step's condition collapse, which drives
 the acceptance probability towards 1 exponentially in the number of steps.
-The step's two game rounds read eta only at the step's prefix p and are
-linear in it, so the step takes eta_p to eta_p*f, where f is what the
-step's rounds give on a chain with eta_p = 1.  A tower transcript therefore
-ends at eta_n = d * prod(silent challenges) * prod(step factors), the
-silent challenges being those of the k0 quiet prefix and of the padding
-rounds, and its verdict stops at the first zero factor.
+Each game round is a _GameRound: its output is eta_p * coef(xs), where p
+is the step's prefix and coef is s1[window product] for the first game
+round and s2[window product] * x_kb for the second (kb being the step's
+last round).  So the step takes eta_p to eta_p*f, where f is the step's
+chain from eta = 1: the product of its rho - 1 quiet challenges, then
+f = x*f - coef for each game round.  A tower transcript therefore ends at
+eta_n = d * prod(silent challenges) * prod(step factors), the silent
+challenges being those of the k0 quiet prefix and of the padding rounds,
+and its verdict stops at the first zero factor.
 
 Strategies are built in sign-flipped response space (see
 protocol.tilde_transform) and converted back at the boundary.
@@ -77,6 +80,8 @@ class CausalModel:
 
 
 RoundFn = Callable[[int, tuple[int, ...], list[int]], int]
+# A game round's coefficient: challenges -> field element.
+Coef = Callable[[tuple[int, ...]], int]
 
 
 def compute_eta(spec: FieldSpec, d: int, challenges: tuple[int, ...],
@@ -108,10 +113,11 @@ class CheatStrategy:
     only for prefixes j whose challenges it may see; causality_check audits
     this by perturbing the inputs round k may not see.  One pass along the
     chain evaluates a transcript in O(m) field ops and gives its verdict
-    (accepts).  When the rounds form a tower (_step_plan), accepts instead
-    multiplies out the step factors and stops at the first zero one.  The
-    strategy is frozen, so its verdict table and step plan, built on first
-    use, cannot go stale.
+    (accepts).  When the rounds form a tower of _zero_round and _GameRound
+    rounds (_step_plan), accepts instead multiplies out the step factors
+    from the game rounds' coefficients, without calling the rounds, and
+    stops at the first zero factor.  The strategy is frozen, so its
+    verdict table and step plan, built on first use, cannot go stale.
     """
 
     field: FieldSpec
@@ -169,27 +175,31 @@ class CheatStrategy:
 
     @cached_property
     def _step_plan(self) -> Optional[tuple[tuple[int, ...],
-                                           tuple[tuple[int, int], ...],
-                                           list[int]]]:
-        """(silent challenge positions, step spans, a list of ones) when
-        every round is _zero_round or a game round of _tower_rounds in tower
-        position, else None.
+                                           tuple[tuple[int, int, Coef, Coef],
+                                                 ...]]]:
+        """(silent challenge positions, steps) when every round is
+        _zero_round or a _GameRound in tower position, else None.
 
-        A step span (p, p + rho + 1), 0-based, is rho - 1 zero rounds, then
-        the first and the second game round of prefix p, all within the
+        A step (p, p + rho + 1, coef_a, coef_b), 0-based, spans rho - 1
+        zero rounds, then the first and the second _GameRound of prefix p,
+        whose coefficients are coef_a and coef_b, all within the
         challenges.  Every other round is a zero round, and below
-        n_challenges its challenge is silent: it multiplies eta.
+        n_challenges its challenge is silent: it multiplies eta.  Game
+        rounds are known by their exact type, so a wrapped or subclassed
+        round, whose output need not be linear in eta_p, leaves the
+        strategy to the chain.
         """
         rounds, n, rho = self.rounds, self.n_challenges, self.model.rho
         silent, steps = [], []
         k = 0
         while k < len(rounds):
             kb = k + rho + 1
-            if (kb <= n
-                    and getattr(rounds[kb - 2], "tower_step", None) == (k, 1)
-                    and getattr(rounds[kb - 1], "tower_step", None) == (k, 2)
+            first, second = rounds[kb - 2:kb] if kb <= n else (None, None)
+            if (type(first) is _GameRound and first.tower_step == (k, 1)
+                    and type(second) is _GameRound
+                    and second.tower_step == (k, 2)
                     and all(fn is _zero_round for fn in rounds[k:kb - 2])):
-                steps.append((k, kb))
+                steps.append((k, kb, first.coef, second.coef))
                 k = kb
             elif rounds[k] is _zero_round:
                 if k < n:
@@ -197,34 +207,37 @@ class CheatStrategy:
                 k += 1
             else:
                 return None
-        return tuple(silent), tuple(steps), [1] * (n + 1)
+        return tuple(silent), tuple(steps)
 
     def accepts(self, d: int, xs: tuple[int, ...]) -> bool:
         """Verdict on (d, xs): the chain ends at eta_n = 0.  This is
         verify_values' test, whose chained value is alpha_k = (-1)^k*eta_k.
 
         For a tower (_step_plan), eta_n = d * prod(silent challenges) *
-        prod(step factors), where a step's factor is its rounds' chain from
-        eta = 1, played with every eta read as 1.  This holds because a game
-        round reads eta only at its step's prefix and is linear in it.  So
-        the verdict is true at d = 0, a zero silent challenge or the first
-        zero step factor, and the rounds after it are not called.
+        prod(step factors), where a step's factor is its chain from
+        eta = 1: the product of its rho - 1 quiet challenges, then
+        eta = x*eta - coef(xs) for its two game rounds.  This holds because
+        a _GameRound's output is eta_p * coef(xs), linear in its step's
+        prefix eta.  So the verdict is true at d = 0, a zero silent
+        challenge or the first zero step factor, no round is called and
+        the coefficients after that factor are not evaluated.
         """
         plan = self._step_plan
         if plan is None:
             return self._chain(d, xs, len(self.rounds))[-1] == 0
-        silent, steps, ones = plan
+        silent, steps = plan
         if not d:
             return True
         for j in silent:
             if not xs[j]:
                 return True
-        mul, sub, rounds = self.field.mul, self.field.sub, self.rounds
-        for lo, hi in steps:
-            eta = 1
-            for k in range(lo, hi):
-                eta = sub(mul(xs[k], eta), rounds[k](d, xs, ones))
-            if not eta:
+        mul, sub = self.field.mul, self.field.sub
+        for lo, hi, coef_a, coef_b in steps:
+            eta = xs[lo]
+            for x in xs[lo + 1:hi - 2]:
+                eta = mul(x, eta)
+            eta = sub(mul(xs[hi - 2], eta), coef_a(xs))
+            if not sub(mul(xs[hi - 1], eta), coef_b(xs)):
                 return True
         return False
 
@@ -261,53 +274,82 @@ def _check_reads(model: CausalModel, k: int, n: int,
             raise LookupError(f"challenge x_{j} is not visible at round {k}")
 
 
+class _GameRound:
+    """A tower game round of prefix p: ytilde = eta_p * coef(xs).
+
+    tower_step = (p, 1) or (p, 2) marks the step's first or second game
+    round.  The output is linear in eta_p by construction, which is what
+    CheatStrategy.accepts relies on when it applies coef to a step's
+    factor instead of calling the round.
+    """
+
+    __slots__ = ("tower_step", "coef", "_mul")
+
+    def __init__(self, spec: FieldSpec, tower_step: tuple[int, int],
+                 coef: Coef):
+        self.tower_step = tower_step
+        self.coef = coef
+        self._mul = spec.mul
+
+    def __call__(self, d, xs, etas) -> int:
+        return self._mul(etas[self.tower_step[0]], self.coef(xs))
+
+
+def _window_answer(spec: FieldSpec, table: tuple[int, ...], window: range,
+                   last: Optional[int] = None) -> Coef:
+    """xs -> table[product of xs over window], times xs[last] when last is
+    given; positions are 0-based and window is not empty."""
+    mul = spec.mul
+    first, *rest = window
+    # one-challenge windows (every rho = 2 tower) skip the product loop,
+    # which costs ~3-4% of a tower sweep's solve time
+    if last is None:
+        if not rest:
+            return lambda xs: table[xs[first]]
+
+        def answer(xs):
+            v = xs[first]
+            for j in rest:
+                v = mul(v, xs[j])
+            return table[v]
+    else:
+        if not rest:
+            return lambda xs: mul(table[xs[first]], xs[last])
+
+        def answer(xs):
+            v = xs[first]
+            for j in rest:
+                v = mul(v, xs[j])
+            return mul(table[v], xs[last])
+    return answer
+
+
 def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,
                   game_strategy: DetStrategy) -> list[RoundFn]:
-    """Round functions of the tower.  The bit and challenges each round
-    reads are fixed by its position, so they are checked against the model
-    once, here, rather than on every call.  Each step's first and second
-    game round carry tower_step = (prefix, 1) and (prefix, 2), which
-    CheatStrategy._step_plan reads."""
+    """Round functions of the tower: per step, rho - 1 zero rounds, then
+    the first and the second _GameRound of the step's prefix p.  Of the
+    step's first rho challenges, the first game round (ka = p + rho) reads
+    those of its parity, x_{p+2}, x_{p+4}, ..., x_ka, and its coefficient
+    is s1 at their product; the second (kb = ka + 1) reads x_{p+1}, x_{p+3},
+    ..., x_{ka-1}, and its coefficient is s2 at their product times x_kb.
+    The bit and challenges each round reads are fixed by its position, so
+    they are checked against the model once, here, rather than on every
+    call."""
     rho, k0 = model.rho, model.k0
     steps = (m - k0) // (rho + 1)
     rounds: list[RoundFn] = [_zero_round] * k0
-
-    def make_first(prefix: int) -> RoundFn:
-        ka = prefix + rho
-        window = [j for j in range(prefix + 1, ka + 1) if (ka - j) % 2 == 0]
-        _check_reads(model, ka, m, [*range(1, prefix + 1), *window])
-        s1 = game_strategy.s1
-
-        def fn(d, xs, etas):
-            eta = etas[prefix]
-            xin = 1
-            for j in window:
-                xin = spec.mul(xin, xs[j - 1])
-            return spec.mul(eta, s1[xin])
-        fn.tower_step = (prefix, 1)
-        return fn
-
-    def make_second(prefix: int) -> RoundFn:
-        kb = prefix + rho + 1
-        window = [j for j in range(prefix + 1, prefix + rho + 1)
-                  if (kb - j) % 2 == 0]
-        _check_reads(model, kb, m, [*range(1, prefix + 1), *window, kb])
-        s2 = game_strategy.s2
-
-        def fn(d, xs, etas):
-            eta = etas[prefix]
-            yin = 1
-            for j in window:
-                yin = spec.mul(yin, xs[j - 1])
-            return spec.mul(spec.mul(eta, s2[yin]), xs[kb - 1])
-        fn.tower_step = (prefix, 2)
-        return fn
-
     for s in range(steps):
-        prefix = k0 + s * (rho + 1)
+        p = k0 + s * (rho + 1)
+        ka, kb = p + rho, p + rho + 1
+        win_a, win_b = range(p + 1, ka, 2), range(p, ka - 1, 2)  # 0-based
+        _check_reads(model, ka, m, [*range(1, p + 1), *(j + 1 for j in win_a)])
+        _check_reads(model, kb, m,
+                     [*range(1, p + 1), *(j + 1 for j in win_b), kb])
         rounds.extend([_zero_round] * (rho - 1))
-        rounds.append(make_first(prefix))
-        rounds.append(make_second(prefix))
+        rounds.append(_GameRound(spec, (p, 1), _window_answer(
+            spec, game_strategy.s1, win_a)))
+        rounds.append(_GameRound(spec, (p, 2), _window_answer(
+            spec, game_strategy.s2, win_b, last=kb - 1)))
     return rounds
 
 

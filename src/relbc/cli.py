@@ -254,7 +254,8 @@ def _plugged_strategy(spec, model, source, path, restarts, seed):
 @click.option("--k0", default=0, show_default=True)
 @click.option("--method", default="exact", show_default=True,
               type=click.Choice(["exact", "mc"]))
-@click.option("--samples", default=100000, show_default=True)
+@click.option("--samples", default=100000, show_default=True,
+              type=click.IntRange(min=100))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--strategy", default="brute", show_default=True,
               type=click.Choice(["brute", "search", "file"]))
@@ -328,7 +329,8 @@ def parse_m_list(raw: str) -> list[int]:
               type=click.Choice(["standard", "symmetrized"]))
 @click.option("--rho", default=2, show_default=True)
 @click.option("--k0", default=0, show_default=True)
-@click.option("--samples", default=20000, show_default=True)
+@click.option("--samples", default=20000, show_default=True,
+              type=click.IntRange(min=100))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--exact-cap", default=200000, show_default=True)
 @click.option("--strategy", default="brute", show_default=True,

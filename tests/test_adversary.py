@@ -31,7 +31,7 @@ from relbc import (
     win_probability,
     zeros_strategy,
 )
-from relbc.adversary import _check_reads
+from relbc.adversary import _check_reads, _GameRound
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -479,7 +479,7 @@ def test_step_verdict_matches_chain_across_steps(spec, rho, k0, variant):
         strategy = build_attack(spec, variant, m + extra, model, game)
         if extra and 2 * spec.q ** strategy.n_challenges > 2 ** 14:
             break
-        silent, steps, _ = strategy._step_plan
+        silent, steps = strategy._step_plan
         assert len(steps) == 2
         assert silent == tuple(range(k0)) + tuple(
             range(k0 + 2 * (rho + 1), strategy.n_challenges))
@@ -512,25 +512,85 @@ def test_towers_off_the_step_plan_take_the_chain():
     assert exact_cheat_probability(plain) == exact_cheat_probability(tower)
 
 
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("rho", [2, 4])
+@pytest.mark.parametrize("spec", [FieldSpec(2, 2), GF3, FieldSpec(5)],
+                         ids=lambda s: f"q{s.q}")
+def test_game_rounds_are_prefix_eta_times_their_coefficient(spec, rho,
+                                                           variant):
+    # every non-zero tower round is a _GameRound whose output is
+    # eta_p * coef(xs) for any chain, with coef = s1[window product] for
+    # the first game round and s2[window product] * x_kb for the second
+    model = CausalModel(rho=rho, k0=1)
+    rng = random.Random(f"coef:{spec.q}:{rho}:{variant.value}")
+    game = DetStrategy.random(spec, rng)
+    m = 1 + 2 * (rho + 1) + (variant is Variant.STANDARD)
+    tower = build_attack(spec, variant, m, model, game)
+    games = [(k, fn) for k, fn in enumerate(tower.rounds, 1)
+             if fn is not tower.rounds[0]]
+    assert [k for k, _ in games] == [rho + 1, rho + 2, 2 * rho + 2, 2 * rho + 3]
+    n = tower.n_challenges
+    for _ in range(50):
+        d = rng.randrange(2)
+        xs = tuple(rng.randrange(spec.q) for _ in range(n))
+        etas = [rng.randrange(spec.q) for _ in range(n + 1)]
+        for k, fn in games:
+            assert type(fn) is _GameRound
+            prefix, which = fn.tower_step
+            assert k == prefix + rho + which - 1
+            xin, yin = _windows(xs[prefix:], rho, spec)
+            coef = (game.s1[xin] if which == 1
+                    else spec.mul(game.s2[yin], xs[k - 1]))
+            assert fn.coef(xs) == coef
+            assert fn(d, xs, etas[:k]) == spec.mul(etas[prefix], coef)
+
+
+def test_wrapped_game_round_takes_the_chain():
+    # only a _GameRound is linear in eta_p by construction, so a plain
+    # function in its place leaves the strategy to the chain, even when it
+    # wraps the round and carries its mark and coefficient
+    tower = build_attack(GF3, Variant.SYMMETRIZED, 7, CausalModel(k0=1), OPT3)
+    second = tower.rounds[3]
+    assert type(second) is _GameRound and second.tower_step == (1, 2)
+
+    @functools.wraps(second)
+    def wrapped(d, xs, etas):
+        return second(d, xs, etas)
+
+    def squared(d, xs, etas):  # eta_p^2 * coef: not linear in eta_p
+        return GF3.mul(etas[1], second(d, xs, etas))
+
+    for fn in (wrapped, squared):
+        fn.tower_step, fn.coef = second.tower_step, second.coef
+        strategy = dataclasses.replace(
+            tower, rounds=tower.rounds[:3] + (fn,) + tower.rounds[4:])
+        assert tower._step_plan is not None and strategy._step_plan is None
+        assert_accepts_matches_chain(strategy)
+        if fn is wrapped:
+            assert list(strategy.verdicts()) == list(tower.verdicts())
+
+
 def test_step_verdict_stops_at_the_first_zero_factor():
     model = CausalModel(rho=2, k0=1)
     tower = build_attack(GF3, Variant.SYMMETRIZED, 7, model, OPT3)
     called = []
 
-    def spy(k, fn):
-        @functools.wraps(fn)
-        def wrapped(d, xs, etas):
+    def spy(k, coef):
+        @functools.wraps(coef)
+        def wrapped(xs):
             called.append(k)
-            return fn(d, xs, etas)
+            return coef(xs)
         return wrapped
 
-    # zero rounds stay as they are: the step plan knows them by identity
+    # zero rounds stay as they are: the step plan knows them by identity;
+    # game rounds keep their type and marks, with spied coefficients
     spied = dataclasses.replace(tower, rounds=tuple(
-        fn if fn is tower.rounds[0] else spy(k, fn)
+        _GameRound(GF3, fn.tower_step, spy(k, fn.coef))
+        if isinstance(fn, _GameRound) else fn
         for k, fn in enumerate(tower.rounds, 1)))
-    # the wrappers keep their marks, so the step plan still applies
-    assert spied._step_plan == tower._step_plan
-    assert spied._step_plan[1] == ((1, 4), (4, 7))
+    silent, steps = spied._step_plan
+    assert silent == tower._step_plan[0]
+    assert [(lo, hi) for lo, hi, _, _ in steps] == [(1, 4), (4, 7)]
     xs = (1, 2, 1, 0, 1, 2, 1)
     assert spied.accepts(0, xs) and called == []
     # x_4 = 0 zeroes the first step's factor; the second step is skipped
@@ -566,8 +626,9 @@ def test_step_factor_is_zero_exactly_when_the_step_collapses(spec, rho):
     for seed in range(3):
         game = DetStrategy.random(spec, random.Random(f"win:{spec.q}:{rho}:{seed}"))
         tower = attack_general(spec, steps * span, model, game)
-        assert tower._step_plan[:2] == (
-            (), tuple((s * span, (s + 1) * span) for s in range(steps)))
+        silent, plan_steps = tower._step_plan
+        assert silent == () and [(lo, hi) for lo, hi, _, _ in plan_steps] \
+            == [(s * span, (s + 1) * span) for s in range(steps)]
 
         def collapses(xs):
             xin, yin = _windows(xs, rho, spec)

@@ -186,6 +186,25 @@ def test_attack_negative_transcript_count_exits_config(tmp_path):
     assert not tpath.exists()
 
 
+@pytest.mark.parametrize("exact_cap", ["200000", "0"])
+def test_sweep_too_few_samples_exits_config(tmp_path, exact_cap):
+    # rejected up front, whether or not any row would be Monte Carlo
+    out = tmp_path / "sweep.csv"
+    result = invoke("sweep", "--p", "2", "--m-list", "4", "--samples", "50",
+                    "--exact-cap", exact_cap, "--out", str(out))
+    _assert_config_error(result)
+    assert "--samples" in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_attack_too_few_samples_exits_config(method):
+    result = invoke("attack", "--p", "2", "--m", "4", "--method", method,
+                    "--samples", "50")
+    _assert_config_error(result)
+    assert "--samples" in result.stderr
+
+
 def test_attack_transcripts(tmp_path):
     tpath = tmp_path / "transcripts.json"
     result = invoke("attack", "--p", "2", "--m", "3",
