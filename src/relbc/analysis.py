@@ -355,10 +355,11 @@ def theory_lower_bound(m: int, q: int, w, rho: int = 2, k0: int = 0) -> Fraction
 def theory_upper_bound(m: int, q: int, c: float = 1.0) -> float:
     """Heuristic binding comparison 1/2 + c*m/sqrt(Q), clamped to 1.
 
-    The constant is not pinned by theory; c is caller-supplied.
+    The constant is not pinned by theory; c is caller-supplied and must be
+    positive and finite.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError(f"upper constant c must be positive and finite, got {c}")
     return min(1.0, 0.5 + c * m / math.sqrt(q))
 
 

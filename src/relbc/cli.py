@@ -1,7 +1,13 @@
 """Command-line surface: field checks, game values, attacks, sweeps, hiding.
 
 Every command is deterministic given its configuration and seed, and every
-JSON output embeds the fully resolved configuration for replay.  A config
+JSON output embeds the fully resolved configuration for replay: the field,
+then every input option of the command in declaration order as click
+resolved it, then the values the command normalised and its extras.
+Options that only name an output (`out`, `format`, `strategy_out`,
+`transcript_out`, `transcript_count`) are not recorded.  Every JSON document
+goes through one writer: indented, ending in a newline, and never holding
+NaN or an infinity, which are not JSON.  A config
 file is a flat `key = value` text file that becomes the command's click
 default map: it may set any option of its command by its long name, each
 value is checked by that option's type, and explicit flags take precedence
@@ -75,12 +81,37 @@ def _field_from(p: int, n: int, modulus: str) -> FieldSpec:
     return FieldSpec(p, n, mod)
 
 
-def _emit(data: dict, out: str | None) -> None:
-    text = json.dumps(data, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    click.echo(text)
+# Options the config does not list: the field's three, recorded as "field",
+# and those that only name an output.
+_UNLISTED = frozenset({"p", "n", "modulus", "out", "format", "strategy_out",
+                       "transcript_out", "transcript_count"})
+
+
+def _document(spec: FieldSpec, body: dict, **resolved) -> dict:
+    """The running command's JSON document: schema, config, then body.
+
+    The config is the field, then every other input option in declaration
+    order (ctx.params follows command-line order), then `resolved`: values
+    the command normalised keep their option's place, extras come last.
+    """
+    ctx = click.get_current_context()
+    config = {"field": spec.describe()}
+    config.update((param.name, ctx.params[param.name])
+                  for param in ctx.command.params
+                  if param.expose_value and param.name not in _UNLISTED)
+    config.update(resolved)
+    return {"schema": 1, "config": config, **body}
+
+
+def _write_json(data, path: str | None, echo: bool = False) -> None:
+    """Write data as indented JSON and a newline to path (if any) and, with
+    echo, to stdout.  NaN and infinities raise ValueError: they are not JSON."""
+    text = json.dumps(data, indent=2, allow_nan=False) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    if echo:
+        click.echo(text, nl=False)
 
 
 def _fail(code: int, message: str):
@@ -129,6 +160,16 @@ def field_options(fn):
     return fn
 
 
+def plug_options(fn):
+    """The plugged game strategy's source and the upper-bound constant."""
+    fn = click.option("--upper-c", default=1.0, show_default=True)(fn)
+    fn = click.option("--restarts", default=64, show_default=True)(fn)
+    fn = click.option("--strategy-file", default=None, type=click.Path())(fn)
+    fn = click.option("--strategy", default="brute", show_default=True,
+                      type=click.Choice(["brute", "search", "file"]))(fn)
+    return fn
+
+
 @click.group()
 def main():
     """Relativistic bit-commitment experiments over GF(Q)."""
@@ -166,13 +207,10 @@ def cmd_field_check(p, n, modulus, triples, seed, out):
     frobenius_ok = all(spec.pow(a, q) == a for a in range(q))
     if not frobenius_ok:
         failures.append(("frobenius_fixed_point", None, None, None))
-    report = {
-        "schema": 1,
-        "config": {"field": spec.describe(), "triples": triples, "seed": seed},
+    _write_json(_document(spec, {
         "ok": not failures,
         "violations": [list(f) for f in failures[:10]],
-    }
-    _emit(report, out)
+    }), out, echo=True)
     if failures:
         sys.exit(EXIT_PROPERTY)
 
@@ -186,13 +224,11 @@ def _gamma_for(raw: str, spec) -> Fraction:
         raise ValueError(f"gamma {raw!r} has a zero denominator") from None
 
 
-def _game_result(spec, dist, method, restarts, max_iters, seed):
+def _game_result(dist, method, restarts, max_iters, seed):
     if method == "brute":
         return brute_force_value(dist)
-    if method == "search":
-        return best_response_search(dist, restarts=restarts,
-                                    max_iters=max_iters, seed=seed)
-    raise ValueError(f"unknown game-value method {method!r}")
+    return best_response_search(dist, restarts=restarts,
+                                max_iters=max_iters, seed=seed)
 
 
 @main.command("game-value")
@@ -213,24 +249,15 @@ def cmd_game_value(p, n, modulus, gamma, method, restarts, max_iters, seed,
     """Compute or search the game value for (Q, gamma)."""
     spec = _field_from(p, n, modulus)
     g = _gamma_for(gamma, spec)
-    result = _game_result(spec, GameDist(spec, g), method, restarts,
-                          max_iters, seed)
-    data = {
-        "schema": 1,
-        "config": {"field": spec.describe(), "gamma": str(g),
-                   "method": method, "restarts": restarts,
-                   "max_iters": max_iters, "seed": seed, "meta": result.meta},
-        "result": result.to_dict(),
-    }
+    result = _game_result(GameDist(spec, g), method, restarts, max_iters, seed)
     if strategy_out:
-        with open(strategy_out, "w") as fh:
-            json.dump(result.strategy.to_dict(), fh, indent=2)
-    _emit(data, out)
+        _write_json(result.strategy.to_dict(), strategy_out)
+    _write_json(_document(spec, {"result": result.to_dict()},
+                          gamma=str(g), meta=result.meta), out, echo=True)
 
 
 def _plugged_strategy(spec, model, source, path, restarts, seed):
     """Game strategy for the tower's windowed input distribution."""
-    dist = GameDist(spec, tower_gamma(spec, model))
     if source == "file":
         if not path:
             raise ValueError("--strategy-file is required with --strategy file")
@@ -240,9 +267,8 @@ def _plugged_strategy(spec, model, source, path, restarts, seed):
             return DetStrategy.from_dict(data)
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed strategy file {path}: {exc}") from None
-    result = _game_result(spec, dist, "brute" if source == "brute" else "search",
-                          restarts, 200, seed)
-    return result.strategy
+    dist = GameDist(spec, tower_gamma(spec, model))
+    return _game_result(dist, source, restarts, 200, seed).strategy
 
 
 @main.command("attack")
@@ -257,11 +283,7 @@ def _plugged_strategy(spec, model, source, path, restarts, seed):
 @click.option("--samples", default=100000, show_default=True,
               type=click.IntRange(min=100))
 @click.option("--seed", default=0, show_default=True)
-@click.option("--strategy", default="brute", show_default=True,
-              type=click.Choice(["brute", "search", "file"]))
-@click.option("--strategy-file", default=None, type=click.Path())
-@click.option("--restarts", default=64, show_default=True)
-@click.option("--upper-c", default=1.0, show_default=True)
+@plug_options
 @click.option("--transcript-out", default=None, type=click.Path(),
               help="Persist sample cheating transcripts as JSON.")
 @click.option("--transcript-count", default=5, show_default=True,
@@ -278,17 +300,11 @@ def cmd_attack(p, n, modulus, m, variant, rho, k0, method, samples, seed,
                                       restarts, seed)
     cheat = build_attack(spec, Variant(variant), m, model, game_strategy)
     row = evaluate(cheat, method, samples, seed, upper_c)
-    data = {
-        "schema": 1,
-        "config": {"field": spec.describe(), "m": m, "variant": variant,
-                   "rho": rho, "k0": k0, "method": method, "samples": samples,
-                   "seed": seed, "strategy": strategy,
-                   "strategy_file": strategy_file, "restarts": restarts,
-                   "upper_c": upper_c, "lineage": cheat.lineage},
+    data = _document(spec, {
         "report": row.report_dict(),
         "game_strategy": cheat.game_strategy.to_dict()
         if cheat.game_strategy else None,
-    }
+    }, lineage=cheat.lineage)
     if transcript_out:
         rng = random.Random(f"{seed}:attack-transcripts")
         params = cheat.params
@@ -299,9 +315,8 @@ def cmd_attack(p, n, modulus, m, variant, rho, k0, method, samples, seed,
             ys = cheat.responses(d, xs)
             samples_list.append(Transcript(
                 params, d, xs, ys, verify_values(params, d, xs, ys)).to_dict())
-        with open(transcript_out, "w") as fh:
-            json.dump(samples_list, fh, indent=2)
-    _emit(data, out)
+        _write_json(samples_list, transcript_out)
+    _write_json(data, out, echo=True)
 
 
 def parse_m_list(raw: str) -> list[int]:
@@ -333,11 +348,7 @@ def parse_m_list(raw: str) -> list[int]:
               type=click.IntRange(min=100))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--exact-cap", default=200000, show_default=True)
-@click.option("--strategy", default="brute", show_default=True,
-              type=click.Choice(["brute", "search", "file"]))
-@click.option("--strategy-file", default=None, type=click.Path())
-@click.option("--restarts", default=64, show_default=True)
-@click.option("--upper-c", default=1.0, show_default=True)
+@plug_options
 @click.option("--format", default="csv", show_default=True,
               type=click.Choice(["csv", "json"]))
 @click.option("--out", required=True, type=click.Path())
@@ -357,14 +368,8 @@ def cmd_sweep(p, n, modulus, m_list, variant, rho, k0, samples, seed,
     if format == "csv":
         write_sweep_csv(rows, out)
     else:
-        config = {"field": spec.describe(), "m_list": ",".join(map(str, ms)),
-                  "seed": seed, "samples": samples, "variant": variant,
-                  "rho": rho, "k0": k0, "exact_cap": exact_cap,
-                  "strategy": strategy, "strategy_file": strategy_file,
-                  "restarts": restarts, "upper_c": upper_c}
-        with open(out, "w") as fh:
-            json.dump({"schema": 1, "config": config,
-                       "rows": [r.to_dict() for r in rows]}, fh, indent=2)
+        _write_json(_document(spec, {"rows": [r.to_dict() for r in rows]},
+                              m_list=",".join(map(str, ms))), out)
     if rows:
         click.echo(f"rows: {len(rows)}  empirical upper constant c* = "
                    f"{empirical_upper_constant(rows):.4f}")
@@ -387,14 +392,10 @@ def cmd_hiding(p, n, modulus, m, variant, out):
         dists = hiding_distribution(params, r)
         prefixes.append({"upto_round": r, "equal": dists[0] == dists[1]})
     full = hiding_distribution(params, params.n_rounds)
-    data = {
-        "schema": 1,
-        "config": {"field": params.field.describe(), "m": params.m,
-                   "variant": params.variant.value},
+    _write_json(_document(params.field, {
         "prefixes": prefixes,
         "reveal_discloses_bit": full[0] != full[1],
-    }
-    _emit(data, out)
+    }), out, echo=True)
     if not all(pref["equal"] for pref in prefixes):
         sys.exit(EXIT_PROPERTY)
 

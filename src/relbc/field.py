@@ -6,6 +6,11 @@ sum(c_i * p^i).  Index order is the canonical element order used for
 enumeration, table indexing and serialization; index 0 is zero and
 index 1 is one.
 
+Fields are capped at Q = 2^20; the cap is checked before p is tested for
+primality.  The default modulus is the first monic irreducible polynomial
+of degree n in index order (`find_irreducible`); a caller-given modulus is
+checked to be monic of degree n and irreducible.
+
 Every operation is a table lookup.  The constructor takes g, the first
 primitive element in index order (not necessarily t), and builds once:
 
@@ -32,31 +37,10 @@ from .errors import FieldMismatchError
 
 MAX_FIELD_SIZE = 1 << 20
 
-# Reduction polynomials for common small fields, constant term first.
-CANONICAL_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
-    (2, 2): (1, 1, 1),        # t^2 + t + 1
-    (2, 3): (1, 1, 0, 1),     # t^3 + t + 1
-    (2, 4): (1, 1, 0, 0, 1),  # t^4 + t + 1
-    (3, 2): (1, 0, 1),        # t^2 + 1
-    (3, 3): (1, 2, 0, 1),     # t^3 + 2t + 1
-    (5, 2): (2, 0, 1),        # t^2 + 2
-}
-
 
 def is_prime(p: int) -> bool:
     """Deterministic primality check by trial division (p <= 2^20 here)."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p >= 2 and _prime_factors(p) == [p]
 
 
 def _prime_factors(k: int) -> list[int]:
@@ -234,24 +218,27 @@ class FieldSpec:
     __slots__ = ("p", "n", "q", "modulus", "_exp", "_log", "_zech", "_log_neg1")
 
     def __init__(self, p: int, n: int = 1, modulus: Sequence[int] | None = None):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if n < 1:
             raise ValueError(f"extension degree must be >= 1, got {n}")
+        # The cap comes first: p^n is only computed, and p only factored,
+        # once both are bounded.
+        if p >= 2 and (n >= MAX_FIELD_SIZE.bit_length() or p ** n > MAX_FIELD_SIZE):
+            raise ValueError(f"field size {p}^{n} exceeds cap {MAX_FIELD_SIZE}")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         q = p ** n
-        if q > MAX_FIELD_SIZE:
-            raise ValueError(f"field size {q} exceeds cap {MAX_FIELD_SIZE}")
         if modulus is None:
-            modulus = CANONICAL_MODULI.get((p, n)) or find_irreducible(p, n)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != n + 1 or modulus[-1] != 1:
-            raise ValueError(
-                f"modulus must be monic of degree {n}, got {list(modulus)}")
-        witness = _poly_divisor(modulus, p)
-        if witness is not None:
-            raise ValueError(
-                f"modulus {list(modulus)} is reducible over Z_{p}"
-                f" (divisible by {list(witness)})")
+            modulus = find_irreducible(p, n)
+        else:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != n + 1 or modulus[-1] != 1:
+                raise ValueError(
+                    f"modulus must be monic of degree {n}, got {list(modulus)}")
+            witness = _poly_divisor(modulus, p)
+            if witness is not None:
+                raise ValueError(
+                    f"modulus {list(modulus)} is reducible over Z_{p}"
+                    f" (divisible by {list(witness)})")
         self.p = p
         self.n = n
         self.q = q

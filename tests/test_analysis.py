@@ -284,8 +284,9 @@ def test_constructed_attack_meets_lower_bound():
 def test_theory_upper_bound():
     assert theory_upper_bound(2, 16) == 0.5 + 2 / 4
     assert theory_upper_bound(100, 4) == 1.0
-    with pytest.raises(ValueError):
-        theory_upper_bound(3, 2, c=0)
+    for c in (0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            theory_upper_bound(3, 2, c=c)
 
 
 @pytest.mark.parametrize("variant,m", [

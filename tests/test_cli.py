@@ -522,3 +522,90 @@ def test_out_file_matches_stdout(tmp_path):
                     "--out", str(out))
     assert result.exit_code == 0
     assert json.loads(out.read_text()) == json.loads(result.output)
+
+
+def test_attack_records_the_same_config_in_any_flag_order():
+    flags = [("--p", "2"), ("--m", "6"), ("--method", "mc"),
+             ("--samples", "1000"), ("--seed", "9")]
+    forward = invoke("attack", *[arg for flag in flags for arg in flag])
+    backward = invoke("attack", *[arg for flag in reversed(flags)
+                                  for arg in flag])
+    assert forward.exit_code == backward.exit_code == 0
+    assert forward.output == backward.output
+
+
+_OUTPUT_OPTIONS = {"out", "format", "strategy_out", "transcript_out",
+                   "transcript_count"}
+
+
+@pytest.mark.parametrize("command, args, keys, extras", [
+    ("field-check", ("--triples", "10"), ["triples", "seed"], []),
+    ("game-value", (), ["gamma", "method", "restarts", "max_iters", "seed"],
+     ["meta"]),
+    ("attack", ("--m", "3"),
+     ["m", "variant", "rho", "k0", "method", "samples", "seed", "strategy",
+      "strategy_file", "restarts", "upper_c"], ["lineage"]),
+    ("sweep", ("--m-list", "4", "--format", "json"),
+     ["m_list", "variant", "rho", "k0", "samples", "seed", "exact_cap",
+      "strategy", "strategy_file", "restarts", "upper_c"], []),
+    ("hiding", ("--m", "2"), ["m", "variant"], []),
+])
+def test_config_lists_field_then_input_options_then_extras(
+        tmp_path, command, args, keys, extras):
+    # every input option is recorded in declaration order; output paths not
+    declared = [param.name for param in main.commands[command].params
+                if param.expose_value
+                and param.name not in _OUTPUT_OPTIONS | {"p", "n", "modulus"}]
+    assert declared == keys
+    out = tmp_path / "out.json"
+    result = invoke(command, "--p", "2", *args, "--out", str(out))
+    assert result.exit_code == 0, result.stderr
+    assert list(json.loads(out.read_text())["config"]) == ["field", *keys, *extras]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, args", [
+    ("attack", ("--m", "4")),
+    ("sweep", ("--m-list", "4", "--format", "json")),
+])
+def test_non_finite_upper_c_exits_config(tmp_path, command, args, value):
+    out = tmp_path / "out.json"
+    result = invoke(command, "--p", "2", *args, "--upper-c", value,
+                    "--out", str(out))
+    _assert_config_error(result)
+    assert "positive and finite" in result.stderr
+    assert not out.exists()
+
+
+def test_json_writer_rejects_nan_with_no_row_to_check_it(tmp_path):
+    # no row calls the upper bound, so the writer is what refuses NaN
+    out = tmp_path / "sweep.json"
+    result = invoke("sweep", "--p", "2", "--m-list", "", "--upper-c", "nan",
+                    "--format", "json", "--out", str(out))
+    _assert_config_error(result)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [("--p", "1000000000000000003"),
+                                  ("--p", "3", "--n", "30000000")])
+def test_field_check_huge_field_exits_config_at_once(args):
+    start = time.perf_counter()
+    result = invoke("field-check", *args)
+    elapsed = time.perf_counter() - start
+    _assert_config_error(result)
+    assert "exceeds cap" in result.stderr
+    assert elapsed < 1.0
+
+
+def test_every_json_output_file_ends_in_a_newline(tmp_path):
+    paths = [tmp_path / name for name in ("strategy.json", "report.json",
+                                          "transcripts.json", "sweep.json")]
+    invoke("game-value", "--p", "2", "--strategy-out", str(paths[0]))
+    invoke("attack", "--p", "2", "--m", "3", "--out", str(paths[1]),
+           "--transcript-out", str(paths[2]))
+    invoke("sweep", "--p", "2", "--m-list", "4", "--format", "json",
+           "--out", str(paths[3]))
+    for path in paths:
+        text = path.read_text()
+        assert text.endswith("}\n") or text.endswith("]\n"), path
+        json.loads(text)

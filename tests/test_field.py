@@ -1,13 +1,14 @@
 """Field arithmetic: construction, canonical order, axioms, element wrapper."""
 
 import random
+import time
 
 import pytest
 
 from relbc import FieldElement, FieldSpec
 from relbc.errors import FieldMismatchError
 from relbc.field import (
-    CANONICAL_MODULI,
+    _poly_divisor,
     find_irreducible,
     is_prime,
 )
@@ -46,14 +47,31 @@ def test_reducible_modulus_names_first_divisor(p, modulus, witness):
 
 
 def test_rejects_field_too_large():
-    with pytest.raises(ValueError, match="cap"):
-        FieldSpec(2, 21)
+    # the cap is checked before p is factored and before p^n is computed:
+    # trial division of p ~ 10^18 or building 3^(3*10^7) takes many seconds
+    for p, n in ((1000000000000000003, 1), (3, 30000000), (2, 21)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"field size {p}\\^{n} exceeds cap"):
+            FieldSpec(p, n)
+        assert time.perf_counter() - start < 1.0
+    for p in (-3, 0, 1, 6):
+        with pytest.raises(ValueError, match="not prime"):
+            FieldSpec(p, 30000000 if p < 2 else 1)
 
 
 def test_canonical_moduli_are_irreducible():
-    for (p, n), mod in CANONICAL_MODULI.items():
-        spec = FieldSpec(p, n)
-        assert spec.modulus == mod
+    # the default modulus is the first monic irreducible in index order
+    pinned = {
+        (2, 2): (1, 1, 1),        # t^2 + t + 1
+        (2, 3): (1, 1, 0, 1),     # t^3 + t + 1
+        (2, 4): (1, 1, 0, 0, 1),  # t^4 + t + 1
+        (3, 2): (1, 0, 1),        # t^2 + 1
+        (3, 3): (1, 2, 0, 1),     # t^3 + 2t + 1
+        (5, 2): (2, 0, 1),        # t^2 + 2
+    }
+    for (p, n), mod in pinned.items():
+        assert FieldSpec(p, n).modulus == mod
+        assert _poly_divisor(mod, p) is None
 
 
 def test_find_irreducible_degree_five():
