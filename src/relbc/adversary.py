@@ -21,15 +21,18 @@ the corrective factor eta of the prefix off the chain, then plays a
 two-player game on the windowed challenge products; a win, a zero final
 challenge, or eta = 0 each make the step's condition collapse, which drives
 the acceptance probability towards 1 exponentially in the number of steps.
-Each game round is a _GameRound: its output is eta_p * coef(xs), where p
-is the step's prefix and coef is s1[window product] for the first game
-round and s2[window product] * x_kb for the second (kb being the step's
-last round).  So the step takes eta_p to eta_p*f, where f is the step's
-chain from eta = 1: the product of its rho - 1 quiet challenges, then
-f = x*f - coef for each game round.  A tower transcript therefore ends at
-eta_n = d * prod(silent challenges) * prod(step factors), the silent
-challenges being those of the k0 quiet prefix and of the padding rounds,
-and its verdict stops at the first zero factor.
+Each game round is a _GameRound of the step's prefix p: it answers
+eta_p * s1[A] (the first) or eta_p * s2[B] * x_kb (the second), where A
+and B are the products of the step's two windows of challenges and kb is
+the step's last round.  So the step takes eta_p to eta_p*f with
+f = x_kb * (prod(step's first rho challenges) - s1[A] - s2[B]), and as the
+two windows partition those challenges, their product is A*B: the step
+collapses (f = 0) exactly when x_kb = 0 or s1[A] + s2[B] = A*B, the
+plugged strategy's CHSH_Q win on (A, B).  A tower transcript therefore
+ends at eta_n = d * prod(silent challenges) * prod(step factors), the
+silent challenges being those of the k0 quiet prefix and of the padding
+rounds, and its verdict is the game's own win test, step by step, up to
+the first collapsing step.
 
 Strategies are built in sign-flipped response space (see
 protocol.tilde_transform) and converted back at the boundary.
@@ -80,8 +83,10 @@ class CausalModel:
 
 
 RoundFn = Callable[[int, tuple[int, ...], list[int]], int]
-# A game round's coefficient: challenges -> field element.
-Coef = Callable[[tuple[int, ...]], int]
+# A tower step as CheatStrategy.accepts plays it, positions 0-based:
+# (last, a, more_a, b, more_b, s1, s2), see CheatStrategy._step_plan.
+Step = tuple[int, int, tuple[int, ...], int, tuple[int, ...],
+             tuple[int, ...], tuple[int, ...]]
 
 
 def compute_eta(spec: FieldSpec, d: int, challenges: tuple[int, ...],
@@ -114,10 +119,11 @@ class CheatStrategy:
     this by perturbing the inputs round k may not see.  One pass along the
     chain evaluates a transcript in O(m) field ops and gives its verdict
     (accepts).  When the rounds form a tower of _zero_round and _GameRound
-    rounds (_step_plan), accepts instead multiplies out the step factors
-    from the game rounds' coefficients, without calling the rounds, and
-    stops at the first zero factor.  The strategy is frozen, so its
-    verdict table and step plan, built on first use, cannot go stale.
+    rounds (_step_plan), accepts instead judges each step by the plugged
+    game's win test on the step's windowed challenge products, without
+    calling the rounds, and stops at the first collapsing step.  The
+    strategy is frozen, so its verdict table and step plan, built on first
+    use, cannot go stale.
     """
 
     field: FieldSpec
@@ -175,19 +181,22 @@ class CheatStrategy:
 
     @cached_property
     def _step_plan(self) -> Optional[tuple[tuple[int, ...],
-                                           tuple[tuple[int, int, Coef, Coef],
-                                                 ...]]]:
+                                           tuple[Step, ...]]]:
         """(silent challenge positions, steps) when every round is
         _zero_round or a _GameRound in tower position, else None.
 
-        A step (p, p + rho + 1, coef_a, coef_b), 0-based, spans rho - 1
-        zero rounds, then the first and the second _GameRound of prefix p,
-        whose coefficients are coef_a and coef_b, all within the
-        challenges.  Every other round is a zero round, and below
-        n_challenges its challenge is silent: it multiplies eta.  Game
-        rounds are known by their exact type, so a wrapped or subclassed
-        round, whose output need not be linear in eta_p, leaves the
-        strategy to the chain.
+        A step of prefix p spans the 0-based challenges p..hi - 1,
+        hi = p + rho + 1: rho - 1 zero rounds, then the first and the second
+        _GameRound of prefix p.  It is kept as (last, a, more_a, b, more_b,
+        s1, s2): the second round's last challenge, each round's window as
+        its first position and the rest, and the rounds' tables.  It is
+        kept only when the first round has no last challenge, the second's
+        is hi - 1 and the two windows partition p..hi - 2, so that the
+        window products multiply to the product of those challenges.
+        Every other round is a zero round, and below n_challenges its
+        challenge is silent: it multiplies eta.  Game rounds are known by
+        their exact type, so a wrapped or subclassed round, whose output
+        need not be linear in eta_p, leaves the strategy to the chain.
         """
         rounds, n, rho = self.rounds, self.n_challenges, self.model.rho
         silent, steps = [], []
@@ -199,7 +208,13 @@ class CheatStrategy:
                     and type(second) is _GameRound
                     and second.tower_step == (k, 2)
                     and all(fn is _zero_round for fn in rounds[k:kb - 2])):
-                steps.append((k, kb, first.coef, second.coef))
+                if (first.last is not None or second.last != kb - 1
+                        or sorted(first.window + second.window)
+                        != list(range(k, kb - 1))):
+                    return None
+                (a, *more_a), (b, *more_b) = first.window, second.window
+                steps.append((kb - 1, a, tuple(more_a), b, tuple(more_b),
+                              first.table, second.table))
                 k = kb
             elif rounds[k] is _zero_round:
                 if k < n:
@@ -214,13 +229,14 @@ class CheatStrategy:
         verify_values' test, whose chained value is alpha_k = (-1)^k*eta_k.
 
         For a tower (_step_plan), eta_n = d * prod(silent challenges) *
-        prod(step factors), where a step's factor is its chain from
-        eta = 1: the product of its rho - 1 quiet challenges, then
-        eta = x*eta - coef(xs) for its two game rounds.  This holds because
-        a _GameRound's output is eta_p * coef(xs), linear in its step's
-        prefix eta.  So the verdict is true at d = 0, a zero silent
-        challenge or the first zero step factor, no round is called and
-        the coefficients after that factor are not evaluated.
+        prod(step factors), where a step's factor is
+        x_last * (A*B - s1[A] - s2[B]), A and B being its window products.
+        This holds because a _GameRound's output is linear in its step's
+        prefix eta and the windows partition the step's other challenges.
+        So the verdict is true at d = 0, a zero silent challenge or the
+        first step that collapses: x_last = 0, or the plugged strategy wins
+        CHSH_Q on (A, B), the test win_probability counts.  No round is
+        called and the steps after the first collapse are not looked at.
         """
         plan = self._step_plan
         if plan is None:
@@ -231,13 +247,22 @@ class CheatStrategy:
         for j in silent:
             if not xs[j]:
                 return True
-        mul, sub = self.field.mul, self.field.sub
-        for lo, hi, coef_a, coef_b in steps:
-            eta = xs[lo]
-            for x in xs[lo + 1:hi - 2]:
-                eta = mul(x, eta)
-            eta = sub(mul(xs[hi - 2], eta), coef_a(xs))
-            if not sub(mul(xs[hi - 1], eta), coef_b(xs)):
+        add, mul = self.field.add, self.field.mul
+        for last, a, more_a, b, more_b, s1, s2 in steps:
+            if not xs[last]:
+                return True
+            # a and b go from window positions to window products; the
+            # `if` spares each one-challenge window (every rho = 2 tower)
+            # an empty loop
+            a = xs[a]
+            if more_a:
+                for j in more_a:
+                    a = mul(a, xs[j])
+            b = xs[b]
+            if more_b:
+                for j in more_b:
+                    b = mul(b, xs[j])
+            if add(s1[a], s2[b]) == mul(a, b):
                 return True
         return False
 
@@ -275,53 +300,39 @@ def _check_reads(model: CausalModel, k: int, n: int,
 
 
 class _GameRound:
-    """A tower game round of prefix p: ytilde = eta_p * coef(xs).
+    """A tower game round of prefix p: ytilde = eta_p * table[A], times
+    x_last when last is given, A being the product of the challenges at
+    the 0-based positions in window, which is not empty.
 
     tower_step = (p, 1) or (p, 2) marks the step's first or second game
-    round.  The output is linear in eta_p by construction, which is what
-    CheatStrategy.accepts relies on when it applies coef to a step's
-    factor instead of calling the round.
+    round; the first has no last challenge, the second's is the step's
+    last.  The output is linear in eta_p by construction, which is what
+    CheatStrategy.accepts relies on when it judges the step by the game's
+    win test instead of calling the round.
     """
 
-    __slots__ = ("tower_step", "coef", "_mul")
+    __slots__ = ("tower_step", "table", "window", "last", "_mul")
 
     def __init__(self, spec: FieldSpec, tower_step: tuple[int, int],
-                 coef: Coef):
+                 table: tuple[int, ...], window: Iterable[int],
+                 last: Optional[int] = None):
         self.tower_step = tower_step
-        self.coef = coef
+        self.table = table
+        self.window = tuple(window)
+        if not self.window:
+            raise ValueError("a game round's window must not be empty")
+        self.last = last
         self._mul = spec.mul
 
     def __call__(self, d, xs, etas) -> int:
-        return self._mul(etas[self.tower_step[0]], self.coef(xs))
-
-
-def _window_answer(spec: FieldSpec, table: tuple[int, ...], window: range,
-                   last: Optional[int] = None) -> Coef:
-    """xs -> table[product of xs over window], times xs[last] when last is
-    given; positions are 0-based and window is not empty."""
-    mul = spec.mul
-    first, *rest = window
-    # one-challenge windows (every rho = 2 tower) skip the product loop,
-    # which costs ~3-4% of a tower sweep's solve time
-    if last is None:
-        if not rest:
-            return lambda xs: table[xs[first]]
-
-        def answer(xs):
-            v = xs[first]
-            for j in rest:
-                v = mul(v, xs[j])
-            return table[v]
-    else:
-        if not rest:
-            return lambda xs: mul(table[xs[first]], xs[last])
-
-        def answer(xs):
-            v = xs[first]
-            for j in rest:
-                v = mul(v, xs[j])
-            return mul(table[v], xs[last])
-    return answer
+        mul, window = self._mul, self.window
+        answer = xs[window[0]]
+        for j in window[1:]:
+            answer = mul(answer, xs[j])
+        answer = self.table[answer]
+        if self.last is not None:
+            answer = mul(answer, xs[self.last])
+        return mul(etas[self.tower_step[0]], answer)
 
 
 def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,
@@ -329,9 +340,9 @@ def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,
     """Round functions of the tower: per step, rho - 1 zero rounds, then
     the first and the second _GameRound of the step's prefix p.  Of the
     step's first rho challenges, the first game round (ka = p + rho) reads
-    those of its parity, x_{p+2}, x_{p+4}, ..., x_ka, and its coefficient
-    is s1 at their product; the second (kb = ka + 1) reads x_{p+1}, x_{p+3},
-    ..., x_{ka-1}, and its coefficient is s2 at their product times x_kb.
+    those of its parity, x_{p+2}, x_{p+4}, ..., x_ka, and answers s1 at
+    their product; the second (kb = ka + 1) reads x_{p+1}, x_{p+3}, ...,
+    x_{ka-1}, and answers s2 at their product times x_kb.
     The bit and challenges each round reads are fixed by its position, so
     they are checked against the model once, here, rather than on every
     call."""
@@ -346,10 +357,9 @@ def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,
         _check_reads(model, kb, m,
                      [*range(1, p + 1), *(j + 1 for j in win_b), kb])
         rounds.extend([_zero_round] * (rho - 1))
-        rounds.append(_GameRound(spec, (p, 1), _window_answer(
-            spec, game_strategy.s1, win_a)))
-        rounds.append(_GameRound(spec, (p, 2), _window_answer(
-            spec, game_strategy.s2, win_b, last=kb - 1)))
+        rounds.append(_GameRound(spec, (p, 1), game_strategy.s1, win_a))
+        rounds.append(_GameRound(spec, (p, 2), game_strategy.s2, win_b,
+                                 last=kb - 1))
     return rounds
 
 

@@ -352,14 +352,19 @@ def theory_lower_bound(m: int, q: int, w, rho: int = 2, k0: int = 0) -> Fraction
     return 1 - Fraction(1, 2) * factor ** exponent
 
 
+def check_upper_c(c: float) -> None:
+    """Raise ValueError unless the upper constant c is positive and finite."""
+    if not 0 < c < math.inf:
+        raise ValueError(f"upper constant c must be positive and finite, got {c}")
+
+
 def theory_upper_bound(m: int, q: int, c: float = 1.0) -> float:
     """Heuristic binding comparison 1/2 + c*m/sqrt(Q), clamped to 1.
 
     The constant is not pinned by theory; c is caller-supplied and must be
     positive and finite.
     """
-    if not 0 < c < math.inf:
-        raise ValueError(f"upper constant c must be positive and finite, got {c}")
+    check_upper_c(c)
     return min(1.0, 0.5 + c * m / math.sqrt(q))
 
 
@@ -509,8 +514,9 @@ def evaluate(strategy: CheatStrategy, method: str = "exact",
     w, which the lower bound uses, is the uniform game value of the
     strategy's plugged game strategy, or 0 when none is plugged (no tower
     step fits).  closed_form is build_attack's value at the strategy's
-    parameters.
+    parameters.  A bad upper_c is rejected before any work.
     """
+    check_upper_c(upper_c)
     values = _plugged_values(strategy.params.field, strategy.model,
                              strategy.game_strategy)
     return _evaluate(strategy, method, samples, seed, upper_c, *values)
@@ -527,8 +533,10 @@ def trend_sweep(spec: FieldSpec, m_values: Sequence[int],
 
     Row m is enumerated when its 2*Q^n transcripts fit in exact_cap, and
     is otherwise a Monte Carlo estimate seeded with seed + m.  The plugged
-    strategy's game values are computed once per sweep.
+    strategy's game values are computed once per sweep.  A bad upper_c is
+    rejected before any row, even when there is none.
     """
+    check_upper_c(upper_c)
     model = model or CausalModel()
     plugged = _plugged_values(spec, model, game_strategy)
     rows = []

@@ -31,6 +31,7 @@ import click
 
 from .adversary import CausalModel, build_attack, tower_gamma
 from .analysis import (
+    check_upper_c,
     empirical_upper_constant,
     evaluate,
     trend_sweep,
@@ -294,6 +295,7 @@ def cmd_attack(p, n, modulus, m, variant, rho, k0, method, samples, seed,
                strategy, strategy_file, restarts, upper_c, transcript_out,
                transcript_count, out):
     """Build the recursive attack and measure its cheating probability."""
+    check_upper_c(upper_c)
     spec = _field_from(p, n, modulus)
     model = CausalModel(rho, k0)
     game_strategy = _plugged_strategy(spec, model, strategy, strategy_file,
@@ -357,6 +359,7 @@ def cmd_sweep(p, n, modulus, m_list, variant, rho, k0, samples, seed,
               exact_cap, strategy, strategy_file, restarts, upper_c, format,
               out):
     """Sweep attack probabilities over protocol lengths into a table file."""
+    check_upper_c(upper_c)
     spec = _field_from(p, n, modulus)
     ms = parse_m_list(m_list)
     model = CausalModel(rho, k0)

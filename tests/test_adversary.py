@@ -486,6 +486,25 @@ def test_step_verdict_matches_chain_across_steps(spec, rho, k0, variant):
         assert_accepts_matches_chain(strategy)
 
 
+@pytest.mark.parametrize("spec, rho, k0",
+                         [(GF3, 4, 0), (GF3, 4, 1), (GF2, 6, 0), (GF2, 6, 1)],
+                         ids=lambda c: f"q{c.q}" if isinstance(c, FieldSpec)
+                         else str(c))
+def test_step_verdict_matches_chain_on_longer_windows(spec, rho, k0):
+    # two tower steps whose game windows hold two challenges each in odd
+    # characteristic (rho = 4) or three each (rho = 6); the symmetrized
+    # variant only: the standard one adds its silent final round, which the
+    # cases above cover, to an input space of the same size
+    model = CausalModel(rho=rho, k0=k0)
+    game = DetStrategy.random(spec, random.Random(f"wide:{spec.q}:{rho}:{k0}"))
+    strategy = build_attack(spec, Variant.SYMMETRIZED, k0 + 2 * (rho + 1),
+                            model, game)
+    silent, steps = strategy._step_plan
+    assert silent == tuple(range(k0))
+    assert [len(step[2]) + 1 for step in steps] == [rho // 2] * 2
+    assert_accepts_matches_chain(strategy)
+
+
 def test_towers_off_the_step_plan_take_the_chain():
     # rounds Z F0 S0 Z F3 S3 Z: zero rounds, and the first and second game
     # rounds of prefixes 0 and 3.  Each variant below breaks the tower's
@@ -519,8 +538,9 @@ def test_towers_off_the_step_plan_take_the_chain():
 def test_game_rounds_are_prefix_eta_times_their_coefficient(spec, rho,
                                                            variant):
     # every non-zero tower round is a _GameRound whose output is
-    # eta_p * coef(xs) for any chain, with coef = s1[window product] for
-    # the first game round and s2[window product] * x_kb for the second
+    # eta_p * coef for any chain, with coef = s1[window product] for the
+    # first game round and s2[window product] * x_kb for the second; the
+    # round holds that table, its 0-based window and x_kb's position
     model = CausalModel(rho=rho, k0=1)
     rng = random.Random(f"coef:{spec.q}:{rho}:{variant.value}")
     game = DetStrategy.random(spec, rng)
@@ -529,26 +549,33 @@ def test_game_rounds_are_prefix_eta_times_their_coefficient(spec, rho,
     games = [(k, fn) for k, fn in enumerate(tower.rounds, 1)
              if fn is not tower.rounds[0]]
     assert [k for k, _ in games] == [rho + 1, rho + 2, 2 * rho + 2, 2 * rho + 3]
+    for k, fn in games:
+        assert type(fn) is _GameRound
+        prefix, which = fn.tower_step
+        assert k == prefix + rho + which - 1
+        if which == 1:
+            assert (fn.table, fn.window, fn.last) == (
+                game.s1, tuple(range(prefix + 1, prefix + rho, 2)), None)
+        else:
+            assert (fn.table, fn.window, fn.last) == (
+                game.s2, tuple(range(prefix, prefix + rho - 1, 2)), k - 1)
     n = tower.n_challenges
     for _ in range(50):
         d = rng.randrange(2)
         xs = tuple(rng.randrange(spec.q) for _ in range(n))
         etas = [rng.randrange(spec.q) for _ in range(n + 1)]
         for k, fn in games:
-            assert type(fn) is _GameRound
             prefix, which = fn.tower_step
-            assert k == prefix + rho + which - 1
             xin, yin = _windows(xs[prefix:], rho, spec)
             coef = (game.s1[xin] if which == 1
                     else spec.mul(game.s2[yin], xs[k - 1]))
-            assert fn.coef(xs) == coef
             assert fn(d, xs, etas[:k]) == spec.mul(etas[prefix], coef)
 
 
 def test_wrapped_game_round_takes_the_chain():
     # only a _GameRound is linear in eta_p by construction, so a plain
     # function in its place leaves the strategy to the chain, even when it
-    # wraps the round and carries its mark and coefficient
+    # wraps the round and carries its mark, table, window and last
     tower = build_attack(GF3, Variant.SYMMETRIZED, 7, CausalModel(k0=1), OPT3)
     second = tower.rounds[3]
     assert type(second) is _GameRound and second.tower_step == (1, 2)
@@ -561,7 +588,8 @@ def test_wrapped_game_round_takes_the_chain():
         return GF3.mul(etas[1], second(d, xs, etas))
 
     for fn in (wrapped, squared):
-        fn.tower_step, fn.coef = second.tower_step, second.coef
+        fn.tower_step, fn.table = second.tower_step, second.table
+        fn.window, fn.last = second.window, second.last
         strategy = dataclasses.replace(
             tower, rounds=tower.rounds[:3] + (fn,) + tower.rounds[4:])
         assert tower._step_plan is not None and strategy._step_plan is None
@@ -570,34 +598,81 @@ def test_wrapped_game_round_takes_the_chain():
             assert list(strategy.verdicts()) == list(tower.verdicts())
 
 
+def test_game_rounds_off_their_step_take_the_chain():
+    # a step is judged by the win test only when its second round's last
+    # challenge is the step's last and the two windows partition the
+    # step's other challenges; rounds of the right type and marks that
+    # break either leave the strategy to the chain.  The tower's step of
+    # prefix 1 spans positions 1..3: windows (2,) and (1,), last 3.
+    tower = build_attack(GF3, Variant.SYMMETRIZED, 7, CausalModel(k0=1), OPT3)
+    first, second = tower.rounds[2:4]
+    assert (first.window, first.last) == ((2,), None)
+    assert (second.window, second.last) == ((1,), 3)
+
+    def game_round(fn, window, last):
+        return _GameRound(GF3, fn.tower_step, fn.table, window, last)
+
+    broken = {
+        "overlap": (game_round(first, (1,), None), second),
+        "gap": (first, game_round(second, (0,), 3)),
+        "outside": (first, game_round(second, (4,), 3)),
+        "repeat": (game_round(first, (2, 2), None), second),
+        "merged": (game_round(first, (1, 2), None), second),
+        "last_early": (first, game_round(second, (1,), 2)),
+        "last_late": (first, game_round(second, (1,), 4)),
+        "no_last": (first, game_round(second, (1,), None)),
+        "first_last": (game_round(first, (2,), 3), second),
+    }
+    for name, pair in broken.items():
+        strategy = dataclasses.replace(
+            tower, rounds=tower.rounds[:2] + pair + tower.rounds[4:])
+        assert strategy._step_plan is None, name
+        assert_accepts_matches_chain(strategy)
+    with pytest.raises(ValueError, match="window"):
+        game_round(first, (), None)
+
+
+class _SpyTable:
+    """A game table that records, under its round, every lookup."""
+
+    def __init__(self, k, table, called):
+        self.k, self.table, self.called = k, table, called
+
+    def __getitem__(self, i):
+        self.called.append(self.k)
+        return self.table[i]
+
+
 def test_step_verdict_stops_at_the_first_zero_factor():
     model = CausalModel(rho=2, k0=1)
     tower = build_attack(GF3, Variant.SYMMETRIZED, 7, model, OPT3)
     called = []
-
-    def spy(k, coef):
-        @functools.wraps(coef)
-        def wrapped(xs):
-            called.append(k)
-            return coef(xs)
-        return wrapped
-
     # zero rounds stay as they are: the step plan knows them by identity;
-    # game rounds keep their type and marks, with spied coefficients
+    # game rounds keep their type, marks, windows and last challenge, with
+    # tables that record each lookup
     spied = dataclasses.replace(tower, rounds=tuple(
-        _GameRound(GF3, fn.tower_step, spy(k, fn.coef))
+        _GameRound(GF3, fn.tower_step, _SpyTable(k, fn.table, called),
+                   fn.window, fn.last)
         if isinstance(fn, _GameRound) else fn
         for k, fn in enumerate(tower.rounds, 1)))
     silent, steps = spied._step_plan
     assert silent == tower._step_plan[0]
-    assert [(lo, hi) for lo, hi, _, _ in steps] == [(1, 4), (4, 7)]
-    xs = (1, 2, 1, 0, 1, 2, 1)
+    assert [step[:5] for step in steps] == [(3, 2, (), 1, ()),
+                                            (6, 5, (), 4, ())]
+    # step 1's game inputs are A = x_3 and B = x_2 (1-based)
+    win, loss = ([(a, b) for a in range(3) for b in range(3)
+                  if (GF3.add(OPT3.s1[a], OPT3.s2[b]) == GF3.mul(a, b))
+                  is wins][0] for wins in (True, False))
+    xs = (1, loss[1], loss[0], 1, 1, 2, 1)
     assert spied.accepts(0, xs) and called == []
-    # x_4 = 0 zeroes the first step's factor; the second step is skipped
-    assert spied.accepts(1, xs) and called == [3, 4]
+    # x_4 = 0 zeroes the first step's factor before any lookup; the second
+    # step is skipped
+    assert spied.accepts(1, xs[:3] + (0,) + xs[4:]) and called == []
+    # a win collapses the first step after its two lookups
+    assert spied.accepts(1, (1, win[1], win[0]) + xs[3:])
+    assert called == [3, 4]
     called.clear()
-    # the first step survives and the second collapses: both are called
-    xs = (1, 2, 1, 1, 1, 2, 1)
+    # the first step survives: the second step's tables are read too
     assert spied.accepts(1, xs) == tower.accepts(1, xs)
     assert called == [3, 4, 6, 7]
 
@@ -627,8 +702,8 @@ def test_step_factor_is_zero_exactly_when_the_step_collapses(spec, rho):
         game = DetStrategy.random(spec, random.Random(f"win:{spec.q}:{rho}:{seed}"))
         tower = attack_general(spec, steps * span, model, game)
         silent, plan_steps = tower._step_plan
-        assert silent == () and [(lo, hi) for lo, hi, _, _ in plan_steps] \
-            == [(s * span, (s + 1) * span) for s in range(steps)]
+        assert silent == () and [step[0] for step in plan_steps] \
+            == [(s + 1) * span - 1 for s in range(steps)]
 
         def collapses(xs):
             xin, yin = _windows(xs, rho, spec)

@@ -289,6 +289,23 @@ def test_theory_upper_bound():
             theory_upper_bound(3, 2, c=c)
 
 
+def test_bad_upper_c_is_rejected_before_any_row(monkeypatch):
+    # evaluate and trend_sweep check upper_c before they build or count
+    # anything, so a sweep with no row rejects it too
+    def no_work(*args, **kwargs):
+        raise AssertionError("evaluated despite a bad upper_c")
+
+    monkeypatch.setattr(relbc.analysis, "exact_cheat_probability", no_work)
+    monkeypatch.setattr(relbc.analysis, "build_attack", no_work)
+    strategy = attack_base(GF2, 3, OPT2)
+    for c in (0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            evaluate(strategy, upper_c=c)
+        for ms in ([], [4, 5]):
+            with pytest.raises(ValueError, match="positive and finite"):
+                trend_sweep(GF2, ms, OPT2, upper_c=c)
+
+
 @pytest.mark.parametrize("variant,m", [
     (Variant.SYMMETRIZED, 3), (Variant.SYMMETRIZED, 5),
     (Variant.SYMMETRIZED, 7), (Variant.STANDARD, 4),

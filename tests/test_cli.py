@@ -578,12 +578,38 @@ def test_non_finite_upper_c_exits_config(tmp_path, command, args, value):
 
 
 def test_json_writer_rejects_nan_with_no_row_to_check_it(tmp_path):
-    # no row calls the upper bound, so the writer is what refuses NaN
+    # no row calls the upper bound; the check before the game solve
+    # refuses NaN before the writer could
     out = tmp_path / "sweep.json"
     result = invoke("sweep", "--p", "2", "--m-list", "", "--upper-c", "nan",
                     "--format", "json", "--out", str(out))
     _assert_config_error(result)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_without_rows_checks_upper_c(tmp_path, fmt):
+    out = tmp_path / f"sweep.{fmt}"
+    result = invoke("sweep", "--p", "2", "--n", "2", "--m-list", "",
+                    "--upper-c", "nan", "--format", fmt, "--out", str(out))
+    _assert_config_error(result)
+    assert "upper constant c must be positive and finite" in result.stderr
+    assert "rows:" not in result.stdout
+    assert not out.exists()
+
+
+def test_attack_checks_upper_c_before_the_game_solve(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("solved despite a bad upper_c")
+
+    monkeypatch.setattr(cli, "_plugged_strategy", no_work)
+    monkeypatch.setattr(cli, "evaluate", no_work)
+    result = invoke("attack", "--p", "2", "--n", "4", "--m", "20",
+                    "--strategy", "search", "--restarts", "4",
+                    "--method", "mc", "--samples", "300000",
+                    "--upper-c", "nan")
+    _assert_config_error(result)
+    assert "upper constant c must be positive and finite" in result.stderr
 
 
 @pytest.mark.parametrize("args", [("--p", "1000000000000000003"),
