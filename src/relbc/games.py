@@ -8,7 +8,6 @@ uniform nonzero element otherwise.  All probabilities are exact rationals.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import random
 from array import array
@@ -19,8 +18,9 @@ from typing import NamedTuple
 from .errors import CapabilityError, FieldMismatchError
 from .field import FieldElement, FieldSpec
 
-# GF(7) scores 7^6 tables in ~2 s; GF(8) and GF(9) would take ~2 min and
-# ~40 min, so they are refused.
+# The walk costs ~Q^Q steps: GF(5) takes ~1.4 ms and GF(7) ~0.23 s (2-CPU
+# Xeon VM, Python 3.11); GF(8) would take ~4 s and GF(9) ~1.5 min, so they
+# are refused.
 BRUTE_FORCE_MAX_Q = 7
 # Best responses read two Q x Q tables (2 x 32 MB at Q = 4096, 2 x 8 GB at
 # Q = 2^16) and take Q^2 steps each, so larger searches are refused.
@@ -38,8 +38,6 @@ class GameDist:
         object.__setattr__(self, "gamma", Fraction(self.gamma))
         if not 0 <= self.gamma <= 1:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.field.q == 1 and self.gamma != 1:
-            raise ValueError("gamma must be 1 for a one-element field")
 
     @classmethod
     def uniform(cls, field: FieldSpec) -> "GameDist":
@@ -58,10 +56,9 @@ class GameDist:
         """Integer masses over a common denominator, for fast exact scoring."""
         q = self.field.q
         num, den = self.gamma.numerator, self.gamma.denominator
-        d = den * (q - 1) if q > 1 else den
-        w = [(den - num)] * q
-        w[0] = num * (q - 1) if q > 1 else num
-        return w, d
+        w = [den - num] * q
+        w[0] = num * (q - 1)
+        return w, den * (q - 1)
 
 
 @dataclass(frozen=True)
@@ -195,8 +192,8 @@ def _greedy_best(tables, other, w) -> tuple[tuple[int, ...], int]:
 def brute_force_value(dist: GameDist) -> GameValueResult:
     """Exact optimum over deterministic strategy pairs.
 
-    Pairs every s1 table with s1(0) = 0 with the greedy best-response s2,
-    which attains the per-s1 optimum, so the overall maximum is exact.
+    Every s1 table with s1(0) = 0 is scored against its greedy best-response
+    s2, which attains the per-s1 optimum, so the overall maximum is exact.
     Deterministic strategies suffice: randomized ones are convex mixtures.
 
     Fixing s1(0) = 0 loses nothing and returns the same pair as scoring all
@@ -207,6 +204,17 @@ def brute_force_value(dist: GameDist) -> GameValueResult:
     s1(0) = 0.  In product order the whole s1(0) = 0 block comes first, so
     the first maximum, and its greedy s2, lie in it.  Q^(Q-1) tables are
     scored.
+
+    The tables are walked depth-first over s1(1..Q-1), in product order,
+    keeping the greedy buckets of every own input y as running scores:
+    hist[y][b] sums w[x] over the inputs x assigned so far with
+    x*y - s1(x) = b.  Setting s1(x) = a adds w[x] at bucket x*y - a for each
+    y, and the walk takes it off again on the way back.  At the last input
+    each y's top bucket t_y is read once, and answer a scores
+    sum_y w[y] * max(t_y, hist[y][(Q-1)*y - a] + w[Q-1]), the integer
+    _greedy_best returns for that table, so all Q answers take Q^2 steps
+    and the whole walk ~Q^Q.  The first strict maximum is kept, and one
+    _greedy_best call on it gives s2, so ties still go to the smallest index.
     """
     spec = dist.field
     q = spec.q
@@ -216,15 +224,45 @@ def brute_force_value(dist: GameDist) -> GameValueResult:
             " use best_response_search")
     w, den = dist.weights()
     tables = _game_tables(spec)
+    prod, minus = tables
+    # cells[x][a][y] = x*y - a: y's bucket that w[x] joins when s1(x) = a
+    cells = [[[minus[row[x]][a] for row in prod] for a in range(q)]
+             for x in range(q)]
+    last, w_last = cells[q - 1], w[q - 1]
+    # s1(0) = 0 puts w[0] at bucket 0*y - 0 = 0 for every y
+    hist = [[w[0]] + [0] * (q - 1) for _ in range(q)]
+    s1 = [0] * q
     best_score = -1
-    best_pair = None
-    for rest in itertools.product(range(q), repeat=q - 1):
-        s1 = (0,) + rest
-        s2, score = _greedy_best(tables, s1, w)
-        if score > best_score:
-            best_score = score
-            best_pair = (s1, s2)
-    strategy = DetStrategy(spec, *best_pair)
+    best_s1 = None
+
+    def score_last() -> None:
+        nonlocal best_score, best_s1
+        tops = [max(h) for h in hist]
+        for a, col in enumerate(last):
+            score = 0
+            for h, top, b, wy in zip(hist, tops, col, w):
+                v = h[b] + w_last
+                score += wy * (v if v > top else top)
+            if score > best_score:
+                best_score = score
+                best_s1 = (*s1[:-1], a)
+
+    def walk(x: int) -> None:
+        if x == q - 1:
+            score_last()
+            return
+        wx = w[x]
+        for a, col in enumerate(cells[x]):
+            s1[x] = a
+            for h, b in zip(hist, col):
+                h[b] += wx
+            walk(x + 1)
+            for h, b in zip(hist, col):
+                h[b] -= wx
+
+    walk(1)
+    s2, _score = _greedy_best(tables, best_s1, w)
+    strategy = DetStrategy(spec, best_s1, s2)
     return GameValueResult(Fraction(best_score, den * den), strategy,
                            "brute_force",
                            {"q": q, "tables_scored": q ** (q - 1)})

@@ -1,17 +1,18 @@
 """The fast paths against straightforward references.
 
 The greedy best response must return the same table and score as the
-original O(Q^3) pair of routines, kept verbatim below; the brute force over
-s1(0) = 0 with table lookups must return the same value and pair as the
-original loop over all Q^Q tables with field-method calls; the tower's carried
-eta must give the same responses as recomputing compute_eta from scratch at
-every tower round, and its verdict must be verify_values' verdict on those
-responses; best_shift, which scores every translate from the win set's row
-and column counts, must return the same BestShift as the original O(Q^4)
-loop that shifts and rescores each translate; on the same random.Random
-stream, the bulk verdict-table draws must count the same wins as the
-original per-draw randrange loop, and the bulk transcript draws must give
-the same transcripts as the original per-sample randrange calls.
+original O(Q^3) pair of routines, kept verbatim below; the depth-first
+brute force over s1(0) = 0 with running bucket scores must return the same
+value and pair as the original loop over all Q^Q tables with field-method
+calls; the tower's carried eta must give the same responses as recomputing
+compute_eta from scratch at every tower round, and its verdict must be
+verify_values' verdict on those responses; best_shift, which scores every
+translate from the win set's row and column counts, must return the same
+BestShift as the original O(Q^4) loop that shifts and rescores each
+translate; on the same random.Random stream, the bulk verdict-table draws
+must count the same wins as the original per-draw randrange loop, and the
+bulk transcript draws must give the same transcripts as the original
+per-sample randrange calls.
 """
 
 import itertools
@@ -175,6 +176,17 @@ def test_brute_force_matches_full_enumeration(q):
         value, (s1, s2) = reference_brute_force(dist)
         assert fast.value == value, gamma
         assert fast.strategy.s1 == s1 and fast.strategy.s2 == s2, gamma
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 4)), st.integers(1, 12), st.data())
+def test_brute_force_matches_full_enumeration_on_random_gamma(q, den, data):
+    gamma = Fraction(data.draw(st.integers(0, den)), den)
+    dist = GameDist(FIELDS[q], gamma)
+    fast = brute_force_value(dist)
+    value, pair = reference_brute_force(dist)
+    assert fast.value == value
+    assert (fast.strategy.s1, fast.strategy.s2) == pair
 
 
 # --- reference: the tower with eta recomputed at every round ---------------

@@ -100,6 +100,22 @@ def test_brute_force_biased_q2_matches_pair_enumeration():
     assert result.value == exhaustive_value(dist) == Fraction(15, 16)
 
 
+@pytest.mark.parametrize("gamma, value, s1, s2", [
+    (Fraction(1, 7), Fraction(19, 49),
+     (0, 0, 0, 0, 1, 2, 5), (0, 3, 0, 6, 1, 5, 0)),
+    (Fraction(13, 49), Fraction(1152, 2401),  # the rho = 4 tower gamma
+     (0, 1, 1, 1, 1, 1, 1), (6, 0, 0, 0, 0, 0, 0)),
+], ids=["uniform", "tower-rho4"])
+def test_brute_force_gf7_golden_results(gamma, value, s1, s2):
+    # pinned from the per-table greedy loop the depth-first walk replaced
+    gf7 = FieldSpec(7)
+    result = brute_force_value(GameDist(gf7, gamma))
+    assert result.value == value
+    assert (result.strategy.s1, result.strategy.s2) == (s1, s2)
+    assert result.meta == {"q": 7, "tables_scored": 7 ** 6}
+    assert win_probability(result.strategy, GameDist(gf7, gamma)) == value
+
+
 def test_brute_force_cap():
     with pytest.raises(Exception, match="cap|large"):
         brute_force_value(GameDist.uniform(FieldSpec(11)))
