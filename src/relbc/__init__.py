@@ -30,7 +30,7 @@ from .analysis import (
     write_sweep_csv,
 )
 from .errors import CapabilityError, FieldMismatchError
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 from .games import (
     BestShift,
     DetStrategy,

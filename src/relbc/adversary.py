@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .field import FieldSpec
 from .games import DetStrategy
-from .protocol import ProtocolParams, Variant
+from .protocol import ProtocolParams, Variant, tilde_transform
 
 # Largest input space 2*Q^n whose verdicts a strategy keeps as a table.
 MC_TABLE_CAP = 4096
@@ -276,12 +276,8 @@ class CheatStrategy:
         the chain before it rather than read back from the chain, so
         verify_values on these responses checks accepts independently."""
         etas = self._chain(d, xs, len(self.rounds))
-        neg = self.field.neg
-        out = []
-        for k, fn in enumerate(self.rounds, 1):
-            yt = fn(d, xs, etas[:k])
-            out.append(yt if k % 2 == 1 else neg(yt))
-        return tuple(out)
+        return tilde_transform(self.field, tuple(
+            fn(d, xs, etas[:k]) for k, fn in enumerate(self.rounds, 1)))
 
 
 def _zero_round(d, xs, etas) -> int:
@@ -506,11 +502,6 @@ class CausalityReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "trials": self.trials,
-                "rounds_checked": self.rounds_checked,
-                "violations": list(self.violations)}
 
 
 def causality_check(s: CheatStrategy, model: Optional[CausalModel] = None,

@@ -33,8 +33,6 @@ import operator
 from array import array
 from typing import Iterator, Sequence
 
-from .errors import FieldMismatchError
-
 MAX_FIELD_SIZE = 1 << 20
 
 
@@ -112,13 +110,6 @@ def _decode_digits(index: int, p: int, n: int) -> tuple[int, ...]:
         index, r = divmod(index, p)
         out.append(r)
     return tuple(out)
-
-
-def _encode_digits(coeffs: Sequence[int], p: int) -> int:
-    index = 0
-    for c in reversed(coeffs):
-        index = index * p + c
-    return index
 
 
 def _first_primitive(p: int, n: int, mod: Sequence[int]) -> int:
@@ -326,106 +317,3 @@ class FieldSpec:
         if not i:
             return 0 if k else 1
         return self._exp[self._log[i] * k % (self.q - 1)]
-
-    # -- elements ---------------------------------------------------------
-
-    def element(self, index: int) -> "FieldElement":
-        return FieldElement(self, index)
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> "FieldElement":
-        if len(coeffs) != self.n:
-            raise ValueError(f"expected {self.n} coefficients")
-        return FieldElement(self, _encode_digits([c % self.p for c in coeffs], self.p))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self) -> list["FieldElement"]:
-        """All Q elements in canonical index order (zero first)."""
-        return [FieldElement(self, i) for i in range(self.q)]
-
-    def __iter__(self) -> Iterator["FieldElement"]:
-        return iter(self.elements())
-
-    def sample(self, rng) -> "FieldElement":
-        """Uniform element drawn from a caller-owned random.Random."""
-        return FieldElement(self, rng.randrange(self.q))
-
-
-class FieldElement:
-    """A value of GF(p^n); thin wrapper over a canonical index."""
-
-    __slots__ = ("field", "index")
-
-    def __init__(self, field: FieldSpec, index: int):
-        if not 0 <= index < field.q:
-            raise ValueError(f"index {index} out of range for {field}")
-        self.field = field
-        self.index = index
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return _decode_digits(self.index, self.field.p, self.field.n)
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if self.field != other.field:
-            raise FieldMismatchError(
-                f"elements of {self.field} and {other.field} cannot be mixed")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.index, other.index))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.index, other.index))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.index, other.index))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.index))
-
-    def __pow__(self, k: int):
-        return FieldElement(self.field, self.field.pow(self.index, k))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.index))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
-
-    def __bool__(self) -> bool:
-        return self.index != 0
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldElement)
-                and self.field == other.field and self.index == other.index)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.index))
-
-    def __repr__(self) -> str:
-        return f"{self.field}[{_poly_str(self.coeffs)}]"
-
-
-def _poly_str(coeffs: Sequence[int]) -> str:
-    terms = []
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            base = "t" if i == 1 else f"t^{i}"
-            terms.append(base if c == 1 else f"{c}{base}")
-    return " + ".join(terms) if terms else "0"

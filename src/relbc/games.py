@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import CapabilityError, FieldMismatchError
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 
 # The walk costs ~Q^Q steps: GF(5) takes ~1.4 ms and GF(7) ~0.23 s (2-CPU
 # Xeon VM, Python 3.11); GF(8) would take ~4 s and GF(9) ~1.5 min, so they
@@ -325,11 +325,7 @@ def best_response_search(dist: GameDist, restarts: int = 8,
 
 
 def _idx(spec: FieldSpec, v) -> int:
-    """Canonical index of a shift given as an index or an element of spec."""
-    if isinstance(v, FieldElement):
-        if v.field != spec:
-            raise FieldMismatchError(f"shift {v} is not an element of {spec}")
-        return v.index
+    """v as an element index of spec: an integer in [0, Q)."""
     i = operator.index(v)
     if not 0 <= i < spec.q:
         raise ValueError(f"shift {v!r} is not an element index of {spec}")
@@ -342,7 +338,7 @@ def shift_strategy(strategy: DetStrategy, u, v) -> DetStrategy:
     The new tables are s1'(x) = s1(x+u) - x*v and
     s2'(y) = s2(y+v) - y*u - u*v; the shifted pair wins on (x, y) exactly
     when the original wins on (x+u, y+v).  u and v are element indices in
-    [0, Q) or FieldElements of the strategy's field.
+    [0, Q); anything else raises TypeError or ValueError.
     """
     spec = strategy.field
     u, v = _idx(spec, u), _idx(spec, v)

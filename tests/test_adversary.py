@@ -373,7 +373,6 @@ def test_causality_check_passes_constructed_attacks():
     for s in strategies:
         report = causality_check(s, trials=50, seed=1)
         assert report.ok, report.violations[:3]
-        assert report.to_dict()["ok"] is True
 
 
 def test_causality_check_detects_noncausal_mutant():

@@ -2,10 +2,11 @@
 replaced.
 
 The reference below is the previous FieldSpec's digit path, kept verbatim
-(helpers and add/neg/sub/mul/inv/pow bodies).  Every op is compared with it
-exhaustively on every extension field with Q <= 256, on the prime fields
-named in SMALL and under moduli where t is not primitive, and on seeded
-samples at GF(2^16), GF(3^9), GF(2^20) and GF(1048573).
+(helpers and add/neg/sub/mul/inv/pow bodies) apart from the name of the
+digits-to-index helper, which the package no longer has.  Every op is
+compared with it exhaustively on every extension field with Q <= 256, on
+the prime fields named in SMALL and under moduli where t is not primitive,
+and on seeded samples at GF(2^16), GF(3^9), GF(2^20) and GF(1048573).
 """
 
 import itertools
@@ -59,7 +60,7 @@ def _decode_digits(index, p, n):
     return tuple(out)
 
 
-def _encode_digits(coeffs, p):
+def _digits_to_index(coeffs, p):
     index = 0
     for c in reversed(coeffs):
         index = index * p + c
@@ -76,11 +77,11 @@ class DigitField:
         p = self.p
         a = _decode_digits(i, p, self.n)
         b = _decode_digits(j, p, self.n)
-        return _encode_digits([(x + y) % p for x, y in zip(a, b)], p)
+        return _digits_to_index([(x + y) % p for x, y in zip(a, b)], p)
 
     def neg(self, i):
         p = self.p
-        return _encode_digits([(-c) % p for c in _decode_digits(i, p, self.n)], p)
+        return _digits_to_index([(-c) % p for c in _decode_digits(i, p, self.n)], p)
 
     def sub(self, i, j):
         return self.add(i, self.neg(j))
@@ -90,7 +91,7 @@ class DigitField:
         a = _decode_digits(i, p, n)
         b = _decode_digits(j, p, n)
         r = _poly_mod(_poly_mul(a, b, p), self.modulus, p)
-        return _encode_digits(r + (0,) * n, p)
+        return _digits_to_index(r + (0,) * n, p)
 
     def inv(self, i):
         if i == 0:
