@@ -8,10 +8,8 @@ from .adversary import (
     attack_general,
     build_attack,
     causality_check,
-    compute_eta,
     desymmetrize,
     extend_symmetrized,
-    symmetrize_up,
     tower_gamma,
     zeros_strategy,
 )

@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .field import FieldSpec
 from .games import DetStrategy
-from .protocol import ProtocolParams, Variant, tilde_transform
+from .protocol import ProtocolParams, Variant, tilde, tilde_transform
 
 # Largest input space 2*Q^n whose verdicts a strategy keeps as a table.
 MC_TABLE_CAP = 4096
@@ -87,23 +87,6 @@ RoundFn = Callable[[int, tuple[int, ...], list[int]], int]
 # (last, a, more_a, b, more_b, s1, s2), see CheatStrategy._step_plan.
 Step = tuple[int, int, tuple[int, ...], int, tuple[int, ...],
              tuple[int, ...], tuple[int, ...]]
-
-
-def compute_eta(spec: FieldSpec, d: int, challenges: tuple[int, ...],
-                ytildes: tuple[int, ...]) -> int:
-    """Corrective factor of a prefix: d*prod(x_j) - sum_i ytilde_i*prod_{j>i}(x_j).
-
-    Zero exactly when the symmetrized acceptance condition already holds for
-    the prefix.
-    """
-    if len(challenges) != len(ytildes):
-        raise ValueError("prefix challenge and response lengths differ")
-    total = 0
-    suffix = 1
-    for x, yt in zip(reversed(challenges), reversed(ytildes)):
-        total = spec.add(total, spec.mul(yt, suffix))
-        suffix = spec.mul(suffix, x)
-    return spec.sub(spec.mul(d, suffix), total)
 
 
 @dataclass(frozen=True)
@@ -268,8 +251,8 @@ class CheatStrategy:
 
     def respond(self, k: int, d: int, xs: tuple[int, ...]) -> int:
         """Actual (un-flipped) response at round k for the given challenges."""
-        yt = self.rounds[k - 1](d, xs, self._chain(d, xs, k - 1))
-        return yt if k % 2 == 1 else self.field.neg(yt)
+        return tilde(self.field, k,
+                     self.rounds[k - 1](d, xs, self._chain(d, xs, k - 1)))
 
     def responses(self, d: int, xs: tuple[int, ...]) -> tuple[int, ...]:
         """Actual responses of every round.  Each round is called again on
@@ -402,29 +385,6 @@ def tower_gamma(spec: FieldSpec, model: CausalModel) -> Fraction:
     return 1 - (1 - Fraction(1, spec.q)) ** (model.rho // 2)
 
 
-def symmetrize_up(s: CheatStrategy) -> CheatStrategy:
-    """Lift a standard-variant strategy to the symmetrized protocol.
-
-    Rounds 1..m-1 are unchanged; the final response is the old final
-    response times the fresh last challenge.  Whenever the original wins a
-    point, the lifted strategy wins all its extensions.
-    """
-    if s.variant is not Variant.STANDARD:
-        raise ValueError("symmetrize_up expects a standard-variant strategy")
-    m = s.params.n_rounds
-    model = s.model
-    old_final = s.rounds[m - 1]
-    spec = s.field
-
-    def final(d, xs, etas):
-        return spec.mul(xs[m - 1], old_final(d, xs[:-1], etas))
-
-    return CheatStrategy(spec, Variant.SYMMETRIZED, m, model,
-                         s.rounds[:-1] + (final,),
-                         lineage=f"symmetrize_up({s.lineage})",
-                         game_strategy=s.game_strategy)
-
-
 def desymmetrize(s: CheatStrategy) -> CheatStrategy:
     """Turn a symmetrized-variant strategy into one for the next-longer
     standard protocol by appending a constant-zero final round.
@@ -496,8 +456,6 @@ def build_attack(spec: FieldSpec, variant: Variant, m: int,
 @dataclass
 class CausalityReport:
     violations: list[dict]
-    trials: int
-    rounds_checked: int
 
     @property
     def ok(self) -> bool:
@@ -517,9 +475,8 @@ def causality_check(s: CheatStrategy, model: Optional[CausalModel] = None,
     rng = random.Random(f"{seed}:causality")
     q = s.field.q
     n_ch = s.n_challenges
-    n_rounds = len(s.rounds)
     violations: list[dict] = []
-    for k in range(1, n_rounds + 1):
+    for k in range(1, len(s.rounds) + 1):
         hidden = [j for j in range(1, n_ch + 1)
                   if not model.challenge_visible(k, j)]
         d_hidden = not model.d_visible(k)
@@ -534,4 +491,4 @@ def causality_check(s: CheatStrategy, model: Optional[CausalModel] = None,
                 pert = xs[:j - 1] + (alt,) + xs[j:]
                 if s.respond(k, d, pert) != base:
                     violations.append({"round": k, "input": f"x{j}", "trial": t})
-    return CausalityReport(violations, trials, n_rounds)
+    return CausalityReport(violations)

@@ -12,7 +12,8 @@ of degree n in index order (`find_irreducible`); a caller-given modulus is
 checked to be monic of degree n and irreducible.
 
 Every operation is a table lookup.  The constructor takes g, the first
-primitive element in index order (not necessarily t), and builds once:
+primitive element in index order (not necessarily t; read-only as
+`FieldSpec.g`), and builds once:
 
 - exp/log tables: exp[k] is the index of g^k and log[i] the discrete
   logarithm of i.  exp repeats with period Q-1 over its first 2(Q-1)
@@ -84,22 +85,45 @@ def _poly_mod(a: Sequence[int], mod: Sequence[int], p: int) -> tuple[int, ...]:
     return _poly_trim(a)
 
 
-def _poly_divisor(mod: Sequence[int], p: int) -> tuple[int, ...] | None:
-    """First monic divisor of degree 1..deg/2 in canonical order, by trial
-    division; None when mod is irreducible."""
-    for d in range(1, (len(mod) - 1) // 2 + 1):
+def _irreducibles(p: int, top: int) -> list[tuple[int, ...]]:
+    """Monic irreducible polynomials of degree 1..top over Z_p, by degree and
+    within a degree in product order of the lower coefficients.
+
+    A degree-d polynomial is irreducible when no irreducible of degree
+    <= d/2 divides it, so each degree is sieved with the list so far.
+    """
+    out: list[tuple[int, ...]] = []
+    for d in range(1, top + 1):
+        lower_half = [f for f in out if 2 * (len(f) - 1) <= d]
         for lower in itertools.product(range(p), repeat=d):
-            div = lower + (1,)
-            if not _poly_mod(mod, div, p):
-                return div
-    return None
+            poly = lower + (1,)
+            if all(_poly_mod(poly, f, p) for f in lower_half):
+                out.append(poly)
+    return out
+
+
+def _poly_divisor(mod: Sequence[int], p: int,
+                  divisors: Sequence[tuple[int, ...]] | None = None
+                  ) -> tuple[int, ...] | None:
+    """First monic divisor of degree 1..deg/2 in canonical order (by degree,
+    then product order), by trial division; None when mod is irreducible.
+
+    Only irreducible divisors are tried (`divisors`, by default
+    _irreducibles up to deg/2): a divisor of least degree is irreducible,
+    as any factor of it would divide mod with a smaller degree, so the first
+    irreducible divisor is the first divisor.
+    """
+    if divisors is None:
+        divisors = _irreducibles(p, (len(mod) - 1) // 2)
+    return next((f for f in divisors if not _poly_mod(mod, f, p)), None)
 
 
 def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     """First monic irreducible polynomial of degree n in canonical index order."""
+    divisors = _irreducibles(p, n // 2)
     for idx in range(p ** n):
         mod = _decode_digits(idx, p, n) + (1,)
-        if _poly_divisor(mod, p) is None:
+        if _poly_divisor(mod, p, divisors) is None:
             return mod
     raise RuntimeError(f"no irreducible polynomial of degree {n} over Z_{p}")
 
@@ -275,6 +299,11 @@ class FieldSpec:
     @classmethod
     def from_description(cls, desc: dict) -> "FieldSpec":
         return cls(desc["p"], desc.get("n", 1), desc.get("modulus"))
+
+    @property
+    def g(self) -> int:
+        """Index of the primitive element whose powers the tables hold."""
+        return self._exp[1]
 
     # -- index-level arithmetic ------------------------------------------
 

@@ -10,20 +10,25 @@ from __future__ import annotations
 
 import operator
 import random
-from array import array
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import CapabilityError, FieldMismatchError
 from .field import FieldSpec
 
-# The walk costs ~Q^Q steps: GF(5) takes ~1.4 ms and GF(7) ~0.23 s (2-CPU
-# Xeon VM, Python 3.11); GF(8) would take ~4 s and GF(9) ~1.5 min, so they
-# are refused.
-BRUTE_FORCE_MAX_Q = 7
-# Best responses read two Q x Q tables (2 x 32 MB at Q = 4096, 2 x 8 GB at
-# Q = 2^16) and take Q^2 steps each, so larger searches are refused.
+# The walk costs ~Q^(Q-1) steps for a uniform game (s1(0) = s1(1) = 0) and
+# ~Q^Q for a biased one (s1(0) = 0).  Uniform: GF(5) ~0.3 ms, GF(7)
+# ~0.04 s, GF(8) ~0.6 s, GF(9) ~13 s; biased: GF(7) ~0.2 s, GF(8) would
+# take ~4 s (2-CPU Xeon VM, Python 3.11).  Larger fields are refused.
+BRUTE_FORCE_MAX_Q = 9
+BRUTE_FORCE_MAX_Q_BIASED = 7
+# Best responses read two Q x Q tables of rows over shared int objects
+# (2 x 134 MB at Q = 4096, 2 x 34 GB at Q = 2^16), and a response gathers
+# one more Q x Q set of rows.  At GF(4096) the tables take ~1.2 s, one
+# response ~2.7 s, and the two peak at ~400 MB (GF(1024): 0.06 s, 0.15 s,
+# 40 MB).  Larger searches are refused.
 SEARCH_MAX_Q = 4096
 
 
@@ -148,18 +153,31 @@ def _score(spec: FieldSpec, s1, s2, w) -> int:
     return total
 
 
-def _game_tables(spec: FieldSpec) -> tuple[list[array], list[array]]:
-    """Product and difference tables: prod[y][x] = x*y, minus[c][a] = c - a.
+def _game_tables(spec: FieldSpec) -> tuple[list[tuple[int, ...]],
+                                           list[tuple[int, ...]]]:
+    """Product and difference tables: prod[y][x] = x*y, minus[o][c] = c - o.
 
-    Built once per solve, so the best responses below index rows instead of
-    calling field methods; each row is a byte array up to Q = 256 and a
-    16-bit one above.
+    Built once per solve from O(Q) field calls, so the solvers below read
+    rows instead of calling field methods.  The row of g^(k+1), g the
+    field's primitive element, is the row of g composed with the row of
+    g^k, and for o != 0 the row of c - o is k*(1 + c*k^-1) with k = -o: the
+    row of k composed with the successor row c -> 1 + c and the row of
+    k^-1.  Every composition is one C-level itemgetter gather, and the rows
+    are tuples over one shared set of int objects: 2 x 134 MB at Q = 4096.
     """
     q = spec.q
-    code = "B" if q <= 256 else "H"
-    mul, sub = spec.mul, spec.sub
-    prod = [array(code, [mul(x, y) for x in range(q)]) for y in range(q)]
-    minus = [array(code, [sub(c, a) for a in range(q)]) for c in range(q)]
+    ints = tuple(range(q))
+    times_g = tuple(spec.mul(spec.g, x) for x in ints)
+    prod = [(0,) * q] * q
+    row, y = ints, 1
+    for _ in range(q - 1):
+        prod[y] = row
+        row, y = itemgetter(*row)(times_g), times_g[y]
+    succ = tuple(spec.add(c, 1) for c in ints)
+    minus = [ints]
+    for o in ints[1:]:
+        k = spec.neg(o)
+        minus.append(itemgetter(*itemgetter(*prod[spec.inv(k)])(succ))(prod[k]))
     return prod, minus
 
 
@@ -170,22 +188,39 @@ def _greedy_best(tables, other, w) -> tuple[tuple[int, ...], int]:
     commutative product, so player 1 against s2 is player 2 against s1.  For
     each own input y, the other player's input x makes b = x*y - other[x]
     win, so w[x] goes into a Q-bucket score at that b; the answer is the
-    first maximum, i.e. ties go to the smallest index.  O(Q^2) lookups in
-    the _game_tables of the field.
+    first maximum, i.e. ties go to the smallest index.
+
+    The weights are A = w[0] on input 0 and B = w[x] on every other input
+    (GameDist.weights), and input 0 puts A at bucket z = -other[0] for
+    every y.  So y's bucket b scores exactly A*[b = z] + B*count_y(b), where
+    count_y(b) counts the inputs x != 0 with x*y - other[x] = b.  The
+    bucket row y -> x*y - other[x] of each x != 0 is one gather from the
+    _game_tables of the field, the rows are transposed by zip, and each
+    column is counted in one loop.  Of the first most counted bucket and z,
+    the higher score wins, and on a tie the smaller index.
 
     Returns the table and the total integer score (weights squared scale).
     """
     prod, minus = tables
     q = len(prod)
+    rows = [itemgetter(*row)(minus[o]) for row, o in zip(prod[1:], other[1:])]
+    z = minus[other[0]][0]
+    a_weight, b_weight = w[0], w[1]
     table = []
     total = 0
-    for y, row in enumerate(prod):
-        score = [0] * q
-        for px, ox, wx in zip(row, other, w):
-            score[minus[px][ox]] += wx
-        best = max(score)
-        table.append(score.index(best))
-        total += w[y] * best
+    for wy, col in zip(w, zip(*rows)):
+        counts = [0] * q
+        for b in col:
+            counts[b] += 1
+        top = max(counts)
+        first = counts.index(top)
+        score_z, score_top = a_weight + b_weight * counts[z], b_weight * top
+        if score_z > score_top or (score_z == score_top and z < first):
+            table.append(z)
+            total += wy * score_z
+        else:
+            table.append(first)
+            total += wy * score_top
     return tuple(table), total
 
 
@@ -203,35 +238,52 @@ def brute_force_value(dist: GameDist) -> GameValueResult:
     maximiser with s1(0) = c thus has an equal-scoring twin s1 - c with
     s1(0) = 0.  In product order the whole s1(0) = 0 block comes first, so
     the first maximum, and its greedy s2, lie in it.  Q^(Q-1) tables are
-    scored.
+    scored (meta tables_scored).
 
-    The tables are walked depth-first over s1(1..Q-1), in product order,
-    keeping the greedy buckets of every own input y as running scores:
-    hist[y][b] sums w[x] over the inputs x assigned so far with
+    A uniform game with Q > 2 also fixes s1(1) = 0, one level down:
+    (s1 - t*x, s2(y + t)) wins on (x, y) exactly when (s1, s2) wins on
+    (x, y + t), and a uniform y does not see the shift, so the maximiser
+    with s1(1) = t has a twin with s1(1) = 0 and s1(0) still 0, and that
+    block comes first.  A biased y does see it, and at Q = 2 input 1 is the
+    last input, so both keep the walk over s1(1).  The walk then visits
+    Q^(Q-2) tables (meta tables_walked) instead of Q^(Q-1).
+
+    The tables are walked depth-first over the free inputs, in product
+    order, keeping the greedy buckets of every own input y as running
+    scores: hist[y][b] sums w[x] over the inputs x assigned so far with
     x*y - s1(x) = b.  Setting s1(x) = a adds w[x] at bucket x*y - a for each
     y, and the walk takes it off again on the way back.  At the last input
     each y's top bucket t_y is read once, and answer a scores
     sum_y w[y] * max(t_y, hist[y][(Q-1)*y - a] + w[Q-1]), the integer
     _greedy_best returns for that table, so all Q answers take Q^2 steps
-    and the whole walk ~Q^Q.  The first strict maximum is kept, and one
-    _greedy_best call on it gives s2, so ties still go to the smallest index.
+    and the whole walk ~Q^(Q-1) or ~Q^Q.  The first strict maximum is kept,
+    and one _greedy_best call on it gives s2, so ties still go to the
+    smallest index.
     """
     spec = dist.field
     q = spec.q
-    if q > BRUTE_FORCE_MAX_Q:
+    if dist.is_uniform:
+        cap, inputs = BRUTE_FORCE_MAX_Q, "uniform"
+    else:
+        cap, inputs = BRUTE_FORCE_MAX_Q_BIASED, "biased"
+    if q > cap:
         raise CapabilityError(
-            f"brute force is capped at Q <= {BRUTE_FORCE_MAX_Q} (got Q={q});"
-            " use best_response_search")
+            f"brute force is capped at Q <= {cap} for {inputs} inputs"
+            f" (got Q={q}); use best_response_search")
+    first_free = 2 if dist.is_uniform and q > 2 else 1
     w, den = dist.weights()
     tables = _game_tables(spec)
     prod, minus = tables
     # cells[x][a][y] = x*y - a: y's bucket that w[x] joins when s1(x) = a
-    cells = [[[minus[row[x]][a] for row in prod] for a in range(q)]
-             for x in range(q)]
+    cells = [[itemgetter(*prod[x])(row) for row in minus] for x in range(q)]
     last, w_last = cells[q - 1], w[q - 1]
     # s1(0) = 0 puts w[0] at bucket 0*y - 0 = 0 for every y
     hist = [[w[0]] + [0] * (q - 1) for _ in range(q)]
     s1 = [0] * q
+    if first_free == 2:
+        # s1(1) = 0 puts w[1] at bucket 1*y - 0 = y
+        for y, h in enumerate(hist):
+            h[y] += w[1]
     best_score = -1
     best_s1 = None
 
@@ -260,12 +312,13 @@ def brute_force_value(dist: GameDist) -> GameValueResult:
             for h, b in zip(hist, col):
                 h[b] -= wx
 
-    walk(1)
+    walk(first_free)
     s2, _score = _greedy_best(tables, best_s1, w)
     strategy = DetStrategy(spec, best_s1, s2)
     return GameValueResult(Fraction(best_score, den * den), strategy,
                            "brute_force",
-                           {"q": q, "tables_scored": q ** (q - 1)})
+                           {"q": q, "tables_scored": q ** (q - 1),
+                            "tables_walked": q ** (q - first_free)})
 
 
 def best_response_search(dist: GameDist, restarts: int = 8,
@@ -306,7 +359,7 @@ def best_response_search(dist: GameDist, restarts: int = 8,
             # s2 - c pairs with s1 + c, but s1 is recomputed from s2 next
             c = s2[0]
             if c:
-                s2 = tuple(minus[b][c] for b in s2)
+                s2 = itemgetter(*s2)(minus[c])
             s1, score = _greedy_best(tables, s2, w)
             responses += 2
             if (s1, s2) == prev:

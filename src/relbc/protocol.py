@@ -100,10 +100,10 @@ def verify_values(params: ProtocolParams, d: int,
 
     alpha_0 = d and alpha_i = y_i - x_i*alpha_{i-1}; the standard variant
     accepts when y_m = alpha_{m-1}, the symmetrized one when
-    y_m = x_m*alpha_{m-1}.  Expanded, this is the sign-alternating sum
-    `adversary.compute_eta` over the tilde-transformed responses (with
-    x_m = 1 appended for the standard variant), and the tests check the
-    two forms against each other.
+    y_m = x_m*alpha_{m-1}.  Expanded, this is a sign-alternating sum over
+    the tilde-transformed responses (with x_m = 1 appended for the
+    standard variant); the tests compute that sum independently and check
+    the two forms against each other.
     """
     last = params.n_rounds
     if len(challenges) != params.n_challenges or len(responses) != last:
@@ -119,13 +119,17 @@ def verify_values(params: ProtocolParams, d: int,
     return responses[last - 1] == spec.mul(challenges[last - 1], alpha)
 
 
-def tilde_transform(spec: FieldSpec, responses: tuple[int, ...]) -> tuple[int, ...]:
-    """Alternate response signs: entry i (1-based) is scaled by (-1)^(i+1).
+def tilde(spec: FieldSpec, k: int, y: int) -> int:
+    """Response y of round k (1-based), scaled by (-1)^(k+1).
 
     Self-inverse; the identity in characteristic 2.
     """
-    return tuple(y if i % 2 == 0 else spec.neg(y)
-                 for i, y in enumerate(responses))
+    return y if k % 2 else spec.neg(y)
+
+
+def tilde_transform(spec: FieldSpec, responses: tuple[int, ...]) -> tuple[int, ...]:
+    """tilde applied to every response of a transcript."""
+    return tuple(tilde(spec, k, y) for k, y in enumerate(responses, 1))
 
 
 @dataclass(frozen=True)

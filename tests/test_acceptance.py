@@ -29,7 +29,6 @@ from relbc import (
     hiding_distribution,
     mc_cheat_probability,
     shift_strategy,
-    symmetrize_up,
     theory_lower_bound,
     tower_gamma,
     trend_sweep,
@@ -37,6 +36,8 @@ from relbc import (
     win_probability,
     zeros_strategy,
 )
+
+from oracles import symmetrize_up
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)

@@ -21,17 +21,17 @@ from relbc import (
     brute_force_value,
     build_attack,
     causality_check,
-    compute_eta,
     desymmetrize,
     exact_cheat_probability,
     extend_symmetrized,
-    symmetrize_up,
     tower_gamma,
     verify_values,
     win_probability,
     zeros_strategy,
 )
 from relbc.adversary import _check_reads, _GameRound
+
+from oracles import compute_eta, symmetrize_up
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)

@@ -123,7 +123,9 @@ def test_game_value_capability_exit():
 
 
 def test_game_value_brute_at_gf9_exits_capability():
-    result = invoke("game-value", "--p", "3", "--n", "2", "--method", "brute")
+    # uniform GF(9) is solved; biased inputs stay capped at 7
+    result = invoke("game-value", "--p", "3", "--n", "2", "--gamma", "1/2",
+                    "--method", "brute")
     assert result.exit_code == 3
     assert "capped at Q <= 7" in result.stderr
 

@@ -1,8 +1,10 @@
 """The fast paths against straightforward references.
 
 The greedy best response must return the same table and score as the
-original O(Q^3) pair of routines, kept verbatim below; the depth-first
-brute force over s1(0) = 0 with running bucket scores must return the same
+original O(Q^3) pair of routines, kept verbatim below, and as the original
+two-field-call loop up to GF(32); the depth-first brute force over
+s1(0) = 0 (and s1(1) = 0 when uniform) with running bucket scores must
+return the same
 value and pair as the original loop over all Q^Q tables with field-method
 calls; the tower's carried eta must give the same responses as recomputing
 compute_eta from scratch at every tower round, and its verdict must be
@@ -33,7 +35,6 @@ from relbc import (
     best_shift,
     brute_force_value,
     build_attack,
-    compute_eta,
     shift_strategy,
     tower_gamma,
     verify_values,
@@ -42,6 +43,8 @@ from relbc import (
 from relbc import analysis
 from relbc.analysis import _table_wins, _transcripts
 from relbc.games import BestShift, _game_tables, _greedy_best
+
+from oracles import compute_eta
 
 FIELDS = {q: spec for q, spec in (
     (2, FieldSpec(2)), (3, FieldSpec(3)), (4, FieldSpec(2, 2)),
@@ -146,6 +149,20 @@ def _method_greedy_best(spec: FieldSpec, other, w) -> tuple[tuple[int, ...], int
         table.append(score.index(best))
         total += w[y] * best
     return tuple(table), total
+
+
+@pytest.mark.parametrize("p, n", [(3, 3), (2, 5)], ids=["q27", "q32"])
+def test_greedy_best_matches_method_reference_past_gf9(p, n):
+    # the cubic reference stops at GF(9); the two-call one reaches the
+    # fields game_search solves
+    spec = FieldSpec(p, n)
+    tables = _game_tables(spec)
+    rng = random.Random(f"greedy-method:{spec.q}")
+    for gamma in _gammas(spec.q):
+        w, _den = GameDist(spec, gamma).weights()
+        for table in _tables(spec, rng):
+            assert (_greedy_best(tables, table, w)
+                    == _method_greedy_best(spec, table, w))
 
 
 def reference_brute_force(dist: GameDist):

@@ -1,5 +1,6 @@
 """Field arithmetic: construction, canonical order, axioms."""
 
+import itertools
 import random
 import time
 
@@ -7,7 +8,9 @@ import pytest
 
 from relbc import FieldSpec
 from relbc.field import (
+    _decode_digits,
     _poly_divisor,
+    _poly_mod,
     find_irreducible,
     is_prime,
 )
@@ -71,6 +74,59 @@ def test_canonical_moduli_are_irreducible():
     for (p, n), mod in pinned.items():
         assert FieldSpec(p, n).modulus == mod
         assert _poly_divisor(mod, p) is None
+
+
+def _reference_divisor(mod, p):
+    """The original search, verbatim: trial division by every monic
+    polynomial of degree 1..deg/2, reducible ones included."""
+    for d in range(1, (len(mod) - 1) // 2 + 1):
+        for lower in itertools.product(range(p), repeat=d):
+            div = lower + (1,)
+            if not _poly_mod(mod, div, p):
+                return div
+    return None
+
+
+def _reference_irreducible(p, n):
+    """The original find_irreducible, verbatim; also returns the candidates
+    it rejected, in order."""
+    rejected = []
+    for idx in range(p ** n):
+        mod = _decode_digits(idx, p, n) + (1,)
+        if _reference_divisor(mod, p) is None:
+            return mod, rejected
+        rejected.append(mod)
+    raise AssertionError("no irreducible polynomial")
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 65) if is_prime(p)])
+def test_irreducible_search_matches_full_trial_division(p):
+    # every p^n <= 4096 with n >= 2: the same first modulus, and the same
+    # "divisible by" witness for every candidate the search rejects and for
+    # a seeded sample of other monic polynomials of degree n
+    rng = random.Random(f"irreducible:{p}")
+    n = 2
+    while p ** n <= 4096:
+        mod, rejected = _reference_irreducible(p, n)
+        assert find_irreducible(p, n) == mod
+        sample = [_decode_digits(rng.randrange(p ** n), p, n) + (1,)
+                  for _ in range(20)]
+        for poly in rejected + [mod] + sample:
+            assert _poly_divisor(poly, p) == _reference_divisor(poly, p), poly
+        n += 1
+
+
+def test_primitive_element_is_read_only_and_first():
+    for p, n in [(2, 1), (3, 1), (2, 4), (3, 3), (5, 2), (7, 1)]:
+        spec = FieldSpec(p, n)
+        order = spec.q - 1
+        powers = [spec.pow(spec.g, k) for k in range(order)]
+        assert sorted(powers) == list(range(1, spec.q))
+        # no smaller nonzero index generates the multiplicative group
+        for h in range(1, spec.g):
+            assert len({spec.pow(h, k) for k in range(order)}) < order
+        with pytest.raises(AttributeError):
+            spec.g = 1
 
 
 def test_find_irreducible_degree_five():

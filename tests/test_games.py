@@ -122,13 +122,46 @@ def test_brute_force_gf7_golden_results(gamma, value, s1, s2):
     result = brute_force_value(GameDist(gf7, gamma))
     assert result.value == value
     assert (result.strategy.s1, result.strategy.s2) == (s1, s2)
-    assert result.meta == {"q": 7, "tables_scored": 7 ** 6}
+    # the uniform walk also fixes s1(1) = 0
+    walked = 7 ** 5 if gamma == Fraction(1, 7) else 7 ** 6
+    assert result.meta == {"q": 7, "tables_scored": 7 ** 6,
+                           "tables_walked": walked}
     assert win_probability(result.strategy, GameDist(gf7, gamma)) == value
 
 
-def test_brute_force_cap():
-    with pytest.raises(Exception, match="cap|large"):
+def test_brute_force_uniform_gf8_golden_result():
+    # the same table as a run of the s1(0) = 0 walk with its cap lifted
+    gf8 = FieldSpec(2, 3)
+    result = brute_force_value(GameDist.uniform(gf8))
+    assert result.value == Fraction(3, 8)
+    assert result.strategy.s1 == (0, 0, 0, 0, 1, 2, 5, 3)
+    assert result.meta == {"q": 8, "tables_scored": 8 ** 7,
+                           "tables_walked": 8 ** 6}
+    assert win_probability(result.strategy, GameDist.uniform(gf8)) == result.value
+
+
+def test_brute_force_cap(monkeypatch):
+    # uniform games are capped at 9, before any table is built
+    def no_tables(spec):
+        raise AssertionError("tables built past the cap")
+    monkeypatch.setattr(games, "_game_tables", no_tables)
+    with pytest.raises(CapabilityError, match="capped at Q <= 9"):
         brute_force_value(GameDist.uniform(FieldSpec(11)))
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (5, 2), (3, 3),
+                                  (2, 5), (3, 5), (2, 8)])
+def test_game_tables_match_field_calls(p, n):
+    # the rows composed from powers of g and the successor row hold x*y and
+    # c - o at every entry
+    spec = FieldSpec(p, n)
+    q = spec.q
+    prod, minus = games._game_tables(spec)
+    assert len(prod) == len(minus) == q
+    for y, row in enumerate(prod):
+        assert row == tuple(spec.mul(x, y) for x in range(q))
+    for o, row in enumerate(minus):
+        assert row == tuple(spec.sub(c, o) for c in range(q))
 
 
 def test_best_response_search_finds_optimum_q2_q3():
@@ -183,16 +216,22 @@ def test_best_response_search_cap_builds_no_tables(monkeypatch):
 @pytest.mark.parametrize("spec", [FieldSpec(2, 3), FieldSpec(3, 2)],
                          ids=["q8", "q9"])
 def test_brute_force_refuses_q_above_7(spec, monkeypatch):
+    # biased inputs see the shift behind s1(1) = 0, so their walk stays at
+    # ~Q^Q steps and their cap at 7
     def no_tables(spec):
         raise AssertionError("tables built past the cap")
     monkeypatch.setattr(games, "_game_tables", no_tables)
     with pytest.raises(CapabilityError, match="capped at Q <= 7"):
-        brute_force_value(GameDist.uniform(spec))
+        brute_force_value(GameDist(spec, Fraction(1, 2)))
 
 
 def test_meta_counts_work():
     assert brute_force_value(GameDist.uniform(GF3)).meta == {
-        "q": 3, "tables_scored": 9}
+        "q": 3, "tables_scored": 9, "tables_walked": 3}
+    assert brute_force_value(GameDist(GF3, Fraction(1, 2))).meta == {
+        "q": 3, "tables_scored": 9, "tables_walked": 9}
+    assert brute_force_value(GameDist.uniform(GF2)).meta == {
+        "q": 2, "tables_scored": 2, "tables_walked": 2}
     # one iteration per restart: two best responses each
     r = best_response_search(GameDist.uniform(GF4), restarts=3, max_iters=1)
     assert r.meta["best_responses"] == 6

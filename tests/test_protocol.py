@@ -14,7 +14,6 @@ from relbc import (
     ProtocolParams,
     Transcript,
     Variant,
-    compute_eta,
     hiding_distribution,
     honest_response,
     run_honest,
@@ -22,6 +21,8 @@ from relbc import (
     verify_values,
 )
 from relbc.errors import CapabilityError
+
+from oracles import compute_eta
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
