@@ -32,14 +32,13 @@ _DRAW_BLOCK_WORDS = 1 << 15
 _TOP_BITS = [bytes(t >> (8 - k) for t in range(256)) for k in range(9)]
 
 
-def exact_cheat_probability(strategy: CheatStrategy,
-                            cap: int = EXACT_ENUM_CAP) -> Fraction:
+def exact_cheat_probability(strategy: CheatStrategy) -> Fraction:
     """Exact acceptance probability by full enumeration of (d, challenges)."""
     params = strategy.params
     total = 2 * params.field.q ** params.n_challenges
-    if total > cap:
+    if total > EXACT_ENUM_CAP:
         raise CapabilityError(
-            f"exact enumeration needs {total} transcripts (cap {cap});"
+            f"exact enumeration needs {total} transcripts (cap {EXACT_ENUM_CAP});"
             " use mc_cheat_probability")
     return Fraction(sum(strategy.verdicts()), total)
 

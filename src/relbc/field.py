@@ -8,8 +8,8 @@ index 1 is one.
 
 Fields are capped at Q = 2^20; the cap is checked before p is tested for
 primality.  The default modulus is the first monic irreducible polynomial
-of degree n in index order (`find_irreducible`); a caller-given modulus is
-checked to be monic of degree n and irreducible.
+of degree n in index order, found by trial division (`find_irreducible`);
+a caller-given modulus is checked to be monic of degree n and irreducible.
 
 Every operation is a table lookup.  The constructor takes g, the first
 primitive element in index order (not necessarily t; read-only as
@@ -85,45 +85,28 @@ def _poly_mod(a: Sequence[int], mod: Sequence[int], p: int) -> tuple[int, ...]:
     return _poly_trim(a)
 
 
-def _irreducibles(p: int, top: int) -> list[tuple[int, ...]]:
-    """Monic irreducible polynomials of degree 1..top over Z_p, by degree and
-    within a degree in product order of the lower coefficients.
-
-    A degree-d polynomial is irreducible when no irreducible of degree
-    <= d/2 divides it, so each degree is sieved with the list so far.
-    """
-    out: list[tuple[int, ...]] = []
-    for d in range(1, top + 1):
-        lower_half = [f for f in out if 2 * (len(f) - 1) <= d]
-        for lower in itertools.product(range(p), repeat=d):
-            poly = lower + (1,)
-            if all(_poly_mod(poly, f, p) for f in lower_half):
-                out.append(poly)
-    return out
-
-
-def _poly_divisor(mod: Sequence[int], p: int,
-                  divisors: Sequence[tuple[int, ...]] | None = None
-                  ) -> tuple[int, ...] | None:
+def _poly_divisor(mod: Sequence[int], p: int) -> tuple[int, ...] | None:
     """First monic divisor of degree 1..deg/2 in canonical order (by degree,
     then product order), by trial division; None when mod is irreducible.
 
-    Only irreducible divisors are tried (`divisors`, by default
-    _irreducibles up to deg/2): a divisor of least degree is irreducible,
-    as any factor of it would divide mod with a smaller degree, so the first
-    irreducible divisor is the first divisor.
+    The first divisor found is irreducible: any factor of it would divide
+    mod with a smaller degree.  Divisors of degree >= 2 with constant term 0
+    are skipped, since t divides each of them and t is tried first.
     """
-    if divisors is None:
-        divisors = _irreducibles(p, (len(mod) - 1) // 2)
-    return next((f for f in divisors if not _poly_mod(mod, f, p)), None)
+    for d in range(1, (len(mod) - 1) // 2 + 1):
+        for lower in itertools.product(range(d > 1, p), *[range(p)] * (d - 1)):
+            div = lower + (1,)
+            if not _poly_mod(mod, div, p):
+                return div
+    return None
 
 
 def find_irreducible(p: int, n: int) -> tuple[int, ...]:
-    """First monic irreducible polynomial of degree n in canonical index order."""
-    divisors = _irreducibles(p, n // 2)
+    """First monic irreducible polynomial of degree n in canonical index
+    order, by trial division that skips multiples of t (`_poly_divisor`)."""
     for idx in range(p ** n):
         mod = _decode_digits(idx, p, n) + (1,)
-        if _poly_divisor(mod, p, divisors) is None:
+        if _poly_divisor(mod, p) is None:
             return mod
     raise RuntimeError(f"no irreducible polynomial of degree {n} over Z_{p}")
 
@@ -249,8 +232,7 @@ class FieldSpec:
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise ValueError(
                     f"modulus must be monic of degree {n}, got {list(modulus)}")
-            witness = _poly_divisor(modulus, p)
-            if witness is not None:
+            if (witness := _poly_divisor(modulus, p)) is not None:
                 raise ValueError(
                     f"modulus {list(modulus)} is reducible over Z_{p}"
                     f" (divisible by {list(witness)})")

@@ -77,11 +77,8 @@ class DetStrategy:
     def __post_init__(self):
         q = self.field.q
         for name in ("s1", "s2"):
-            table = tuple(getattr(self, name))
-            # convert only when needed: tuple() of a tuple is not a copy
-            if any(type(v) is not int for v in table):
-                table = tuple(map(operator.index, table))
-            if len(table) != q or any(not 0 <= v < q for v in table):
+            table = tuple(map(operator.index, getattr(self, name)))
+            if len(table) != q or min(table) < 0 or max(table) >= q:
                 raise ValueError(f"{name} must be {q} valid element indices")
             object.__setattr__(self, name, table)
 

@@ -52,9 +52,11 @@ def test_exact_probability_is_rational():
 
 
 def test_exact_probability_cap():
-    s = zeros_strategy(GF2, Variant.SYMMETRIZED, 10)
-    with pytest.raises(CapabilityError):
-        exact_cheat_probability(s, cap=100)
+    # 2^28 transcripts, past EXACT_ENUM_CAP = 10^8: refused before any
+    # enumeration
+    s = zeros_strategy(GF2, Variant.SYMMETRIZED, 27)
+    with pytest.raises(CapabilityError, match="268435456 transcripts"):
+        exact_cheat_probability(s)
 
 
 def test_clopper_pearson_known_values():

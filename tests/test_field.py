@@ -39,6 +39,7 @@ def test_rejects_reducible_modulus():
     (2, (1, 0, 1), "[1, 1]"),              # (t + 1)^2
     (2, (1, 0, 1, 0, 1), "[1, 1, 1]"),     # (t^2 + t + 1)^2, no linear factor
     (5, (1, 0, 1), "[2, 1]"),              # (t + 2)(t + 3)
+    (3, (0, 0, 1, 0, 1), "[0, 1]"),        # t^2 (t^2 + 1); t^2 is skipped
 ])
 def test_reducible_modulus_names_first_divisor(p, modulus, witness):
     message = (f"modulus {list(modulus)} is reducible over Z_{p}"
@@ -74,6 +75,25 @@ def test_canonical_moduli_are_irreducible():
     for (p, n), mod in pinned.items():
         assert FieldSpec(p, n).modulus == mod
         assert _poly_divisor(mod, p) is None
+
+
+def _poly(n, terms):
+    """Monic t^n plus terms, a map from exponent to coefficient."""
+    return tuple(terms.get(i, 0) for i in range(n)) + (1,)
+
+
+@pytest.mark.parametrize("p,n,mod", [
+    (2, 8, _poly(8, {4: 1, 3: 1, 1: 1, 0: 1})),   # t^8 + t^4 + t^3 + t + 1
+    (2, 16, _poly(16, {5: 1, 3: 1, 1: 1, 0: 1})),  # t^16 + t^5 + t^3 + t + 1
+    (2, 20, _poly(20, {3: 1, 0: 1})),             # t^20 + t^3 + 1
+    (3, 10, _poly(10, {2: 2, 0: 1})),             # t^10 + 2t^2 + 1
+    (5, 8, _poly(8, {0: 2})),                     # t^8 + 2
+])
+def test_default_moduli_of_larger_fields(p, n, mod):
+    # the first irreducible in index order, as the full trial division found
+    # it; find_irreducible builds no tables, unlike FieldSpec(p, n)
+    assert find_irreducible(p, n) == mod
+    assert _poly_divisor(mod, p) is None
 
 
 def _reference_divisor(mod, p):
