@@ -47,6 +47,7 @@ from .protocol import (
     Variant,
     hiding_distribution,
     honest_response,
+    honest_responses,
     run_honest,
     tilde_transform,
     verify_values,

@@ -23,13 +23,9 @@ from .adversary import CausalModel, CheatStrategy, build_attack, tower_gamma
 from .errors import CapabilityError
 from .field import FieldSpec
 from .games import DetStrategy, GameDist, win_probability
-from .protocol import Variant
+from .protocol import Variant, _draws
 
 EXACT_ENUM_CAP = 10 ** 8
-# Most 32-bit words drawn by one getrandbits call (128 KiB).
-_DRAW_BLOCK_WORDS = 1 << 15
-# _TOP_BITS[k][t]: the top k bits of the byte t
-_TOP_BITS = [bytes(t >> (8 - k) for t in range(256)) for k in range(9)]
 
 
 def exact_cheat_probability(strategy: CheatStrategy) -> Fraction:
@@ -231,33 +227,6 @@ class McEstimate:
                 "confidence": self.confidence}
 
 
-def _draws(rng: random.Random, space: int, count: int) -> bytes | list[int]:
-    """The successive rng.randrange(space) draws held by one getrandbits
-    block sized for about `count` of them: bytes when the draw width
-    k = space.bit_length() is at most 8, else a list of ints.
-
-    A try of randrange(space) reads one 32-bit Mersenne Twister word w,
-    keeps its top k bits, w >> (32 - k), unless they are >= space, and
-    getrandbits(32*n) returns n such words, least significant first.  The
-    block has margin for `count` kept tries: a try is kept with probability
-    space / 2^k.  For k <= 8 only each word's top byte t matters, so one
-    translate maps t to t >> (8 - k) and deletes the rejected t >= space
-    << (8 - k).  MAX_FIELD_SIZE = 2^20 (and MC_TABLE_CAP = 4096) keep
-    k <= 21, so one word always covers one try.  cast("I") reads the
-    little-endian bytes as native words, so on a big-endian host each word
-    is byte-swapped: still uniform, but not randrange's stream.
-    """
-    k = space.bit_length()
-    words = min(_DRAW_BLOCK_WORDS, (count << k) // space + count // 16 + 32)
-    data = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-    if k <= 8:
-        return data[3::4].translate(_TOP_BITS[k],
-                                    bytes(range(space << (8 - k), 256)))
-    shift = 32 - k
-    limit = space << shift
-    return [w >> shift for w in memoryview(data).cast("I") if w < limit]
-
-
 def _table_wins(table: bytes, samples: int, rng: random.Random) -> int:
     """Wins among `samples` draws of table[rng.randrange(len(table))], for a
     table of 0/1 bytes, the same draws in bulk."""
@@ -310,9 +279,9 @@ def mc_cheat_probability(strategy: CheatStrategy,
     For input spaces of at most MC_TABLE_CAP the trials are index draws
     from the strategy's verdict table, which is built once per strategy;
     larger spaces play each drawn transcript.  One routine, _draws, makes
-    every draw in bulk from getrandbits blocks: draws of at most 8 bits
-    (tables of fewer than 256 entries, transcripts over Q < 256) from the
-    top byte of each 32-bit word, wider ones from the whole word.  The
+    every draw in bulk from getrandbits blocks: draws below 256 (tables of
+    at most 256 entries, transcripts over Q <= 256) come out as bytes from
+    the top byte of each 32-bit word, wider ones from the whole word.  The
     stream is the one per-draw randrange calls give, so seeded estimates
     do not change.
     """

@@ -31,6 +31,7 @@ import click
 
 from .adversary import CausalModel, build_attack, tower_gamma
 from .analysis import (
+    _transcripts,
     check_upper_c,
     empirical_upper_constant,
     evaluate,
@@ -311,9 +312,8 @@ def cmd_attack(p, n, modulus, m, variant, rho, k0, method, samples, seed,
         rng = random.Random(f"{seed}:attack-transcripts")
         params = cheat.params
         samples_list = []
-        for _ in range(transcript_count):
-            d = rng.randrange(2)
-            xs = tuple(rng.randrange(spec.q) for _ in range(params.n_challenges))
+        for d, xs in _transcripts(rng, spec.q, params.n_challenges,
+                                  transcript_count):
             ys = cheat.responses(d, xs)
             samples_list.append(Transcript(
                 params, d, xs, ys, verify_values(params, d, xs, ys)).to_dict())

@@ -25,6 +25,47 @@ from .errors import CapabilityError
 from .field import FieldSpec
 
 HIDING_STATE_CAP = 10 ** 7
+# Most 32-bit words drawn by one getrandbits call (128 KiB).
+_DRAW_BLOCK_WORDS = 1 << 15
+# _TOP_BITS[k][t]: the top k bits of the byte t
+_TOP_BITS = [bytes(t >> (8 - k) for t in range(256)) for k in range(9)]
+# _KEEP[t]: whether a word with top byte t is below 2^31
+_KEEP = bytes(t < 128 for t in range(256))
+
+
+def _draws(rng: random.Random, space: int, count: int) -> bytes | list[int]:
+    """The successive rng.randrange(space) draws held by one getrandbits
+    block sized for about `count` of them: bytes when every draw is below
+    256 (draw width k = space.bit_length() at most 8, or space = 256),
+    else a list of ints.
+
+    A try of randrange(space) reads one 32-bit Mersenne Twister word w,
+    keeps its top k bits, w >> (32 - k), unless they are >= space, and
+    getrandbits(32*n) returns n such words, least significant first.  The
+    block has margin for `count` kept tries: a try is kept with probability
+    space / 2^k.  For k <= 8 only each word's top byte t matters, so one
+    translate maps t to t >> (8 - k) and deletes the rejected t >= space
+    << (8 - k).  For space = 256 (k = 9) a try is kept when w's top bit is
+    clear, and its draw is the 8 bits below that bit: the top byte of each
+    word of the block shifted left by one bit.  MAX_FIELD_SIZE = 2^20 (and
+    MC_TABLE_CAP = 4096) keep k <= 21, so one word always covers one try.
+    cast("I") reads the little-endian bytes as native words, so on a
+    big-endian host each word is byte-swapped: still uniform, but not
+    randrange's stream.
+    """
+    k = space.bit_length()
+    words = min(_DRAW_BLOCK_WORDS, (count << k) // space + count // 16 + 32)
+    block = rng.getrandbits(32 * words)
+    data = block.to_bytes(4 * words, "little")
+    if k <= 8:
+        return data[3::4].translate(_TOP_BITS[k],
+                                    bytes(range(space << (8 - k), 256)))
+    if space == 256:
+        shifted = (block << 1).to_bytes(4 * words + 1, "little")[3::4]
+        return bytes(itertools.compress(shifted, data[3::4].translate(_KEEP)))
+    shift = 32 - k
+    limit = space << shift
+    return [w >> shift for w in memoryview(data).cast("I") if w < limit]
 
 
 class Variant(str, enum.Enum):
@@ -71,9 +112,36 @@ class HonestSharedRandomness:
     @classmethod
     def sample(cls, params: ProtocolParams, rng: random.Random
                ) -> "HonestSharedRandomness":
+        """The n_rounds shares a_i, then the n_challenges challenges, as
+        successive rng.randrange(Q) draws.
+
+        The draws come from _draws blocks, so the rng ends past the last
+        block rather than just past the last draw: give it an rng that
+        makes no later draws.
+        """
         q = params.field.q
-        return cls(tuple(rng.randrange(q) for _ in range(params.n_rounds)),
-                   tuple(rng.randrange(q) for _ in range(params.n_challenges)))
+        need = params.n_rounds + params.n_challenges
+        shares = []
+        while short := need - len(shares):
+            shares += _draws(rng, q, short)[:short]
+        return cls(tuple(shares[:params.n_rounds]),
+                   tuple(shares[params.n_rounds:]))
+
+
+def honest_responses(params: ProtocolParams, d: int,
+                     randomness: HonestSharedRandomness) -> tuple[int, ...]:
+    """Honest committer's response indices for rounds 1..n_rounds, in one
+    pass along the chain."""
+    spec = params.field
+    add, mul = spec.add, spec.mul
+    a = randomness.a
+    xs = randomness.challenges
+    last = params.n_rounds
+    final = (a[last - 2] if params.variant is Variant.STANDARD
+             else mul(xs[last - 1], a[last - 2]))
+    # y_k = x_k*a_{k-1} + a_k for the rounds 1 < k < last
+    return (add(mul(d, xs[0]), a[0]),
+            *map(add, map(mul, xs[1:last - 1], a), a[1:last - 1]), final)
 
 
 def honest_response(params: ProtocolParams, k: int, d: int,
@@ -82,16 +150,7 @@ def honest_response(params: ProtocolParams, k: int, d: int,
     last = params.n_rounds
     if not 1 <= k <= last:
         raise ValueError(f"round index {k} out of range 1..{last}")
-    spec = params.field
-    a = randomness.a
-    xs = randomness.challenges
-    if k == 1:
-        return spec.add(spec.mul(d, xs[0]), a[0])
-    if k < last:
-        return spec.add(spec.mul(xs[k - 1], a[k - 2]), a[k - 1])
-    if params.variant is Variant.STANDARD:
-        return a[last - 2]
-    return spec.mul(xs[last - 1], a[last - 2])
+    return honest_responses(params, d, randomness)[k - 1]
 
 
 def verify_values(params: ProtocolParams, d: int,
@@ -166,8 +225,7 @@ def run_honest(params: ProtocolParams, d: int, seed: int = 0) -> Transcript:
         raise ValueError("committed bit must be 0 or 1")
     rng = random.Random(f"{seed}:honest-run")
     randomness = HonestSharedRandomness.sample(params, rng)
-    responses = tuple(honest_response(params, k, d, randomness)
-                      for k in range(1, params.n_rounds + 1))
+    responses = honest_responses(params, d, randomness)
     accepted = verify_values(params, d, randomness.challenges, responses)
     return Transcript(params, d, randomness.challenges, responses, accepted)
 
@@ -186,23 +244,22 @@ def hiding_distribution(params: ProtocolParams, upto_round: int
     q = params.field.q
     n_x = min(upto_round, params.n_challenges)
     n_a = min(upto_round, last - 1)
-    if 2 * q ** (n_x + n_a) > HIDING_STATE_CAP:
+    states = q ** (n_x + n_a)
+    if 2 * states > HIDING_STATE_CAP:
         raise CapabilityError(
-            f"hiding enumeration needs {2 * q ** (n_x + n_a)} states"
+            f"hiding enumeration needs {2 * states} states"
             f" (cap {HIDING_STATE_CAP})")
-    mass = Fraction(1, q ** (n_x + n_a))
-    pad_x = params.n_challenges - n_x
-    pad_a = last - n_a
+    pad_x = (0,) * (params.n_challenges - n_x)
+    pad_a = (0,) * (last - n_a)
     out: dict[int, dict[tuple, Fraction]] = {}
     for d in (0, 1):
-        dist: dict[tuple, Fraction] = {}
+        counts: dict[tuple, int] = {}
         for xs in itertools.product(range(q), repeat=n_x):
-            full_xs = xs + (0,) * pad_x
+            full_xs = xs + pad_x
             for a in itertools.product(range(q), repeat=n_a):
-                rand = HonestSharedRandomness(a + (0,) * pad_a, full_xs)
-                ys = tuple(honest_response(params, k, d, rand)
-                           for k in range(1, upto_round + 1))
-                key = (xs, ys)
-                dist[key] = dist.get(key, Fraction(0)) + mass
-        out[d] = dist
+                rand = HonestSharedRandomness(a + pad_a, full_xs)
+                key = (xs, honest_responses(params, d, rand)[:upto_round])
+                counts[key] = counts.get(key, 0) + 1
+        mass = {n: Fraction(n, states) for n in set(counts.values())}
+        out[d] = {key: mass[n] for key, n in counts.items()}
     return out

@@ -17,6 +17,7 @@ from relbc import (
     DetStrategy,
     FieldSpec,
     GameDist,
+    ProtocolParams,
     Variant,
     attack_base,
     brute_force_value,
@@ -27,6 +28,7 @@ from relbc import (
     exact_cheat_probability,
     mc_cheat_probability,
     predicted_attack_probability,
+    run_honest,
     theory_lower_bound,
     theory_upper_bound,
     trend_sweep,
@@ -204,6 +206,10 @@ def test_mc_draws_never_call_randrange(monkeypatch):
     monkeypatch.setattr(random.Random, "randrange", refuse)
     for s in strategies:
         assert mc_cheat_probability(s, samples=1000, seed=0).samples == 1000
+    # honest runs draw their shares the same way
+    for spec in (GF2, GF3, GF256):
+        for variant in Variant:
+            assert run_honest(ProtocolParams(spec, 7, variant), 1).accepted
 
 
 def test_verdict_table_built_once_per_strategy():

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, config precedence, exit codes."""
 
 import json
+import random
 import time
 
 import pytest
@@ -216,6 +217,28 @@ def test_attack_transcripts(tmp_path):
     transcripts = json.loads(tpath.read_text())
     assert len(transcripts) == 4
     assert all(t["schema"] == 1 for t in transcripts)
+
+
+@pytest.mark.parametrize("q, args", [
+    (2, ("--p", "2", "--m", "6", "--variant", "standard")),
+    (256, ("--p", "2", "--n", "8", "--m", "31", "--method", "mc",
+           "--samples", "100", "--strategy", "search", "--restarts", "1")),
+], ids=["gf2", "gf256"])
+def test_attack_transcripts_follow_per_call_randrange(tmp_path, q, args):
+    # the written (d, challenges) rows are the stream of per-call
+    # randrange draws on the command's seeded transcript rng
+    tpath = tmp_path / "transcripts.json"
+    result = invoke("attack", *args, "--seed", "5",
+                    "--transcript-out", str(tpath), "--transcript-count", "12")
+    assert result.exit_code == 0
+    transcripts = json.loads(tpath.read_text())
+    n_ch = len(transcripts[0]["challenges"])
+    rng = random.Random("5:attack-transcripts")
+    want = []
+    for _ in range(12):
+        d = rng.randrange(2)
+        want.append([d, [rng.randrange(q) for _ in range(n_ch)]])
+    assert [[t["d"], t["challenges"]] for t in transcripts] == want
 
 
 def test_attack_mc_reproducible():

@@ -14,7 +14,9 @@ BestShift as the original O(Q^4) loop that shifts and rescores each
 translate; on the same random.Random stream, the bulk verdict-table draws
 must count the same wins as the original per-draw randrange loop, and the
 bulk transcript draws must give the same transcripts as the original
-per-sample randrange calls.
+per-sample randrange calls; and run_honest, which draws its shares in one
+block and computes its responses in one pass, must give the same
+Transcript as the original per-call sample and per-round honest_response.
 """
 
 import itertools
@@ -31,16 +33,21 @@ from relbc import (
     DetStrategy,
     FieldSpec,
     GameDist,
+    HonestSharedRandomness,
+    ProtocolParams,
+    Transcript,
     Variant,
     best_shift,
     brute_force_value,
     build_attack,
+    honest_response,
+    run_honest,
     shift_strategy,
     tower_gamma,
     verify_values,
     win_probability,
 )
-from relbc import analysis
+from relbc import protocol
 from relbc.analysis import _table_wins, _transcripts
 from relbc.games import BestShift, _game_tables, _greedy_best
 
@@ -440,10 +447,10 @@ def reference_transcripts(rng: random.Random, q: int, n_ch: int,
                                2 ** 20])
 def test_bulk_transcripts_match_randrange_loop(q, n_ch, monkeypatch):
     # small blocks, so every estimate spans many getrandbits blocks and rows
-    # straddle block boundaries; q < 256 reads top bytes, larger q read
+    # straddle block boundaries; q <= 256 reads top bytes, larger q read
     # words, and only q other than 2^j rejects tries of d that it keeps
     # for x (131 and 243 on the byte side at the full width k = 8)
-    monkeypatch.setattr(analysis, "_DRAW_BLOCK_WORDS", 61)
+    monkeypatch.setattr(protocol, "_DRAW_BLOCK_WORDS", 61)
     rng = _CountingRandom(f"{q}:{n_ch}:mc")
     got = list(_transcripts(rng, q, n_ch, 300))
     assert got == reference_transcripts(random.Random(f"{q}:{n_ch}:mc"),
@@ -469,3 +476,70 @@ def test_bulk_transcripts_span_full_size_blocks():
     assert rng.calls == 2
     assert got == reference_transcripts(random.Random("blocks:mc"), 16, 12,
                                         2000)
+
+
+# --- reference: the original per-call honest run, verbatim -------------------
+
+def reference_sample(params: ProtocolParams, rng: random.Random
+                     ) -> HonestSharedRandomness:
+    q = params.field.q
+    return HonestSharedRandomness(
+        tuple(rng.randrange(q) for _ in range(params.n_rounds)),
+        tuple(rng.randrange(q) for _ in range(params.n_challenges)))
+
+
+def reference_honest_response(params: ProtocolParams, k: int, d: int,
+                              randomness: HonestSharedRandomness) -> int:
+    last = params.n_rounds
+    if not 1 <= k <= last:
+        raise ValueError(f"round index {k} out of range 1..{last}")
+    spec = params.field
+    a = randomness.a
+    xs = randomness.challenges
+    if k == 1:
+        return spec.add(spec.mul(d, xs[0]), a[0])
+    if k < last:
+        return spec.add(spec.mul(xs[k - 1], a[k - 2]), a[k - 1])
+    if params.variant is Variant.STANDARD:
+        return a[last - 2]
+    return spec.mul(xs[last - 1], a[last - 2])
+
+
+def reference_run_honest(params: ProtocolParams, d: int, seed: int = 0
+                         ) -> Transcript:
+    rng = random.Random(f"{seed}:honest-run")
+    randomness = reference_sample(params, rng)
+    responses = tuple(reference_honest_response(params, k, d, randomness)
+                      for k in range(1, params.n_rounds + 1))
+    accepted = verify_values(params, d, randomness.challenges, responses)
+    return Transcript(params, d, randomness.challenges, responses, accepted)
+
+
+HONEST_FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(3, 2), FieldSpec(2, 4),
+                 FieldSpec(2, 8), FieldSpec(2, 16)]
+
+
+@pytest.mark.parametrize("block_words", [None, 3], ids=["full", "refill"])
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("spec", HONEST_FIELDS, ids=lambda s: f"q{s.q}")
+def test_run_honest_matches_per_call_reference(spec, variant, block_words,
+                                               monkeypatch):
+    # 3-word blocks make every honest run refill its draws several times;
+    # GF(256) reads the shifted byte lane and GF(2^16) whole words
+    if block_words:
+        monkeypatch.setattr(protocol, "_DRAW_BLOCK_WORDS", block_words)
+    for m in (1, 2, 7, 31):
+        if variant is Variant.SYMMETRIZED and m < 2:
+            continue
+        params = ProtocolParams(spec, m, variant)
+        for seed in range(4):
+            for d in (0, 1):
+                got = run_honest(params, d, seed=seed)
+                assert got == reference_run_honest(params, d, seed=seed)
+                assert got.accepted
+        rand = reference_sample(params, random.Random(f"{m}:shares"))
+        for d in (0, 1):
+            assert [honest_response(params, k, d, rand)
+                    for k in range(1, params.n_rounds + 1)] \
+                == [reference_honest_response(params, k, d, rand)
+                    for k in range(1, params.n_rounds + 1)]
