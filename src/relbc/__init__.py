@@ -46,6 +46,7 @@ from .protocol import (
     Transcript,
     Variant,
     hiding_distribution,
+    hiding_distributions,
     honest_response,
     honest_responses,
     run_honest,

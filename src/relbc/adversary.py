@@ -45,7 +45,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .field import FieldSpec
 from .games import DetStrategy
@@ -53,6 +53,11 @@ from .protocol import ProtocolParams, Variant, tilde, tilde_transform
 
 # Largest input space 2*Q^n whose verdicts a strategy keeps as a table.
 MC_TABLE_CAP = 4096
+# Most rows in one chunk of _product_columns.
+_CHUNK_ROWS = 1 << 16
+# Byte translate tables: x -> [x != 0], and a 0/1 win byte -> its loss.
+_NONZERO = bytes([0]) + bytes([1]) * 255
+_LOST = bytes([1, 0]) + bytes(254)
 
 
 @dataclass(frozen=True)
@@ -104,8 +109,16 @@ class CheatStrategy:
     (accepts).  When the rounds form a tower of _zero_round and _GameRound
     rounds (_step_plan), accepts instead judges each step by the plugged
     game's win test on the step's windowed challenge products, without
-    calling the rounds, and stops at the first collapsing step.  The
-    strategy is frozen, so its verdict table and step plan, built on first
+    calling the rounds, and stops at the first collapsing step.
+
+    A tower over a field with Q <= 16 is also judged a batch at a time
+    (rejected_rows, columnar): a step's input pair (A, B) then fits one
+    byte as A*Q + B, so one big-integer sum gives the pair column of every
+    row and one bytes.translate the step's outcome in every row.  Exact
+    enumeration, the verdict table and Monte Carlo take that path on such
+    towers; accepts stays the one path for Q > 16 and for strategies with
+    no step plan, and the reference the batch verdict is tested against.
+    The strategy is frozen, so its verdict table and plans, built on first
     use, cannot go stale.
     """
 
@@ -144,10 +157,18 @@ class CheatStrategy:
     @cached_property
     def verdict_table(self) -> Optional[bytes]:
         """verdicts() as one 0/1 byte per input, built once per strategy, or
-        None when the input space exceeds MC_TABLE_CAP."""
-        if 2 * self.field.q ** self.n_challenges > MC_TABLE_CAP:
+        None when the input space exceeds MC_TABLE_CAP.  A columnar
+        strategy judges the d = 1 half in one rejected_rows batch (Q^n <=
+        MC_TABLE_CAP / 2 rows, so _product_columns gives one chunk)."""
+        size = self.field.q ** self.n_challenges
+        if 2 * size > MC_TABLE_CAP:
             return None
-        return bytes(self.verdicts())
+        if not self.columnar:
+            return bytes(self.verdicts())
+        ones = b"\1" * size
+        (xs,) = _product_columns(self.field.q, self.n_challenges)
+        accepted = self.rejected_rows(ones, xs) ^ int.from_bytes(ones, "big")
+        return ones + accepted.to_bytes(size, "big")
 
     def _chain(self, d: int, xs: tuple[int, ...], upto: int) -> list[int]:
         """eta_0..eta_upto of the transcript the rounds play on (d, xs)."""
@@ -207,6 +228,81 @@ class CheatStrategy:
                 return None
         return tuple(silent), tuple(steps)
 
+    @cached_property
+    def _column_plan(self) -> Optional[tuple[tuple[int, ...],
+                                             tuple[tuple, ...], bytes]]:
+        """(silent positions, steps, product table) as rejected_rows reads
+        them, or None without a step plan or when Q > 16.
+
+        A step is (last, window_a, window_b, lost): window positions as
+        tuples, and the 256-byte table that maps A*Q + B to 1 when the
+        step's tables lose CHSH_Q on (A, B), from the plugged
+        DetStrategy's win matrix, which is built once per game strategy.
+        product maps x*Q + y to x*y; it is built only for a window of more
+        than one challenge (rho >= 4).
+        """
+        plan, spec = self._step_plan, self.field
+        q = spec.q
+        if plan is None or q * q > 256:
+            return None
+        silent, steps = plan
+        game, columns = self.game_strategy, []
+        for last, a, more_a, b, more_b, s1, s2 in steps:
+            if game is None or (game.s1, game.s2) != (s1, s2):
+                game = DetStrategy(spec, s1, s2)
+            columns.append((last, (a, *more_a), (b, *more_b),
+                            game.wins.translate(_LOST).ljust(256, b"\0")))
+        product = b""
+        if any(more_a or more_b for _, _, more_a, _, more_b, _, _ in steps):
+            product = bytes(map(spec.mul, *zip(*itertools.product(
+                range(q), repeat=2)))).ljust(256, b"\0")
+        return silent, tuple(columns), product
+
+    @property
+    def columnar(self) -> bool:
+        """Whether rejected_rows can judge this strategy: a tower
+        (_step_plan) over a field with Q <= 16."""
+        return self._column_plan is not None
+
+    def rejected_rows(self, d: bytes, xs: Sequence[bytes]) -> int:
+        """The rows of a batch that accepts rejects, for a columnar
+        strategy.  Row r is (d[r], xs[0][r], ..., xs[n-1][r]): one byte
+        column for the bit and one per challenge, all of one length N.
+
+        Returns an int whose N bytes, big-endian, are 1 at the rejected
+        rows and 0 elsewhere, so bit_count() counts them.  A row is
+        rejected when d, every silent challenge and every step's last
+        challenge are nonzero and every step's tables lose on its pair
+        (A, B): accepts' test, read column by column.  The pair column is
+        int(A)*Q + int(B) over big-endian ints: no byte lane carries, as
+        A*Q + B < Q^2 <= 256, and one translate through the step's lost
+        table gives its outcome in every row.  A window of several
+        challenges folds into its product column the same way, through
+        the product table.
+        """
+        silent, steps, product = self._column_plan
+        q, n = self.field.q, len(d)
+
+        def pairs(a: bytes, b: bytes) -> bytes:
+            return (int.from_bytes(a, "big") * q
+                    + int.from_bytes(b, "big")).to_bytes(n, "big")
+
+        def window(positions: tuple[int, ...]) -> bytes:
+            column = xs[positions[0]]
+            for j in positions[1:]:
+                column = pairs(column, xs[j]).translate(product)
+            return column
+
+        alive = int.from_bytes(d.translate(_NONZERO), "big")
+        for j in silent:
+            alive &= int.from_bytes(xs[j].translate(_NONZERO), "big")
+        for last, window_a, window_b, lost in steps:
+            alive &= int.from_bytes(xs[last].translate(_NONZERO), "big")
+            alive &= int.from_bytes(
+                pairs(window(window_a), window(window_b)).translate(lost),
+                "big")
+        return alive
+
     def accepts(self, d: int, xs: tuple[int, ...]) -> bool:
         """Verdict on (d, xs): the chain ends at eta_n = 0.  This is
         verify_values' test, whose chained value is alpha_k = (-1)^k*eta_k.
@@ -265,6 +361,22 @@ class CheatStrategy:
 
 def _zero_round(d, xs, etas) -> int:
     return 0
+
+
+def _product_columns(q: int, n: int) -> Iterator[list[bytes]]:
+    """The n byte columns of every challenge tuple over range(q), in
+    product order, a chunk at a time: each chunk runs through the last L
+    challenges, L the most with Q^L <= _CHUNK_ROWS, and holds the leading
+    n - L constant."""
+    tail = 0
+    while tail < n and q ** (tail + 1) <= _CHUNK_ROWS:
+        tail += 1
+    size = q ** tail
+    varying = [b"".join(bytes([v]) * q ** (n - 1 - j) for v in range(q))
+               * q ** (j - n + tail) for j in range(n - tail, n)]
+    constant = [bytes([v]) * size for v in range(q)]
+    for lead in itertools.product(constant, repeat=n - tail):
+        yield [*lead, *varying]
 
 
 def _check_reads(model: CausalModel, k: int, n: int,

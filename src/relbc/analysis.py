@@ -19,24 +19,38 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .adversary import CausalModel, CheatStrategy, build_attack, tower_gamma
+from .adversary import (CausalModel, CheatStrategy, _product_columns,
+                        build_attack, tower_gamma)
 from .errors import CapabilityError
 from .field import FieldSpec
 from .games import DetStrategy, GameDist, win_probability
-from .protocol import Variant, _draws
+from .protocol import Variant, _TOP_BITS, _draws
 
 EXACT_ENUM_CAP = 10 ** 8
 
 
 def exact_cheat_probability(strategy: CheatStrategy) -> Fraction:
-    """Exact acceptance probability by full enumeration of (d, challenges)."""
+    """Exact acceptance probability by full enumeration of (d, challenges).
+
+    A columnar strategy (Q <= 16 tower) counts the rejected d = 1 inputs a
+    chunk of product-order columns at a time (every d = 0 input is
+    accepted), so memory stays bounded; any other plays every input
+    through accepts.
+    """
     params = strategy.params
-    total = 2 * params.field.q ** params.n_challenges
+    q, n = params.field.q, params.n_challenges
+    total = 2 * q ** n
     if total > EXACT_ENUM_CAP:
         raise CapabilityError(
             f"exact enumeration needs {total} transcripts (cap {EXACT_ENUM_CAP});"
             " use mc_cheat_probability")
-    return Fraction(sum(strategy.verdicts()), total)
+    if not strategy.columnar:
+        return Fraction(sum(strategy.verdicts()), total)
+    rejected = 0
+    for xs in _product_columns(q, n):
+        ones = b"\1" * len(xs[0])
+        rejected += strategy.rejected_rows(ones, xs).bit_count()
+    return Fraction(total - rejected, total)
 
 
 _TINY = 1e-300
@@ -244,7 +258,19 @@ def _table_wins(table: bytes, samples: int, rng: random.Random) -> int:
 def _transcripts(rng: random.Random, q: int, n_ch: int, samples: int
                  ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """`samples` uniform (d, challenges), each drawn as d = randrange(2)
-    followed by n_ch draws of randrange(q), the same draws in bulk.
+    followed by n_ch draws of randrange(q), the same draws in bulk
+    (_row_blocks)."""
+    d_shift, width = q.bit_length() - 2, n_ch + 1
+    for draws, starts in _row_blocks(rng, q, n_ch, samples):
+        for i in starts:
+            yield draws[i] >> d_shift, tuple(draws[i + 1:i + width])
+
+
+def _row_blocks(rng: random.Random, q: int, n_ch: int, samples: int
+                ) -> Iterator[tuple[bytes | list[int], list[int]]]:
+    """The rows of `samples` transcripts, a _draws block at a time: the
+    block's draws and the start i of each row in it, whose d is
+    draws[i] >> (k - 2) and whose challenges are draws[i + 1:i + n_ch + 1].
 
     With k = q.bit_length(), randrange(2) keeps a try on word w when
     w < 2^31 and reads w >> 30, and randrange(q) keeps it when
@@ -255,21 +281,41 @@ def _transcripts(rng: random.Random, q: int, n_ch: int, samples: int
     on average.
     """
     k = q.bit_length()
-    half, d_shift, width = 1 << (k - 1), k - 2, n_ch + 1
+    half, width = 1 << (k - 1), n_ch + 1
     rest = ()
     while samples:
         draws = _draws(rng, q, samples * (n_ch * half + q) // half)
         if rest:
             draws = rest + draws
+        starts = []
         i, end = 0, len(draws) - n_ch
         while samples and i < end:
             if draws[i] >= half:
                 i += 1
                 continue
-            yield draws[i] >> d_shift, tuple(draws[i + 1:i + width])
+            starts.append(i)
             i += width
             samples -= 1
+        yield draws, starts
         rest = draws[i:]
+
+
+def _column_rejections(strategy: CheatStrategy, rng: random.Random,
+                       samples: int) -> int:
+    """Rejections among `samples` drawn transcripts of a columnar strategy:
+    _row_blocks' rows, judged a block at a time by rejected_rows.  For
+    Q <= 16 every draw is a byte, so a block's rows join into one byte
+    string whose columns are strided slices; d = draws[i] >> (k - 2) is
+    the translate _TOP_BITS[10 - k]."""
+    q, n = strategy.field.q, strategy.n_challenges
+    to_d, width = _TOP_BITS[10 - q.bit_length()], n + 1
+    rejected = 0
+    for draws, starts in _row_blocks(rng, q, n, samples):
+        rows = b"".join([draws[i:i + width] for i in starts])
+        rejected += strategy.rejected_rows(
+            rows[::width].translate(to_d),
+            [rows[j::width] for j in range(1, width)]).bit_count()
+    return rejected
 
 
 def mc_cheat_probability(strategy: CheatStrategy,
@@ -278,10 +324,12 @@ def mc_cheat_probability(strategy: CheatStrategy,
 
     For input spaces of at most MC_TABLE_CAP the trials are index draws
     from the strategy's verdict table, which is built once per strategy;
-    larger spaces play each drawn transcript.  One routine, _draws, makes
-    every draw in bulk from getrandbits blocks: draws below 256 (tables of
-    at most 256 entries, transcripts over Q <= 256) come out as bytes from
-    the top byte of each 32-bit word, wider ones from the whole word.  The
+    larger spaces draw transcripts, judged in batches by rejected_rows on
+    a columnar strategy (a Q <= 16 tower) and one by one by accepts
+    otherwise.  One routine, _draws, makes every draw in bulk from
+    getrandbits blocks: draws below 256 (tables of at most 256 entries,
+    transcripts over Q <= 256) come out as bytes from the top byte of
+    each 32-bit word, wider ones from the whole word.  The
     stream is the one per-draw randrange calls give, so seeded estimates
     do not change.
     """
@@ -292,6 +340,8 @@ def mc_cheat_probability(strategy: CheatStrategy,
     table = strategy.verdict_table
     if table is not None:
         wins = _table_wins(table, samples, rng)
+    elif strategy.columnar:
+        wins = samples - _column_rejections(strategy, rng, samples)
     else:
         accepts = strategy.accepts
         wins = sum(accepts(d, xs) for d, xs in _transcripts(

@@ -12,6 +12,7 @@ import operator
 import random
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -81,6 +82,16 @@ class DetStrategy:
             if len(table) != q or min(table) < 0 or max(table) >= q:
                 raise ValueError(f"{name} must be {q} valid element indices")
             object.__setattr__(self, name, table)
+
+    @cached_property
+    def wins(self) -> bytes:
+        """The win matrix, row-major: wins[a*Q + b] is 1 when the pair wins
+        on (a, b), s1[a] + s2[b] = a*b, and 0 otherwise.  Built on first use
+        from Q^2 field ops and kept with the strategy: 16 MB at Q = 4096."""
+        spec = self.field
+        q, add, mul, s2 = spec.q, spec.add, spec.mul, self.s2
+        return b"".join(bytes([add(c, s2[b]) == mul(a, b) for b in range(q)])
+                        for a, c in enumerate(self.s1))
 
     @classmethod
     def zeros(cls, field: FieldSpec) -> "DetStrategy":
@@ -415,9 +426,10 @@ def best_shift(strategy: DetStrategy, dist: GameDist) -> BestShift:
     set W = {(a, b) : s1[a] + s2[b] = a*b} alone.  With integer weights
     w[0] = A and w[x] = B for x != 0, its score is
     B^2*|W| + B*(A-B)*(r_u + c_v) + (A-B)^2*[(u, v) in W], where r_u and c_v
-    count W's elements in row u and column v.  Building W takes Q^2 field
-    ops and scoring all Q^2 translates O(Q^2) integer ops; only the winner
-    is shifted.  Ties go to the first maximum in row-major (u, v) order.
+    count W's elements in row u and column v.  W is the strategy's win
+    matrix (DetStrategy.wins, Q^2 field ops once per strategy), and scoring
+    all Q^2 translates takes O(Q^2) integer ops; only the winner is
+    shifted.  Ties go to the first maximum in row-major (u, v) order.
     Since the average of the shifted values over (u, v) equals the uniform
     winning probability, the maximum is at least the uniform value of the
     input strategy.
@@ -425,21 +437,18 @@ def best_shift(strategy: DetStrategy, dist: GameDist) -> BestShift:
     _check_same_field(strategy.field, dist.field)
     spec = strategy.field
     q = spec.q
-    add, mul = spec.add, spec.mul
-    s1, s2 = strategy.s1, strategy.s2
-    wins = [[add(s1[a], s2[b]) == mul(a, b) for b in range(q)]
-            for a in range(q)]
-    rows = [sum(row) for row in wins]
-    cols = [sum(col) for col in zip(*wins)]
+    wins = strategy.wins
     w, den = dist.weights()
     zero, other = w[0], w[1]
-    base = other * other * sum(rows)
+    base = other * other * wins.count(1)
     cross, corner = other * (zero - other), (zero - other) ** 2
+    col_scores = [cross * wins[v::q].count(1) for v in range(q)]
     best_score, best_u, best_v = -1, 0, 0
     for u in range(q):
-        row_u, base_u = wins[u], base + cross * rows[u]
+        row_u = wins[u * q:u * q + q]
+        base_u = base + cross * row_u.count(1)
         for v in range(q):
-            score = base_u + cross * cols[v] + corner * row_u[v]
+            score = base_u + col_scores[v] + corner * row_u[v]
             if score > best_score:
                 best_score, best_u, best_v = score, u, v
     return BestShift(best_u, best_v, shift_strategy(strategy, best_u, best_v),

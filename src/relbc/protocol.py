@@ -20,6 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import CapabilityError
 from .field import FieldSpec
@@ -238,28 +239,53 @@ def hiding_distribution(params: ProtocolParams, upto_round: int
     strictly before the final reveal the two per-bit distributions are
     identical (perfect hiding); at the full length they differ.
     """
+    return hiding_distributions(params, (upto_round,))[0]
+
+
+def hiding_distributions(params: ProtocolParams, rounds: Sequence[int]
+                         ) -> list[dict[int, dict[tuple, Fraction]]]:
+    """hiding_distribution for each of `rounds`, from one enumeration of
+    the states of the last round R = max(rounds).
+
+    A state is the challenges and the shares a round's view depends on.
+    Round r's view is round R's view truncated to the first min(r, n)
+    challenges and the first r responses, and every state of round r
+    extends to the same number of states of round R, so counting the
+    truncated views over R's states gives r's masses exactly.  The cap is
+    checked for each round, smallest first.
+    """
     last = params.n_rounds
-    if not 1 <= upto_round <= last:
-        raise ValueError(f"upto_round must lie in 1..{last}")
+    for r in sorted(rounds):
+        if not 1 <= r <= last:
+            raise ValueError(f"upto_round must lie in 1..{last}")
+        states = params.field.q ** (min(r, params.n_challenges)
+                                    + min(r, last - 1))
+        if 2 * states > HIDING_STATE_CAP:
+            raise CapabilityError(
+                f"hiding enumeration needs {2 * states} states"
+                f" (cap {HIDING_STATE_CAP})")
+    top = max(rounds)
     q = params.field.q
-    n_x = min(upto_round, params.n_challenges)
-    n_a = min(upto_round, last - 1)
+    n_x = min(top, params.n_challenges)
+    n_a = min(top, last - 1)
     states = q ** (n_x + n_a)
-    if 2 * states > HIDING_STATE_CAP:
-        raise CapabilityError(
-            f"hiding enumeration needs {2 * states} states"
-            f" (cap {HIDING_STATE_CAP})")
     pad_x = (0,) * (params.n_challenges - n_x)
     pad_a = (0,) * (last - n_a)
-    out: dict[int, dict[tuple, Fraction]] = {}
+    cuts = [min(r, params.n_challenges) for r in rounds]
+    out: list[dict[int, dict[tuple, Fraction]]] = [{} for _ in rounds]
     for d in (0, 1):
-        counts: dict[tuple, int] = {}
+        counts: list[dict[tuple, int]] = [{} for _ in rounds]
         for xs in itertools.product(range(q), repeat=n_x):
             full_xs = xs + pad_x
+            views = [(count, xs[:cut], r)
+                     for count, cut, r in zip(counts, cuts, rounds)]
             for a in itertools.product(range(q), repeat=n_a):
                 rand = HonestSharedRandomness(a + pad_a, full_xs)
-                key = (xs, honest_responses(params, d, rand)[:upto_round])
-                counts[key] = counts.get(key, 0) + 1
-        mass = {n: Fraction(n, states) for n in set(counts.values())}
-        out[d] = {key: mass[n] for key, n in counts.items()}
+                ys = honest_responses(params, d, rand)
+                for count, seen, r in views:
+                    key = (seen, ys[:r])
+                    count[key] = count.get(key, 0) + 1
+        for view, count in zip(out, counts):
+            mass = {n: Fraction(n, states) for n in set(count.values())}
+            view[d] = {key: mass[n] for key, n in count.items()}
     return out

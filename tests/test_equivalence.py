@@ -14,9 +14,13 @@ BestShift as the original O(Q^4) loop that shifts and rescores each
 translate; on the same random.Random stream, the bulk verdict-table draws
 must count the same wins as the original per-draw randrange loop, and the
 bulk transcript draws must give the same transcripts as the original
-per-sample randrange calls; and run_honest, which draws its shares in one
+per-sample randrange calls; run_honest, which draws its shares in one
 block and computes its responses in one pass, must give the same
-Transcript as the original per-call sample and per-round honest_response.
+Transcript as the original per-call sample and per-round honest_response;
+and the column verdict of a tower over Q <= 16 (rejected_rows) must
+reject exactly the inputs accepts rejects, in exact enumeration, the
+verdict table and Monte Carlo, while every other strategy still plays
+each transcript through accepts.
 """
 
 import itertools
@@ -30,9 +34,11 @@ from hypothesis import strategies as st
 
 from relbc import (
     CausalModel,
+    CheatStrategy,
     DetStrategy,
     FieldSpec,
     GameDist,
+    CapabilityError,
     HonestSharedRandomness,
     ProtocolParams,
     Transcript,
@@ -40,18 +46,25 @@ from relbc import (
     best_shift,
     brute_force_value,
     build_attack,
+    exact_cheat_probability,
+    hiding_distribution,
+    hiding_distributions,
     honest_response,
+    mc_cheat_probability,
+    predicted_attack_probability,
     run_honest,
     shift_strategy,
     tower_gamma,
     verify_values,
     win_probability,
+    zeros_strategy,
 )
-from relbc import protocol
-from relbc.analysis import _table_wins, _transcripts
+from relbc import adversary, protocol
+from relbc.adversary import _product_columns
+from relbc.analysis import _column_rejections, _table_wins, _transcripts
 from relbc.games import BestShift, _game_tables, _greedy_best
 
-from oracles import compute_eta
+from oracles import compute_eta, symmetrize_up
 
 FIELDS = {q: spec for q, spec in (
     (2, FieldSpec(2)), (3, FieldSpec(3)), (4, FieldSpec(2, 2)),
@@ -543,3 +556,246 @@ def test_run_honest_matches_per_call_reference(spec, variant, block_words,
                     for k in range(1, params.n_rounds + 1)] \
                 == [reference_honest_response(params, k, d, rand)
                     for k in range(1, params.n_rounds + 1)]
+
+
+# --- reference: the original hiding enumeration, one round at a time ----------
+
+def reference_hiding_distribution(params: ProtocolParams, upto_round: int):
+    last = params.n_rounds
+    q = params.field.q
+    n_x = min(upto_round, params.n_challenges)
+    n_a = min(upto_round, last - 1)
+    states = q ** (n_x + n_a)
+    pad_x = (0,) * (params.n_challenges - n_x)
+    pad_a = (0,) * (last - n_a)
+    out = {}
+    for d in (0, 1):
+        dist = {}
+        for xs in itertools.product(range(q), repeat=n_x):
+            for a in itertools.product(range(q), repeat=n_a):
+                rand = HonestSharedRandomness(a + pad_a, xs + pad_x)
+                ys = tuple(reference_honest_response(params, k, d, rand)
+                           for k in range(1, upto_round + 1))
+                key = (xs, ys)
+                dist[key] = dist.get(key, 0) + Fraction(1, states)
+        out[d] = dist
+    return out
+
+
+@pytest.mark.parametrize("spec, m, variant", [
+    (FIELDS[2], 1, Variant.STANDARD), (FIELDS[2], 4, Variant.STANDARD),
+    (FIELDS[2], 4, Variant.SYMMETRIZED), (FIELDS[3], 3, Variant.STANDARD),
+    (FIELDS[3], 3, Variant.SYMMETRIZED), (FIELDS[4], 2, Variant.SYMMETRIZED),
+], ids=["q2-m1", "q2-m4", "q2-m4-sym", "q3-m3", "q3-m3-sym", "q4-m2-sym"])
+def test_truncated_hiding_views_match_per_round_enumeration(spec, m, variant):
+    # every round's view from one enumeration of the last round's states,
+    # and the last two alone, as the hiding command asks for them
+    params = ProtocolParams(spec, m, variant)
+    last = params.n_rounds
+    want = [reference_hiding_distribution(params, r)
+            for r in range(1, last + 1)]
+    assert hiding_distributions(params, range(1, last + 1)) == want
+    assert hiding_distributions(params, (last - 1, last)) == want[-2:]
+    assert [hiding_distribution(params, r) for r in range(1, last + 1)] == want
+
+
+def test_hiding_views_check_the_cap_round_by_round():
+    # the smaller round's state count is the one reported, as when the
+    # rounds were enumerated one at a time (symmetrized: round 8 also
+    # enumerates the last challenge, so the two counts differ)
+    params = ProtocolParams(FieldSpec(5), 8, Variant.SYMMETRIZED)
+    with pytest.raises(CapabilityError) as alone:
+        hiding_distribution(params, 7)
+    with pytest.raises(CapabilityError) as merged:
+        hiding_distributions(params, (7, 8))
+    assert str(merged.value) == str(alone.value)
+
+
+# --- reference: accepts, one transcript at a time, for the column verdict ----
+
+COLUMN_FIELDS = [FIELDS[q] for q in (2, 3, 4, 5, 7, 8, 9)] + [FieldSpec(2, 4)]
+
+
+def _rows_as_columns(rows):
+    """The d column and the challenge columns of a list of (d, xs) rows."""
+    return (bytes(d for d, _ in rows),
+            [bytes(col) for col in zip(*(xs for _, xs in rows))])
+
+
+def _rejected_bytes(strategy, d, xs) -> bytes:
+    return strategy.rejected_rows(d, xs).to_bytes(len(d), "big")
+
+
+def _towers(spec, rng):
+    """A tower with a seeded random game at every m = 2..13 for each
+    variant, rho in {2, 4} and k0 in {0, 1, 2} (the shortest lengths fit
+    no step and give zeros_strategy), and zeros_strategy itself."""
+    for variant in Variant:
+        for rho in (2, 4):
+            for k0 in (0, 1, 2):
+                model = CausalModel(rho=rho, k0=k0)
+                for m in range(2, 14):
+                    yield build_attack(spec, variant, m, model,
+                                       DetStrategy.random(spec, rng))
+        yield zeros_strategy(spec, variant, 5)
+
+
+@pytest.mark.parametrize("spec", COLUMN_FIELDS, ids=lambda s: f"q{s.q}")
+def test_column_verdict_matches_accepts(spec):
+    # every input while 2*Q^n fits the verdict table, and 200 seeded rows
+    # with a random bit and mostly nonzero challenges (rows with a zero
+    # challenge are nearly always accepted) at every length
+    q = spec.q
+    rng = random.Random(f"columns:{q}")
+    for s in _towers(spec, rng):
+        assert s.columnar
+        n = s.n_challenges
+        size = q ** n
+        if 2 * size <= adversary.MC_TABLE_CAP:
+            inputs = list(itertools.product(range(q), repeat=n))
+            (xs,) = _product_columns(q, n)
+            assert _rejected_bytes(s, b"\1" * size, xs) == bytes(
+                not s.accepts(1, row) for row in inputs)
+            assert s.verdict_table == bytes(s.accepts(d, row) for d in (0, 1)
+                                            for row in inputs)
+        rows = [(rng.randrange(2),
+                 tuple(rng.randrange(1, q) if rng.random() < 0.9 else 0
+                       for _ in range(n))) for _ in range(200)]
+        assert _rejected_bytes(s, *_rows_as_columns(rows)) == bytes(
+            not s.accepts(*row) for row in rows)
+
+
+@pytest.mark.parametrize("spec", COLUMN_FIELDS, ids=lambda s: f"q{s.q}")
+def test_column_verdict_matches_accepts_on_the_largest_enumeration(spec):
+    # the longest rho = 2 standard tower whose 2*Q^n inputs stay below
+    # 10^5, every d = 1 input
+    q = spec.q
+    m = max(m for m in range(3, 18) if 2 * q ** (m - 1) <= 10 ** 5)
+    s = build_attack(spec, Variant.STANDARD, m, CausalModel(rho=2, k0=0),
+                     DetStrategy.random(spec, random.Random(f"large:{q}")))
+    assert s.game_strategy is not None
+    got = b"".join(_rejected_bytes(s, b"\1" * len(xs[0]), xs)
+                   for xs in _product_columns(q, s.n_challenges))
+    assert got == bytes(not s.accepts(1, row) for row in itertools.product(
+        range(q), repeat=s.n_challenges))
+
+
+def test_product_columns_run_through_product_order(monkeypatch):
+    monkeypatch.setattr(adversary, "_CHUNK_ROWS", 10)
+    for q, n in ((2, 5), (3, 4), (16, 2), (5, 1)):
+        rows = [bytes(row) for xs in _product_columns(q, n)
+                for row in zip(*xs)]
+        assert rows == [bytes(row) for row in itertools.product(range(q),
+                                                                repeat=n)]
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 8], ids=["natural", "small"])
+def test_chunked_exact_matches_closed_form(chunk_rows, monkeypatch):
+    # GF(3) at n = 11: the d = 1 inputs span three 3^10-row chunks; with
+    # 8-row chunks every case spans many, and the chunk boundaries cut
+    # through windows and steps
+    if chunk_rows:
+        monkeypatch.setattr(adversary, "_CHUNK_ROWS", chunk_rows)
+        cases = [(FIELDS[2], Variant.STANDARD, 9, CausalModel(2, 1)),
+                 (FIELDS[3], Variant.SYMMETRIZED, 7, CausalModel(4, 2)),
+                 (FIELDS[4], Variant.SYMMETRIZED, 6, CausalModel(2, 0))]
+    else:
+        cases = [(FIELDS[3], Variant.SYMMETRIZED, 11, CausalModel(2, 0))]
+    rng = random.Random(f"chunks:{chunk_rows}")
+    for spec, variant, m, model in cases:
+        game = DetStrategy.random(spec, rng)
+        s = build_attack(spec, variant, m, model, game)
+        assert len(list(_product_columns(spec.q, s.n_challenges))) > 1
+        assert exact_cheat_probability(s) == predicted_attack_probability(
+            spec, variant, m, model, game)
+
+
+def _reference_mc_wins(s, samples, seed):
+    return sum(s.accepts(d, xs) for d, xs in reference_transcripts(
+        random.Random(f"{seed}:mc"), s.field.q, s.n_challenges, samples))
+
+
+@pytest.mark.parametrize("spec, variant, m, model", [
+    (FIELDS[2], Variant.SYMMETRIZED, 13, CausalModel(2, 1)),
+    (FIELDS[3], Variant.STANDARD, 9, CausalModel(4, 0)),
+    (FIELDS[5], Variant.SYMMETRIZED, 8, CausalModel(2, 2)),
+    (FIELDS[7], Variant.STANDARD, 6, CausalModel(2, 0)),
+    (FIELDS[9], Variant.SYMMETRIZED, 16, CausalModel(4, 1)),
+    (FieldSpec(2, 4), Variant.STANDARD, 31, CausalModel(2, 0)),
+], ids=["q2", "q3-rho4", "q5", "q7", "q9-rho4", "q16-m31"])
+def test_column_mc_wins_match_accepts_loop(spec, variant, m, model):
+    s = build_attack(spec, variant, m, model,
+                     DetStrategy.random(spec, random.Random(f"mc:{m}")))
+    assert s.columnar and s.verdict_table is None
+    for seed in range(3):
+        assert mc_cheat_probability(s, 500, seed).wins \
+            == _reference_mc_wins(s, 500, seed)
+
+
+@pytest.mark.parametrize("spec, variant, m, seed", [
+    (FIELDS[3], Variant.SYMMETRIZED, 8, 3187),
+    (FieldSpec(2, 4), Variant.STANDARD, 5, 22),
+    (FIELDS[5], Variant.SYMMETRIZED, 6, 1005),
+], ids=["q3", "q16", "q5"])
+def test_column_mc_refills_when_first_block_is_short(spec, variant, m, seed):
+    # seeds found by search: the first full-size block's rows fall short of
+    # 100, so the rest carries over into a second getrandbits block
+    s = build_attack(spec, variant, m, CausalModel(),
+                     DetStrategy.random(spec, random.Random(1)))
+    rng = _CountingRandom(f"{seed}:mc")
+    rejected = _column_rejections(s, rng, 100)
+    assert rng.calls == 2
+    assert 100 - rejected == _reference_mc_wins(s, 100, seed) \
+        == mc_cheat_probability(s, 100, seed).wins
+
+
+def test_column_mc_spans_many_small_blocks(monkeypatch):
+    monkeypatch.setattr(protocol, "_DRAW_BLOCK_WORDS", 61)
+    s = build_attack(FIELDS[7], Variant.SYMMETRIZED, 9, CausalModel(4, 1),
+                     DetStrategy.random(FIELDS[7], random.Random(7)))
+    rng = _CountingRandom("7:mc")
+    rejected = _column_rejections(s, rng, 400)
+    assert rng.calls > 10
+    assert 400 - rejected == _reference_mc_wins(s, 400, 7)
+
+
+def test_per_transcript_path_beyond_q16_and_without_a_step_plan(monkeypatch):
+    calls = []
+    accepts = CheatStrategy.accepts
+
+    def spy(self, d, xs):
+        calls.append(self.field.q)
+        return accepts(self, d, xs)
+
+    monkeypatch.setattr(CheatStrategy, "accepts", spy)
+    gf16, gf27, gf256 = FieldSpec(2, 4), FieldSpec(3, 3), FieldSpec(2, 8)
+    rng = random.Random("spy")
+
+    def tower(spec, variant, m):
+        return build_attack(spec, variant, m, CausalModel(),
+                            DetStrategy.random(spec, rng))
+
+    # towers over Q <= 16 judge columns: no accepts call
+    exact_cheat_probability(tower(gf16, Variant.STANDARD, 4))
+    mc_cheat_probability(tower(gf16, Variant.STANDARD, 6), 200)
+    assert tower(FIELDS[4], Variant.SYMMETRIZED, 5).verdict_table is not None
+    assert calls == []
+    # Q = 27 and Q = 256 play each transcript
+    big = tower(gf27, Variant.SYMMETRIZED, 3)
+    assert not big.columnar
+    assert exact_cheat_probability(big) == predicted_attack_probability(
+        gf27, Variant.SYMMETRIZED, 3, CausalModel(), big.game_strategy)
+    assert calls == [27] * (2 * 27 ** 3)
+    calls.clear()
+    mc_cheat_probability(big, 200)
+    mc_cheat_probability(tower(gf256, Variant.SYMMETRIZED, 31), 100)
+    assert calls == [27] * 200 + [256] * 100
+    # so does a strategy with no step plan, at any Q
+    calls.clear()
+    lifted = symmetrize_up(tower(gf16, Variant.STANDARD, 6))
+    small = symmetrize_up(tower(FIELDS[2], Variant.STANDARD, 4))
+    assert not lifted.columnar and not small.columnar
+    mc_cheat_probability(lifted, 200)
+    exact_cheat_probability(small)
+    assert len(small.verdict_table) == 2 * 2 ** 4
+    assert calls == [16] * 200 + [2] * (2 * 2 * 2 ** 4)
