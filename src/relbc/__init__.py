@@ -47,7 +47,6 @@ from .protocol import (
     Variant,
     hiding_distribution,
     hiding_distributions,
-    honest_response,
     honest_responses,
     run_honest,
     tilde_transform,

@@ -88,7 +88,7 @@ class CausalModel:
 
 
 RoundFn = Callable[[int, tuple[int, ...], list[int]], int]
-# A tower step as CheatStrategy.accepts plays it, positions 0-based:
+# A tower step, positions 0-based, as accepts and rejected_rows read it:
 # (last, a, more_a, b, more_b, s1, s2), see CheatStrategy._step_plan.
 Step = tuple[int, int, tuple[int, ...], int, tuple[int, ...],
              tuple[int, ...], tuple[int, ...]]
@@ -111,15 +111,16 @@ class CheatStrategy:
     game's win test on the step's windowed challenge products, without
     calling the rounds, and stops at the first collapsing step.
 
-    A tower over a field with Q <= 16 is also judged a batch at a time
-    (rejected_rows, columnar): a step's input pair (A, B) then fits one
+    A tower over a field with Q <= 16 whose steps all play game_strategy's
+    tables is also judged a batch at a time (rejected_rows, columnar),
+    from the same step plan: a step's input pair (A, B) then fits one
     byte as A*Q + B, so one big-integer sum gives the pair column of every
-    row and one bytes.translate the step's outcome in every row.  Exact
-    enumeration, the verdict table and Monte Carlo take that path on such
-    towers; accepts stays the one path for Q > 16 and for strategies with
-    no step plan, and the reference the batch verdict is tested against.
-    The strategy is frozen, so its verdict table and plans, built on first
-    use, cannot go stale.
+    row and one bytes.translate through the plugged game's lost table the
+    step's outcome in every row.  Exact enumeration, the verdict table and
+    Monte Carlo take that path on such towers; accepts stays the one path
+    for every other strategy, and the reference the batch verdict is
+    tested against.  The strategy is frozen, so its verdict table, step
+    plan and product table, built on first use, cannot go stale.
     """
 
     field: FieldSpec
@@ -228,41 +229,24 @@ class CheatStrategy:
                 return None
         return tuple(silent), tuple(steps)
 
-    @cached_property
-    def _column_plan(self) -> Optional[tuple[tuple[int, ...],
-                                             tuple[tuple, ...], bytes]]:
-        """(silent positions, steps, product table) as rejected_rows reads
-        them, or None without a step plan or when Q > 16.
-
-        A step is (last, window_a, window_b, lost): window positions as
-        tuples, and the 256-byte table that maps A*Q + B to 1 when the
-        step's tables lose CHSH_Q on (A, B), from the plugged
-        DetStrategy's win matrix, which is built once per game strategy.
-        product maps x*Q + y to x*y; it is built only for a window of more
-        than one challenge (rho >= 4).
-        """
-        plan, spec = self._step_plan, self.field
-        q = spec.q
-        if plan is None or q * q > 256:
-            return None
-        silent, steps = plan
-        game, columns = self.game_strategy, []
-        for last, a, more_a, b, more_b, s1, s2 in steps:
-            if game is None or (game.s1, game.s2) != (s1, s2):
-                game = DetStrategy(spec, s1, s2)
-            columns.append((last, (a, *more_a), (b, *more_b),
-                            game.wins.translate(_LOST).ljust(256, b"\0")))
-        product = b""
-        if any(more_a or more_b for _, _, more_a, _, more_b, _, _ in steps):
-            product = bytes(map(spec.mul, *zip(*itertools.product(
-                range(q), repeat=2)))).ljust(256, b"\0")
-        return silent, tuple(columns), product
-
     @property
     def columnar(self) -> bool:
         """Whether rejected_rows can judge this strategy: a tower
-        (_step_plan) over a field with Q <= 16."""
-        return self._column_plan is not None
+        (_step_plan) over a field with Q <= 16 whose every step plays
+        game_strategy's tables, so that one lost table serves every step.
+        A strategy with no step (zeros, padding only) is columnar."""
+        plan, game = self._step_plan, self.game_strategy
+        return (self.field.q <= 16 and plan is not None
+                and all(game is not None and (s1, s2) == (game.s1, game.s2)
+                        for *_, s1, s2 in plan[1]))
+
+    @cached_property
+    def _product_table(self) -> bytes:
+        """The 256-byte table that maps x*Q + y to x*y, through which
+        rejected_rows folds a window of several challenges (rho >= 4)."""
+        spec = self.field
+        return bytes(map(spec.mul, *zip(*itertools.product(
+            range(spec.q), repeat=2)))).ljust(256, b"\0")
 
     def rejected_rows(self, d: bytes, xs: Sequence[bytes]) -> int:
         """The rows of a batch that accepts rejects, for a columnar
@@ -272,34 +256,37 @@ class CheatStrategy:
         Returns an int whose N bytes, big-endian, are 1 at the rejected
         rows and 0 elsewhere, so bit_count() counts them.  A row is
         rejected when d, every silent challenge and every step's last
-        challenge are nonzero and every step's tables lose on its pair
-        (A, B): accepts' test, read column by column.  The pair column is
-        int(A)*Q + int(B) over big-endian ints: no byte lane carries, as
-        A*Q + B < Q^2 <= 256, and one translate through the step's lost
-        table gives its outcome in every row.  A window of several
-        challenges folds into its product column the same way, through
-        the product table.
+        challenge are nonzero and every step loses CHSH_Q on its pair
+        (A, B): accepts' test on the same _step_plan, read column by
+        column.  The pair column is int(A)*Q + int(B) over big-endian
+        ints: no byte lane carries, as A*Q + B < Q^2 <= 256, and one
+        translate through the lost table, which maps A*Q + B to 1 when
+        game_strategy.wins is 0 there, gives the step's outcome in every
+        row.  A window of several challenges folds into its product
+        column the same way, through _product_table.
         """
-        silent, steps, product = self._column_plan
+        silent, steps = self._step_plan
         q, n = self.field.q, len(d)
 
         def pairs(a: bytes, b: bytes) -> bytes:
             return (int.from_bytes(a, "big") * q
                     + int.from_bytes(b, "big")).to_bytes(n, "big")
 
-        def window(positions: tuple[int, ...]) -> bytes:
-            column = xs[positions[0]]
-            for j in positions[1:]:
-                column = pairs(column, xs[j]).translate(product)
+        def window(first: int, more: tuple[int, ...]) -> bytes:
+            column = xs[first]
+            for j in more:
+                column = pairs(column, xs[j]).translate(self._product_table)
             return column
 
         alive = int.from_bytes(d.translate(_NONZERO), "big")
         for j in silent:
             alive &= int.from_bytes(xs[j].translate(_NONZERO), "big")
-        for last, window_a, window_b, lost in steps:
+        if steps:  # a strategy with no step may have no game_strategy
+            lost = self.game_strategy.wins.translate(_LOST).ljust(256, b"\0")
+        for last, a, more_a, b, more_b, _, _ in steps:
             alive &= int.from_bytes(xs[last].translate(_NONZERO), "big")
             alive &= int.from_bytes(
-                pairs(window(window_a), window(window_b)).translate(lost),
+                pairs(window(a, more_a), window(b, more_b)).translate(lost),
                 "big")
         return alive
 

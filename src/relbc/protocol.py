@@ -145,15 +145,6 @@ def honest_responses(params: ProtocolParams, d: int,
             *map(add, map(mul, xs[1:last - 1], a), a[1:last - 1]), final)
 
 
-def honest_response(params: ProtocolParams, k: int, d: int,
-                    randomness: HonestSharedRandomness) -> int:
-    """Honest committer's response index at round k (1-based)."""
-    last = params.n_rounds
-    if not 1 <= k <= last:
-        raise ValueError(f"round index {k} out of range 1..{last}")
-    return honest_responses(params, d, randomness)[k - 1]
-
-
 def verify_values(params: ProtocolParams, d: int,
                   challenges: tuple[int, ...], responses: tuple[int, ...]) -> bool:
     """Acceptance verdict from the chained value, in one pass.

@@ -284,6 +284,9 @@ def test_extend_symmetrized_pads_deficit():
     assert extend_symmetrized(s, 0) is s
     with pytest.raises(ValueError):
         extend_symmetrized(s, -1)
+    with pytest.raises(ValueError,
+                       match="extend_symmetrized expects a symmetrized"):
+        extend_symmetrized(desymmetrize(s), 1)
 
 
 def test_symmetrize_up_dominates():

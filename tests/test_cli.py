@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, config precedence, exit codes."""
 
+import csv
 import json
 import random
 import time
@@ -11,12 +12,14 @@ from relbc import (
     CausalModel,
     FieldSpec,
     GameDist,
+    McEstimate,
     Variant,
     brute_force_value,
     cli,
     predicted_attack_probability,
     tower_gamma,
 )
+from relbc.analysis import SWEEP_COLUMNS
 from relbc.cli import load_config, main, parse_m_list
 
 
@@ -95,6 +98,26 @@ def test_field_check_reducible_modulus_exits_config():
     result = invoke("field-check", "--p", "2", "--n", "2",
                     "--modulus", "1,0,1")
     assert result.exit_code == 2
+
+
+def test_field_check_zero_degree_exits_config():
+    result = invoke("field-check", "--n", "0")
+    _assert_config_error(result)
+    assert "extension degree must be >= 1, got 0" in result.stderr
+
+
+def test_field_check_prints_violations_and_exits_property(monkeypatch):
+    # neg(a) = a breaks a + (-a) = 0 at every a != 0 of GF(3) and no other
+    # axiom; the report lists the first ten failing triples
+    monkeypatch.setattr(FieldSpec, "neg", lambda self, a: a)
+    result = invoke("field-check", "--p", "3", "--triples", "40")
+    assert result.exit_code == cli.EXIT_PROPERTY
+    data = json.loads(result.output)
+    rng = random.Random("0:field-check")
+    triples = [[rng.randrange(3) for _ in range(3)] for _ in range(40)]
+    assert data["ok"] is False
+    assert data["violations"] == [["add_inverse", *abc] for abc in triples
+                                  if abc[0]][:10]
 
 
 def test_game_value_brute():
@@ -460,6 +483,36 @@ def test_sweep_csv(tmp_path):
     assert lines[0].startswith("q,m,rho,k0")
     assert len(lines) == 4
     assert "empirical upper constant" in result.output
+
+
+def test_sweep_without_lengths_prints_zero_rows(tmp_path):
+    out = tmp_path / "sweep.csv"
+    result = invoke("sweep", "--p", "2", "--m-list", "", "--out", str(out))
+    assert result.exit_code == 0
+    assert result.stdout == "rows: 0\n"
+    assert out.read_text().splitlines() == [",".join(SWEEP_COLUMNS)]
+
+
+def test_sweep_csv_fills_the_monte_carlo_columns(tmp_path):
+    # 2*2^3 inputs fit --exact-cap 20 and 2*2^4 do not: m = 4 is exact and
+    # m = 5 a Monte Carlo row, whose mean and half width the CSV holds
+    args = ("sweep", "--p", "2", "--m-list", "4,5", "--exact-cap", "20",
+            "--samples", "300", "--seed", "3")
+    csv_out, json_out = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+    assert invoke(*args, "--out", str(csv_out)).exit_code == 0
+    assert invoke(*args, "--format", "json",
+                  "--out", str(json_out)).exit_code == 0
+    exact, mc = json.loads(json_out.read_text())["rows"]
+    with open(csv_out, newline="") as fh:
+        exact_row, mc_row = csv.DictReader(fh)
+    assert exact["mc"] is None and exact["exact"] is not None
+    assert (exact_row["mc_mean"], exact_row["mc_ci"]) == ("", "")
+    estimate = McEstimate(**mc["mc"])
+    assert mc["exact"] is None and estimate.samples == 300
+    assert (mc_row["g_num"], mc_row["g_den"]) == ("", "")
+    assert (mc_row["mc_mean"], mc_row["mc_ci"]) == (
+        str(estimate.mean), str(estimate.half_width))
+    assert float(mc_row["mc_ci"]) > 0
 
 
 def test_sweep_json(tmp_path):

@@ -16,17 +16,19 @@ must count the same wins as the original per-draw randrange loop, and the
 bulk transcript draws must give the same transcripts as the original
 per-sample randrange calls; run_honest, which draws its shares in one
 block and computes its responses in one pass, must give the same
-Transcript as the original per-call sample and per-round honest_response;
+Transcript as the original per-call sample and per-round responses;
 and the column verdict of a tower over Q <= 16 (rejected_rows) must
 reject exactly the inputs accepts rejects, in exact enumeration, the
 verdict table and Monte Carlo, while every other strategy still plays
 each transcript through accepts.
 """
 
+import dataclasses
 import itertools
 import random
 import time
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -49,18 +51,19 @@ from relbc import (
     exact_cheat_probability,
     hiding_distribution,
     hiding_distributions,
-    honest_response,
+    honest_responses,
     mc_cheat_probability,
     predicted_attack_probability,
     run_honest,
     shift_strategy,
     tower_gamma,
+    trend_sweep,
     verify_values,
     win_probability,
     zeros_strategy,
 )
 from relbc import adversary, protocol
-from relbc.adversary import _product_columns
+from relbc.adversary import _GameRound, _product_columns
 from relbc.analysis import _column_rejections, _table_wins, _transcripts
 from relbc.games import BestShift, _game_tables, _greedy_best
 
@@ -552,10 +555,9 @@ def test_run_honest_matches_per_call_reference(spec, variant, block_words,
                 assert got.accepted
         rand = reference_sample(params, random.Random(f"{m}:shares"))
         for d in (0, 1):
-            assert [honest_response(params, k, d, rand)
-                    for k in range(1, params.n_rounds + 1)] \
-                == [reference_honest_response(params, k, d, rand)
-                    for k in range(1, params.n_rounds + 1)]
+            assert honest_responses(params, d, rand) \
+                == tuple(reference_honest_response(params, k, d, rand)
+                         for k in range(1, params.n_rounds + 1))
 
 
 # --- reference: the original hiding enumeration, one round at a time ----------
@@ -799,3 +801,67 @@ def test_per_transcript_path_beyond_q16_and_without_a_step_plan(monkeypatch):
     exact_cheat_probability(small)
     assert len(small.verdict_table) == 2 * 2 ** 4
     assert calls == [16] * 200 + [2] * (2 * 2 * 2 ** 4)
+
+
+@pytest.mark.parametrize("m", [6, 9])
+def test_tower_off_its_game_strategy_takes_accepts(m):
+    # a tower whose later steps play other tables than its game_strategy,
+    # as dataclasses.replace can make: one lost table, read off
+    # game_strategy, would misjudge it, so it is not columnar, and exact
+    # enumeration, the verdict table (m = 6) and Monte Carlo on drawn
+    # transcripts (m = 9) follow the chain of its own rounds
+    spec, rng = FIELDS[3], random.Random(f"off-game:{m}")
+    game, other = DetStrategy.random(spec, rng), DetStrategy.random(spec, rng)
+    tower = build_attack(spec, Variant.SYMMETRIZED, m, CausalModel(), game)
+
+    def replay(fn):
+        if type(fn) is not _GameRound or fn.tower_step[0] == 0:
+            return fn
+        table = (other.s1, other.s2)[fn.tower_step[1] - 1]
+        return _GameRound(spec, fn.tower_step, table, fn.window, fn.last)
+
+    altered = dataclasses.replace(tower, rounds=tuple(map(replay,
+                                                          tower.rounds)))
+    assert altered._step_plan is not None
+    assert tower.columnar and not altered.columnar
+
+    def chain_accepts(d, xs):
+        return altered._chain(d, xs, len(altered.rounds))[-1] == 0
+
+    q, n = spec.q, altered.n_challenges
+    inputs = [(d, xs) for d in (0, 1)
+              for xs in itertools.product(range(q), repeat=n)]
+    chain = bytes(chain_accepts(d, xs) for d, xs in inputs)
+    assert chain != bytes(tower.accepts(d, xs) for d, xs in inputs)
+    assert exact_cheat_probability(altered) == Fraction(chain.count(1),
+                                                        len(chain))
+    for seed in range(3):
+        if len(chain) <= adversary.MC_TABLE_CAP:
+            assert altered.verdict_table == chain
+            want = reference_table_wins(chain, 500,
+                                        random.Random(f"{seed}:mc"))
+        else:
+            assert altered.verdict_table is None
+            want = sum(chain_accepts(d, xs) for d, xs in reference_transcripts(
+                random.Random(f"{seed}:mc"), q, n, 500))
+        assert mc_cheat_probability(altered, 500, seed).wins == want
+
+
+def test_sweep_builds_the_plugged_win_matrix_once(monkeypatch):
+    # the 28 towers of a GF(16) sweep over m = 4..31 read one lost table
+    # off the plugged strategy's win matrix, which is built once
+    built = []
+    wins = DetStrategy.wins.func
+
+    def counted(self):
+        built.append(self)
+        return wins(self)
+
+    counted_wins = cached_property(counted)
+    counted_wins.__set_name__(DetStrategy, "wins")
+    monkeypatch.setattr(DetStrategy, "wins", counted_wins)
+    spec = FieldSpec(2, 4)
+    game = DetStrategy.random(spec, random.Random("sweep"))
+    rows = trend_sweep(spec, range(4, 32), game, samples=200, seed=1)
+    assert [row.m for row in rows] == list(range(4, 32))
+    assert built == [game]

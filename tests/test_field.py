@@ -29,6 +29,20 @@ def test_rejects_composite_characteristic():
             FieldSpec(p)
 
 
+def test_rejects_extension_degree_below_one():
+    with pytest.raises(ValueError, match="extension degree must be >= 1, got 0"):
+        FieldSpec(2, 0)
+
+
+@pytest.mark.parametrize("modulus", [(1, 1), (1, 1, 0, 1), (1, 1, 2)],
+                         ids=["short", "long", "not-monic"])
+def test_rejects_modulus_of_wrong_degree_or_not_monic(modulus):
+    with pytest.raises(ValueError) as info:
+        FieldSpec(3, 2, modulus)
+    assert str(info.value) == (
+        f"modulus must be monic of degree 2, got {list(modulus)}")
+
+
 def test_rejects_reducible_modulus():
     # t^2 + 1 = (t+1)^2 over GF(2)
     with pytest.raises(ValueError, match="reducible"):

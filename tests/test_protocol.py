@@ -15,7 +15,7 @@ from relbc import (
     Transcript,
     Variant,
     hiding_distribution,
-    honest_response,
+    honest_responses,
     run_honest,
     tilde_transform,
     verify_values,
@@ -79,8 +79,7 @@ def test_honest_completeness_enumerated():
                 for a in itertools.product(range(2), repeat=n_r):
                     for xs in itertools.product(range(2), repeat=n_c):
                         rand = HonestSharedRandomness(a, xs)
-                        ys = tuple(honest_response(params, k, d, rand)
-                                   for k in range(1, n_r + 1))
+                        ys = honest_responses(params, d, rand)
                         assert verify_values(params, d, xs, ys)
 
 
@@ -88,15 +87,8 @@ def test_first_response_masks_bit():
     # y_1 = d*x_1 + a_1 with uniform a_1 is uniform regardless of d
     params = ProtocolParams(GF3, 3)
     rand = HonestSharedRandomness((2, 1, 0), (1, 2))
-    assert honest_response(params, 1, 1, rand) == GF3.add(GF3.mul(1, 1), 2)
-    assert honest_response(params, 1, 0, rand) == 2
-
-
-def test_round_index_out_of_range():
-    params = ProtocolParams(GF2, 3)
-    rand = HonestSharedRandomness((0, 0, 0), (0, 0))
-    with pytest.raises(ValueError):
-        honest_response(params, 4, 0, rand)
+    assert honest_responses(params, 1, rand)[0] == GF3.add(GF3.mul(1, 1), 2)
+    assert honest_responses(params, 0, rand)[0] == 2
 
 
 def test_verify_rejects_tampered_response():
@@ -153,8 +145,7 @@ def transcripts(draw):
     honest = draw(st.booleans())
     if honest:
         rand = HonestSharedRandomness(elements(params.n_rounds), xs)
-        ys = tuple(honest_response(params, k, d, rand)
-                   for k in range(1, params.n_rounds + 1))
+        ys = honest_responses(params, d, rand)
     else:
         ys = elements(params.n_rounds)
     return params, d, xs, ys, honest
@@ -189,6 +180,11 @@ def test_transcript_round_trip():
     d = t.to_dict()
     assert d["schema"] == 1
     assert Transcript.from_dict(d) == t
+
+
+def test_run_honest_rejects_a_bit_other_than_0_or_1():
+    with pytest.raises(ValueError, match="committed bit must be 0 or 1"):
+        run_honest(ProtocolParams(GF2, 3), 2)
 
 
 def test_run_honest_deterministic_per_seed():
@@ -235,3 +231,10 @@ def test_hiding_distribution_is_exact():
 def test_hiding_capability_cap():
     with pytest.raises(CapabilityError):
         hiding_distribution(ProtocolParams(FieldSpec(5), 8), 7)
+
+
+def test_hiding_rejects_a_round_outside_the_protocol():
+    params = ProtocolParams(GF2, 3)
+    for r in (0, params.n_rounds + 1):
+        with pytest.raises(ValueError, match=r"upto_round must lie in 1\.\.3"):
+            hiding_distribution(params, r)
