@@ -138,7 +138,7 @@ class CheatStrategy:
                 f"{len(self.rounds)} round functions for {self.params.n_rounds}"
                 " protocol rounds")
 
-    @property
+    @cached_property
     def params(self) -> ProtocolParams:
         return ProtocolParams(self.field, self.m, self.variant)
 
@@ -261,9 +261,9 @@ class CheatStrategy:
         column.  The pair column is int(A)*Q + int(B) over big-endian
         ints: no byte lane carries, as A*Q + B < Q^2 <= 256, and one
         translate through the lost table, which maps A*Q + B to 1 when
-        game_strategy.wins is 0 there, gives the step's outcome in every
-        row.  A window of several challenges folds into its product
-        column the same way, through _product_table.
+        game_strategy.wins (its gathered win rows, joined) is 0 there, gives
+        the step's outcome in every row.  A window of several challenges
+        folds into its product column the same way, through _product_table.
         """
         silent, steps = self._step_plan
         q, n = self.field.q, len(d)

@@ -429,14 +429,13 @@ def _plugged_values(spec: FieldSpec, model: CausalModel,
                     game_strategy: Optional[DetStrategy]
                     ) -> tuple[Fraction, Optional[Fraction]]:
     """(w, w_gamma): the plugged strategy's exact value on the uniform game
-    and on the tower's windowed inputs; (0, None) when none is plugged."""
+    and on the tower's windowed inputs, both read off its _win_counts;
+    (0, None) when none is plugged."""
     if game_strategy is None:
         return _UNPLUGGED
-    windowed = GameDist(spec, tower_gamma(spec, model))
-    w = win_probability(game_strategy, GameDist.uniform(spec))
-    w_gamma = (w if windowed.is_uniform
-               else win_probability(game_strategy, windowed))
-    return w, w_gamma
+    return (win_probability(game_strategy, GameDist.uniform(spec)),
+            win_probability(game_strategy,
+                            GameDist(spec, tower_gamma(spec, model))))
 
 
 def _ratio(x: Optional[Fraction]) -> Optional[str]:

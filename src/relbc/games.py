@@ -13,11 +13,13 @@ import random
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, repeat
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import CapabilityError, FieldMismatchError
 from .field import FieldSpec
+from .protocol import _draw_exactly
 
 # The walk costs ~Q^(Q-1) steps for a uniform game (s1(0) = s1(1) = 0) and
 # ~Q^Q for a biased one (s1(0) = 0).  Uniform: GF(5) ~0.3 ms, GF(7)
@@ -78,7 +80,9 @@ class DetStrategy:
     def __post_init__(self):
         q = self.field.q
         for name in ("s1", "s2"):
-            table = tuple(map(operator.index, getattr(self, name)))
+            table = getattr(self, name)
+            if type(table) is not tuple or set(map(type, table)) != {int}:
+                table = tuple(map(operator.index, table))
             if len(table) != q or min(table) < 0 or max(table) >= q:
                 raise ValueError(f"{name} must be {q} valid element indices")
             object.__setattr__(self, name, table)
@@ -86,12 +90,18 @@ class DetStrategy:
     @cached_property
     def wins(self) -> bytes:
         """The win matrix, row-major: wins[a*Q + b] is 1 when the pair wins
-        on (a, b), s1[a] + s2[b] = a*b, and 0 otherwise.  Built on first use
-        from Q^2 field ops and kept with the strategy: 16 MB at Q = 4096."""
-        spec = self.field
-        q, add, mul, s2 = spec.q, spec.add, spec.mul, self.s2
-        return b"".join(bytes([add(c, s2[b]) == mul(a, b) for b in range(q)])
-                        for a, c in enumerate(self.s1))
+        on (a, b), s1[a] + s2[b] = a*b, and 0 otherwise: the _win_rows
+        joined, kept with the strategy (16 MB at Q = 4096)."""
+        return b"".join(_win_rows(self))
+
+    @cached_property
+    def _win_counts(self) -> tuple[int, int, int, int]:
+        """(|W|, r_0, c_0, W_00): the win set's size, the counts of its row
+        and column 0, and its corner bit.  Column 0 wins at s1[x] = -s2[0]."""
+        rows = map(bytes.count, _win_rows(self), repeat(1))
+        r0 = next(rows)
+        z = self.field.neg(self.s2[0])
+        return r0 + sum(rows), r0, self.s1.count(z), int(self.s1[0] == z)
 
     @classmethod
     def zeros(cls, field: FieldSpec) -> "DetStrategy":
@@ -137,28 +147,40 @@ def _check_same_field(a: FieldSpec, b: FieldSpec) -> None:
         raise FieldMismatchError(f"field mismatch: {a} vs {b}")
 
 
+def _win_rows(strategy: DetStrategy) -> Iterator[bytes]:
+    """Row x of the win set, x in index order: the bytes over y of
+    [s1(x) + s2(y) = x*y], from O(Q) C-level gathers a row on the field's
+    exp/log tables, with no Q^2 table.
+
+    x*y = exp[log x + log y] is log gathered from exp sliced at log x (log 0
+    points into exp's zero tail).  s1(x) = g^a and s2(y) = g^b sum to
+    g^(a + Z(b - a)), Z(k) = log(1 + g^k) the Zech logarithm: log s2
+    gathers Z(b - a) from Z doubled and sliced at -a, and those gather the
+    sums from exp sliced at a.  s2(y) = 0 (log 0) lands on the zeros after
+    the doubled Z, giving g^a, and a zero sum lands in exp's zero tail.
+    """
+    spec, s2 = strategy.field, strategy.s2
+    order = spec.q - 1
+    exp, log = list(spec._exp), list(spec._log)
+    zech = list(spec._zech or map(log.__getitem__,
+                                  map(operator.xor, exp[:order], repeat(1))))
+    zech += zech + [0] * (order + 1)
+    products, zech_of_s2 = itemgetter(*log), itemgetter(*itemgetter(*s2)(log))
+    for lx, c in zip(log, strategy.s1):
+        sums = (itemgetter(*zech_of_s2(zech[order - log[c]:]))(exp[log[c]:])
+                if c else s2)
+        yield bytes(map(operator.eq, products(exp[lx:]), sums))
+
+
 def win_probability(strategy: DetStrategy, dist: GameDist) -> Fraction:
-    """Exact winning probability of a deterministic strategy, by Q^2 sum."""
+    """Exact winning probability of a deterministic strategy: with weights
+    A on input 0 and B elsewhere (GameDist.weights), A^2*W_00 + A*B*(r_0 +
+    c_0 - 2*W_00) + B^2*(|W| - r_0 - c_0 + W_00) from its _win_counts."""
     _check_same_field(strategy.field, dist.field)
-    spec = strategy.field
-    w, den = dist.weights()
-    score = _score(spec, strategy.s1, strategy.s2, w)
-    return Fraction(score, den * den)
-
-
-def _score(spec: FieldSpec, s1, s2, w) -> int:
-    q = spec.q
-    add, mul = spec.add, spec.mul
-    total = 0
-    for x in range(q):
-        s1x = s1[x]
-        wx = w[x]
-        if not wx:
-            continue
-        for y in range(q):
-            if add(s1x, s2[y]) == mul(x, y):
-                total += wx * w[y]
-    return total
+    (a, b, *_), den = dist.weights()
+    size, r0, c0, corner = strategy._win_counts
+    return Fraction(a * a * corner + a * b * (r0 + c0 - 2 * corner)
+                    + b * b * (size - r0 - c0 + corner), den * den)
 
 
 def _game_tables(spec: FieldSpec) -> tuple[list[tuple[int, ...]],
@@ -321,7 +343,7 @@ def brute_force_value(dist: GameDist) -> GameValueResult:
                 h[b] -= wx
 
     walk(first_free)
-    s2, _score = _greedy_best(tables, best_s1, w)
+    s2, _ = _greedy_best(tables, best_s1, w)
     strategy = DetStrategy(spec, best_s1, s2)
     return GameValueResult(Fraction(best_score, den * den), strategy,
                            "brute_force",
@@ -352,28 +374,25 @@ def best_response_search(dist: GameDist, restarts: int = 8,
     w, den = dist.weights()
     tables = _game_tables(spec)
     minus = tables[1]
-    rng = random.Random(f"{seed}:best-response-search")
+    # every restart's (s1, s2), drawn in one stream and cut into tables
+    starts = zip(*[iter(_draw_exactly(random.Random(
+        f"{seed}:best-response-search"), q, 2 * q * restarts))] * q)
     best_score = -1
     best_pair = None
     all_converged = True
     responses = 0
-    for _ in range(restarts):
-        s1 = tuple(rng.randrange(q) for _ in range(q))
-        s2 = tuple(rng.randrange(q) for _ in range(q))
-        converged = False
+    for s1, s2 in zip(starts, starts):
         for _ in range(max_iters):
             prev = (s1, s2)
             s2, _sc = _greedy_best(tables, s1, w)
-            # s2 - c pairs with s1 + c, but s1 is recomputed from s2 next
-            c = s2[0]
-            if c:
-                s2 = itemgetter(*s2)(minus[c])
+            # s2 - s2[0] pairs with s1 + s2[0], but s1 is recomputed from s2
+            s2 = itemgetter(*s2)(minus[s2[0]])
             s1, score = _greedy_best(tables, s2, w)
             responses += 2
             if (s1, s2) == prev:
-                converged = True
                 break
-        all_converged = all_converged and converged
+        else:
+            all_converged = False
         if score > best_score:
             best_score = score
             best_pair = (s1, s2)
@@ -426,30 +445,28 @@ def best_shift(strategy: DetStrategy, dist: GameDist) -> BestShift:
     set W = {(a, b) : s1[a] + s2[b] = a*b} alone.  With integer weights
     w[0] = A and w[x] = B for x != 0, its score is
     B^2*|W| + B*(A-B)*(r_u + c_v) + (A-B)^2*[(u, v) in W], where r_u and c_v
-    count W's elements in row u and column v.  W is the strategy's win
-    matrix (DetStrategy.wins, Q^2 field ops once per strategy), and scoring
-    all Q^2 translates takes O(Q^2) integer ops; only the winner is
-    shifted.  Ties go to the first maximum in row-major (u, v) order.
-    Since the average of the shifted values over (u, v) equals the uniform
-    winning probability, the maximum is at least the uniform value of the
-    input strategy.
+    count W's elements in row u and column v of DetStrategy.wins.  Column
+    v's key is B*(A-B)*c_v*Q + Q - 1 - v, and row u's best v has the max key
+    or, with the corner term added, the max key among its wins, picked out
+    by compress: ties go to the first maximum in row-major (u, v) order.
+    Only the winner is shifted.  The average of the shifted values over
+    (u, v) is the uniform value of the input, so the maximum is at least it.
     """
     _check_same_field(strategy.field, dist.field)
-    spec = strategy.field
-    q = spec.q
+    q = strategy.field.q
     wins = strategy.wins
     w, den = dist.weights()
     zero, other = w[0], w[1]
     base = other * other * wins.count(1)
-    cross, corner = other * (zero - other), (zero - other) ** 2
-    col_scores = [cross * wins[v::q].count(1) for v in range(q)]
+    cross, lift = other * (zero - other), (zero - other) ** 2 * q
+    keys = [cross * wins[v::q].count(1) * q + q - 1 - v for v in range(q)]
+    top = max(keys)
     best_score, best_u, best_v = -1, 0, 0
     for u in range(q):
         row_u = wins[u * q:u * q + q]
-        base_u = base + cross * row_u.count(1)
-        for v in range(q):
-            score = base_u + col_scores[v] + corner * row_u[v]
-            if score > best_score:
-                best_score, best_u, best_v = score, u, v
+        key = max(top, max(compress(keys, row_u), default=top - lift) + lift)
+        score = base + cross * row_u.count(1) + key // q
+        if score > best_score:
+            best_score, best_u, best_v = score, u, q - 1 - key % q
     return BestShift(best_u, best_v, shift_strategy(strategy, best_u, best_v),
                      Fraction(best_score, den * den))

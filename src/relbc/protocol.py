@@ -69,6 +69,14 @@ def _draws(rng: random.Random, space: int, count: int) -> bytes | list[int]:
     return [w >> shift for w in memoryview(data).cast("I") if w < limit]
 
 
+def _draw_exactly(rng: random.Random, space: int, count: int) -> list[int]:
+    """The next `count` rng.randrange(space) draws, from _draws blocks."""
+    out = []
+    while short := count - len(out):
+        out += _draws(rng, space, short)[:short]
+    return out
+
+
 class Variant(str, enum.Enum):
     STANDARD = "standard"
     SYMMETRIZED = "symmetrized"
@@ -120,11 +128,8 @@ class HonestSharedRandomness:
         block rather than just past the last draw: give it an rng that
         makes no later draws.
         """
-        q = params.field.q
-        need = params.n_rounds + params.n_challenges
-        shares = []
-        while short := need - len(shares):
-            shares += _draws(rng, q, short)[:short]
+        shares = _draw_exactly(rng, params.field.q,
+                               params.n_rounds + params.n_challenges)
         return cls(tuple(shares[:params.n_rounds]),
                    tuple(shares[params.n_rounds:]))
 

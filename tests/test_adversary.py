@@ -180,6 +180,12 @@ def test_cheat_strategy_is_frozen():
     hash(attack_base(GF2, 6, OPT2))
 
 
+def test_cheat_strategy_builds_its_params_once():
+    s = attack_base(GF3, 6, OPT3)
+    assert s.params is s.params
+    assert s.params == ProtocolParams(GF3, 6, s.variant)
+
+
 def test_zeros_strategy_value():
     # all-zero responses: accepted iff d * prod(challenges) = 0
     s = zeros_strategy(GF3, Variant.SYMMETRIZED, 3)

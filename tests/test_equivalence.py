@@ -2,33 +2,38 @@
 
 The greedy best response must return the same table and score as the
 original O(Q^3) pair of routines, kept verbatim below, and as the original
-two-field-call loop up to GF(32); the depth-first brute force over
-s1(0) = 0 (and s1(1) = 0 when uniform) with running bucket scores must
-return the same
+two-field-call loop up to GF(32); the depth-first brute force over s1(0) = 0
+(and s1(1) = 0 when uniform) with running bucket scores must return the same
 value and pair as the original loop over all Q^Q tables with field-method
-calls; the tower's carried eta must give the same responses as recomputing
-compute_eta from scratch at every tower round, and its verdict must be
-verify_values' verdict on those responses; best_shift, which scores every
-translate from the win set's row and column counts, must return the same
-BestShift as the original O(Q^4) loop that shifts and rescores each
-translate; on the same random.Random stream, the bulk verdict-table draws
-must count the same wins as the original per-draw randrange loop, and the
-bulk transcript draws must give the same transcripts as the original
-per-sample randrange calls; run_honest, which draws its shares in one
-block and computes its responses in one pass, must give the same
-Transcript as the original per-call sample and per-round responses;
-and the column verdict of a tower over Q <= 16 (rejected_rows) must
-reject exactly the inputs accepts rejects, in exact enumeration, the
-verdict table and Monte Carlo, while every other strategy still plays
-each transcript through accepts.
+calls; win_probability, DetStrategy.wins and the plugged values, read from
+win rows gathered on the field's exp/log tables, must equal the original
+_score sum and win matrix, both built from two field calls a cell, and
+best_response_search, which draws its starts in one block, must return what
+it returns on per-call randrange starts; the tower's carried eta must give
+the same responses as recomputing compute_eta from scratch at every tower
+round, and its verdict must be verify_values' verdict on those responses;
+best_shift, which scores every translate from the win set's row and column
+counts, must return the same BestShift as the original O(Q^4) loop that
+shifts and rescores each translate; on the same random.Random stream, the
+bulk verdict-table draws must count the same wins as the original per-draw
+randrange loop, and the bulk transcript draws must give the same transcripts
+as the original per-sample randrange calls; run_honest, which draws its
+shares in one block and computes its responses in one pass, must give the
+same Transcript as the original per-call sample and per-round responses; and
+the column verdict of a tower over Q <= 16 (rejected_rows) must reject
+exactly the inputs accepts rejects, in exact enumeration, the verdict table
+and Monte Carlo, while every other strategy still plays each transcript
+through accepts.
 """
 
 import dataclasses
 import itertools
 import random
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +50,7 @@ from relbc import (
     ProtocolParams,
     Transcript,
     Variant,
+    best_response_search,
     best_shift,
     brute_force_value,
     build_attack,
@@ -62,9 +68,10 @@ from relbc import (
     win_probability,
     zeros_strategy,
 )
-from relbc import adversary, protocol
+from relbc import adversary, games, protocol
 from relbc.adversary import _GameRound, _product_columns
-from relbc.analysis import _column_rejections, _table_wins, _transcripts
+from relbc.analysis import (_column_rejections, _plugged_values, _table_wins,
+                            _transcripts)
 from relbc.games import BestShift, _game_tables, _greedy_best
 
 from oracles import compute_eta, symmetrize_up
@@ -377,6 +384,121 @@ def test_best_shift_gf256_within_budget():
     elapsed = time.perf_counter() - start
     assert got.strategy == shift_strategy(strategy, got.u, got.v)
     assert elapsed < 2.0
+
+
+# --- reference: the original field-call scorer and win matrix, verbatim ------
+
+def _score(spec: FieldSpec, s1, s2, w) -> int:
+    q = spec.q
+    add, mul = spec.add, spec.mul
+    total = 0
+    for x in range(q):
+        s1x = s1[x]
+        wx = w[x]
+        if not wx:
+            continue
+        for y in range(q):
+            if add(s1x, s2[y]) == mul(x, y):
+                total += wx * w[y]
+    return total
+
+
+def reference_wins(strategy: DetStrategy) -> bytes:
+    """The original DetStrategy.wins, with self as an argument: wins[a*Q + b]
+    is 1 when the pair wins on (a, b), s1[a] + s2[b] = a*b, from Q^2 field
+    ops."""
+    spec = strategy.field
+    q, add, mul, s2 = spec.q, spec.add, spec.mul, strategy.s2
+    return b"".join(bytes([add(c, s2[b]) == mul(a, b) for b in range(q)])
+                    for a, c in enumerate(strategy.s1))
+
+
+def reference_win_probability(strategy: DetStrategy,
+                              dist: GameDist) -> Fraction:
+    w, den = dist.weights()
+    return Fraction(_score(strategy.field, strategy.s1, strategy.s2, w),
+                    den * den)
+
+
+SCORE_FIELDS = [FIELDS[q] for q in (2, 3, 4, 5, 7, 8, 9)] + [
+    FieldSpec(2, 4), FieldSpec(5, 2), FieldSpec(3, 3), FieldSpec(2, 5)]
+
+
+def _score_strategies(spec):
+    """_tables' random, zero, constant, identity, square and negation
+    tables, each paired with itself and with the table three places on."""
+    tables = list(_tables(spec, random.Random(f"score:{spec.q}")))
+    return [DetStrategy(spec, a, b) for a, b in itertools.chain(
+        zip(tables, tables), zip(tables, tables[3:] + tables[:3]))]
+
+
+@pytest.mark.parametrize("spec", SCORE_FIELDS, ids=lambda s: f"q{s.q}")
+def test_gathered_win_rows_match_field_call_scoring(spec):
+    models = [CausalModel(rho=rho, k0=0) for rho in (2, 4)]
+    for strategy in _score_strategies(spec):
+        assert strategy.wins == reference_wins(strategy)
+        for gamma in _gammas(spec.q):
+            dist = GameDist(spec, gamma)
+            assert (win_probability(strategy, dist)
+                    == reference_win_probability(strategy, dist))
+        for model in models:
+            windowed = GameDist(spec, tower_gamma(spec, model))
+            assert _plugged_values(spec, model, strategy) == (
+                reference_win_probability(strategy, GameDist.uniform(spec)),
+                reference_win_probability(strategy, windowed))
+
+
+@pytest.mark.parametrize("spec", SCORE_FIELDS, ids=lambda s: f"q{s.q}")
+def test_best_shift_matches_quartic_reference_on_score_tables(spec,
+                                                             monkeypatch):
+    # the zero, identity and tie (x^2) tables and a random pair, under
+    # every _gammas weight; each translate is built once and keeps its win
+    # counts across the weights
+    monkeypatch.setattr(sys.modules[__name__], "shift_strategy",
+                        cache(shift_strategy))
+    tables = list(_tables(spec, random.Random(f"score:{spec.q}")))
+    zero, identity, square = tables[6], tables[8], tables[9]
+    for s1, s2 in ((zero, identity), (identity, square), tables[:2]):
+        strategy = DetStrategy(spec, s1, s2)
+        for gamma in _gammas(spec.q):
+            dist = GameDist(spec, gamma)
+            assert (best_shift(strategy, dist)
+                    == reference_best_shift(strategy, dist))
+
+
+def test_win_probability_holds_no_square_table():
+    # a Q^2 table at GF(1024) takes at least 8 MB as tuples and 1 MB as bytes
+    spec = FieldSpec(2, 10)
+    strategy = DetStrategy.random(spec, random.Random("traced"))
+    dist = GameDist(spec, Fraction(1, 3))
+    tracemalloc.start()
+    try:
+        value = win_probability(strategy, dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert value == reference_win_probability(strategy, dist)
+
+
+def _randrange_draws(rng, space, count):
+    return [rng.randrange(space) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p, n, restarts", [(5, 1, 4), (2, 4, 16), (3, 3, 4),
+                                            (2, 5, 3), (2, 10, 1)],
+                         ids=["q5", "q16", "q27", "q32", "q1024"])
+def test_search_starts_match_per_call_randrange(p, n, restarts, monkeypatch):
+    spec = FieldSpec(p, n)
+    rng = random.Random("starts")
+    assert (protocol._draw_exactly(rng, spec.q, 2 * spec.q * restarts)
+            == _randrange_draws(random.Random("starts"), spec.q,
+                                2 * spec.q * restarts))
+    dist = GameDist(spec, Fraction(1, 3))
+    iters = 1 if spec.q > 32 else 3
+    bulk = best_response_search(dist, restarts, iters, seed=2)
+    monkeypatch.setattr(games, "_draw_exactly", _randrange_draws)
+    assert best_response_search(dist, restarts, iters, seed=2) == bulk
 
 
 # --- reference: the original per-draw verdict-table loop, verbatim ----------

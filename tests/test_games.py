@@ -266,6 +266,31 @@ def test_strategy_rejects_bad_table(s1, error):
         DetStrategy(GF2, s1, (0, 0))
 
 
+def test_strategy_keeps_a_tuple_of_ints():
+    s1, s2 = (0, 1, 2), (2, 2, 0)
+    strategy = DetStrategy(GF3, s1, s2)
+    assert strategy.s1 is s1 and strategy.s2 is s2
+
+
+def test_strategy_converts_any_other_table():
+    # a list, bools and an int subclass go through operator.index
+    class Index(int):
+        pass
+
+    strategy = DetStrategy(GF3, [0, 1, 2], (True, Index(2), 0))
+    assert strategy.s1 == (0, 1, 2) and strategy.s2 == (1, 2, 0)
+    assert {type(v) for v in strategy.s1 + strategy.s2} == {int}
+    assert type(strategy.s1) is tuple
+    assert strategy == DetStrategy(GF3, (0, 1, 2), (1, 2, 0))
+
+
+@pytest.mark.parametrize("s1", [(0, 3, 1), [0, 3, 1], (0, -1, 1), [0, -1, 1],
+                                (0, 1), [0, 1], (0, 1, 2, 0)])
+def test_strategy_range_checks_kept_and_converted_tables(s1):
+    with pytest.raises(ValueError, match="valid element indices"):
+        DetStrategy(GF3, s1, (0, 0, 0))
+
+
 def test_shift_identity():
     rng = random.Random(7)
     s = DetStrategy.random(GF3, rng)
