@@ -42,9 +42,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .field import FieldSpec
@@ -111,16 +113,17 @@ class CheatStrategy:
     game's win test on the step's windowed challenge products, without
     calling the rounds, and stops at the first collapsing step.
 
-    A tower over a field with Q <= 16 whose steps all play game_strategy's
+    A tower over a field with Q <= 256 whose steps all play game_strategy's
     tables is also judged a batch at a time (rejected_rows, columnar),
-    from the same step plan: a step's input pair (A, B) then fits one
-    byte as A*Q + B, so one big-integer sum gives the pair column of every
-    row and one bytes.translate through the plugged game's lost table the
-    step's outcome in every row.  Exact enumeration, the verdict table and
-    Monte Carlo take that path on such towers; accepts stays the one path
-    for every other strategy, and the reference the batch verdict is
-    tested against.  The strategy is frozen, so its verdict table, step
-    plan and product table, built on first use, cannot go stale.
+    from the same step plan: a step's input pair (A, B) then fits 16 bits
+    as A*Q + B (one byte at Q <= 16), so one big-integer multiply-add
+    gives the pair column of every row and one lookup in the plugged
+    game's win matrix the step's outcome in every row.  Exact
+    enumeration, the verdict table and Monte Carlo take that path on such
+    towers; accepts stays the one path for every other strategy, and the
+    reference the batch verdict is tested against.  The strategy is
+    frozen, so its verdict table, step plan, columnar flag and product
+    table, built on first use, cannot go stale.
     """
 
     field: FieldSpec
@@ -229,65 +232,104 @@ class CheatStrategy:
                 return None
         return tuple(silent), tuple(steps)
 
-    @property
+    @cached_property
     def columnar(self) -> bool:
         """Whether rejected_rows can judge this strategy: a tower
-        (_step_plan) over a field with Q <= 16 whose every step plays
-        game_strategy's tables, so that one lost table serves every step.
+        (_step_plan) over a field with Q <= 256 whose every step plays
+        game_strategy's tables, so that one win matrix serves every step.
         A strategy with no step (zeros, padding only) is columnar."""
         plan, game = self._step_plan, self.game_strategy
-        return (self.field.q <= 16 and plan is not None
+        return (self.field.q <= 256 and plan is not None
                 and all(game is not None and (s1, s2) == (game.s1, game.s2)
                         for *_, s1, s2 in plan[1]))
 
     @cached_property
     def _product_table(self) -> bytes:
-        """The 256-byte table that maps x*Q + y to x*y, through which
-        rejected_rows folds a window of several challenges (rho >= 4)."""
+        """The table that maps x*Q + y to x*y, through which rejected_rows
+        folds a window of several challenges (rho >= 4): Q^2 bytes, padded
+        to the 256 of a translate table at Q <= 16.  Row x is x*y =
+        exp[log x + log y] over y, one C-level gather from the field's exp
+        table sliced at log x (log 0 points into its zero tail), so the
+        table costs Q gathers and no field call."""
         spec = self.field
-        return bytes(map(spec.mul, *zip(*itertools.product(
-            range(spec.q), repeat=2)))).ljust(256, b"\0")
+        products = itemgetter(*spec._log)
+        return b"".join(bytes(products(spec._exp[lx:]))
+                        for lx in spec._log).ljust(256, b"\0")
 
     def rejected_rows(self, d: bytes, xs: Sequence[bytes]) -> int:
         """The rows of a batch that accepts rejects, for a columnar
-        strategy.  Row r is (d[r], xs[0][r], ..., xs[n-1][r]): one byte
-        column for the bit and one per challenge, all of one length N.
+        strategy (ValueError otherwise).  Row r is (d[r], xs[0][r], ...,
+        xs[n-1][r]): one byte column for the bit and one per challenge, all
+        of one length N.
 
         Returns an int whose N bytes, big-endian, are 1 at the rejected
         rows and 0 elsewhere, so bit_count() counts them.  A row is
         rejected when d, every silent challenge and every step's last
         challenge are nonzero and every step loses CHSH_Q on its pair
         (A, B): accepts' test on the same _step_plan, read column by
-        column.  The pair column is int(A)*Q + int(B) over big-endian
-        ints: no byte lane carries, as A*Q + B < Q^2 <= 256, and one
-        translate through the lost table, which maps A*Q + B to 1 when
-        game_strategy.wins (its gathered win rows, joined) is 0 there, gives
-        the step's outcome in every row.  A window of several challenges
-        folds into its product column the same way, through _product_table.
+        column.  The pair column is A*Q + B, from one big-integer
+        multiply-add over whole columns, and the step's outcome in every
+        row is looked up at it in game_strategy.wins (its gathered win
+        rows, joined).  A window of several challenges folds into its
+        product column the same way, through _product_table.
+
+        The lane width depends on Q.  At Q <= 16 the pair fits one byte,
+        as A*Q + B < Q^2 <= 256, so the ints are the columns themselves,
+        big-endian, and the lookup is one translate through the lost table
+        (1 where wins is 0).  Beyond, each column is spread into the low
+        byte of native 16-bit lanes, which hold A*Q + B < 2^16 without a
+        carry, and the lookup is one C-level itemgetter gather over the
+        lanes; the rows it finds won are cleared from alive, whose bytes
+        are 0 or 1, by and-ing the complement, so wins is read in place.
         """
+        if not self.columnar:
+            raise ValueError("rejected_rows judges only a columnar strategy"
+                             " (a tower over Q <= 256 that plays its"
+                             " game_strategy); use accepts")
         silent, steps = self._step_plan
         q, n = self.field.q, len(d)
+        if q <= 16:
+            def pairs(a: bytes, b: bytes) -> bytes:
+                return (int.from_bytes(a, "big") * q
+                        + int.from_bytes(b, "big")).to_bytes(n, "big")
 
-        def pairs(a: bytes, b: bytes) -> bytes:
-            return (int.from_bytes(a, "big") * q
-                    + int.from_bytes(b, "big")).to_bytes(n, "big")
+            look = bytes.translate
+        else:
+            order, low = sys.byteorder, slice(sys.byteorder == "big", None, 2)
+            lanes = bytearray(2 * n)
+
+            def spread(column: bytes) -> int:
+                lanes[low] = column
+                return int.from_bytes(lanes, order)
+
+            def pairs(a: bytes, b: bytes) -> memoryview:
+                return memoryview((spread(a) * q + spread(b)).to_bytes(
+                    2 * n, order)).cast("H")
+
+            def look(index: memoryview, table: bytes) -> bytes:
+                if n > 1:  # itemgetter needs an index, and one gives a scalar
+                    return bytes(itemgetter(*index)(table))
+                return bytes(map(table.__getitem__, index))
 
         def window(first: int, more: tuple[int, ...]) -> bytes:
             column = xs[first]
             for j in more:
-                column = pairs(column, xs[j]).translate(self._product_table)
+                column = look(pairs(column, xs[j]), self._product_table)
             return column
 
         alive = int.from_bytes(d.translate(_NONZERO), "big")
         for j in silent:
             alive &= int.from_bytes(xs[j].translate(_NONZERO), "big")
         if steps:  # a strategy with no step may have no game_strategy
-            lost = self.game_strategy.wins.translate(_LOST).ljust(256, b"\0")
+            wins = self.game_strategy.wins
+            lost = wins.translate(_LOST).ljust(256, b"\0") if q <= 16 else None
         for last, a, more_a, b, more_b, _, _ in steps:
             alive &= int.from_bytes(xs[last].translate(_NONZERO), "big")
-            alive &= int.from_bytes(
-                pairs(window(a, more_a), window(b, more_b)).translate(lost),
-                "big")
+            index = pairs(window(a, more_a), window(b, more_b))
+            if lost is None:
+                alive &= ~int.from_bytes(look(index, wins), "big")
+            else:
+                alive &= int.from_bytes(look(index, lost), "big")
         return alive
 
     def accepts(self, d: int, xs: tuple[int, ...]) -> bool:

@@ -32,7 +32,7 @@ EXACT_ENUM_CAP = 10 ** 8
 def exact_cheat_probability(strategy: CheatStrategy) -> Fraction:
     """Exact acceptance probability by full enumeration of (d, challenges).
 
-    A columnar strategy (Q <= 16 tower) counts the rejected d = 1 inputs a
+    A columnar strategy (Q <= 256 tower) counts the rejected d = 1 inputs a
     chunk of product-order columns at a time (every d = 0 input is
     accepted), so memory stays bounded; any other plays every input
     through accepts.
@@ -304,9 +304,9 @@ def _column_rejections(strategy: CheatStrategy, rng: random.Random,
                        samples: int) -> int:
     """Rejections among `samples` drawn transcripts of a columnar strategy:
     _row_blocks' rows, judged a block at a time by rejected_rows.  For
-    Q <= 16 every draw is a byte, so a block's rows join into one byte
+    Q <= 256 every draw is a byte, so a block's rows join into one byte
     string whose columns are strided slices; d = draws[i] >> (k - 2) is
-    the translate _TOP_BITS[10 - k]."""
+    the translate _TOP_BITS[10 - k] (k <= 9)."""
     q, n = strategy.field.q, strategy.n_challenges
     to_d, width = _TOP_BITS[10 - q.bit_length()], n + 1
     rejected = 0
@@ -325,7 +325,7 @@ def mc_cheat_probability(strategy: CheatStrategy,
     For input spaces of at most MC_TABLE_CAP the trials are index draws
     from the strategy's verdict table, which is built once per strategy;
     larger spaces draw transcripts, judged in batches by rejected_rows on
-    a columnar strategy (a Q <= 16 tower) and one by one by accepts
+    a columnar strategy (a Q <= 256 tower) and one by one by accepts
     otherwise.  One routine, _draws, makes every draw in bulk from
     getrandbits blocks: draws below 256 (tables of at most 256 entries,
     transcripts over Q <= 256) come out as bytes from the top byte of

@@ -20,10 +20,10 @@ randrange loop, and the bulk transcript draws must give the same transcripts
 as the original per-sample randrange calls; run_honest, which draws its
 shares in one block and computes its responses in one pass, must give the
 same Transcript as the original per-call sample and per-round responses; and
-the column verdict of a tower over Q <= 16 (rejected_rows) must reject
-exactly the inputs accepts rejects, in exact enumeration, the verdict table
-and Monte Carlo, while every other strategy still plays each transcript
-through accepts.
+the column verdict of a tower over Q <= 256 (rejected_rows, in byte lanes
+up to Q = 16 and 16-bit lanes beyond) must reject exactly the inputs
+accepts rejects, in exact enumeration, the verdict table and Monte Carlo,
+while every other strategy still plays each transcript through accepts.
 """
 
 import dataclasses
@@ -740,10 +740,18 @@ def test_hiding_views_check_the_cap_round_by_round():
 COLUMN_FIELDS = [FIELDS[q] for q in (2, 3, 4, 5, 7, 8, 9)] + [FieldSpec(2, 4)]
 
 
-def _rows_as_columns(rows):
-    """The d column and the challenge columns of a list of (d, xs) rows."""
+def _rows_as_columns(rows, n):
+    """The d column and the n challenge columns of a list of (d, xs) rows."""
     return (bytes(d for d, _ in rows),
-            [bytes(col) for col in zip(*(xs for _, xs in rows))])
+            [bytes(xs[j] for _, xs in rows) for j in range(n)])
+
+
+def _random_rows(rng, q, n, count):
+    """count seeded rows with a random bit and mostly nonzero challenges
+    (rows with a zero challenge are nearly always accepted)."""
+    return [(rng.randrange(2),
+             tuple(rng.randrange(1, q) if rng.random() < 0.9 else 0
+                   for _ in range(n))) for _ in range(count)]
 
 
 def _rejected_bytes(strategy, d, xs) -> bytes:
@@ -782,11 +790,57 @@ def test_column_verdict_matches_accepts(spec):
                 not s.accepts(1, row) for row in inputs)
             assert s.verdict_table == bytes(s.accepts(d, row) for d in (0, 1)
                                             for row in inputs)
-        rows = [(rng.randrange(2),
-                 tuple(rng.randrange(1, q) if rng.random() < 0.9 else 0
-                       for _ in range(n))) for _ in range(200)]
-        assert _rejected_bytes(s, *_rows_as_columns(rows)) == bytes(
+        rows = _random_rows(rng, q, n, 200)
+        assert _rejected_bytes(s, *_rows_as_columns(rows, n)) == bytes(
             not s.accepts(*row) for row in rows)
+
+
+WIDE_COLUMN_FIELDS = [FieldSpec(5, 2), FieldSpec(3, 3), FieldSpec(2, 5),
+                      FieldSpec(7, 2), FieldSpec(3, 5), FieldSpec(2, 8)]
+
+
+@pytest.mark.parametrize("spec", WIDE_COLUMN_FIELDS, ids=lambda s: f"q{s.q}")
+def test_wide_column_verdict_matches_accepts(spec):
+    # 16 < Q <= 256: pairs in 16-bit lanes, gathered from the win matrix;
+    # batches of 0, 1 and 2 rows (itemgetter needs an index and gives a
+    # scalar for one), of 200, and of 1000 on the longest towers, and the
+    # verdict table where it fits
+    q = spec.q
+    rng = random.Random(f"wide-columns:{q}")
+    for s in _towers(spec, rng):
+        assert s.columnar
+        n = s.n_challenges
+        if 2 * q ** n <= adversary.MC_TABLE_CAP:
+            assert s.verdict_table == bytes(
+                s.accepts(d, row) for d in (0, 1)
+                for row in itertools.product(range(q), repeat=n))
+        for size in (0, 1, 2, 1000 if s.m == 13 else 200):
+            rows = _random_rows(rng, q, n, size)
+            assert _rejected_bytes(s, *_rows_as_columns(rows, n)) == bytes(
+                not s.accepts(*row) for row in rows)
+
+
+def test_wide_product_table_is_the_field_product():
+    for spec in (FIELDS[2], FIELDS[3], FieldSpec(2, 4), *WIDE_COLUMN_FIELDS):
+        q = spec.q
+        s = build_attack(spec, Variant.SYMMETRIZED, 5, CausalModel(rho=4),
+                         DetStrategy.zeros(spec))
+        want = bytes(spec.mul(x, y) for x in range(q) for y in range(q))
+        assert s._product_table == want.ljust(256, b"\0")
+
+
+def test_wide_exact_matches_closed_form():
+    # every d = 1 input of GF(27) towers with a silent prefix challenge
+    # (27^4 rows in 27 column chunks) and with the standard variant's
+    # silent final round; the bare one-step tower is in the routing test
+    spec, rng = FieldSpec(3, 3), random.Random("wide-exact")
+    for variant, m, model in [(Variant.SYMMETRIZED, 4, CausalModel(2, 1)),
+                              (Variant.STANDARD, 4, CausalModel(2, 0))]:
+        game = DetStrategy.random(spec, rng)
+        s = build_attack(spec, variant, m, model, game)
+        assert s.columnar and s._step_plan[1]
+        assert exact_cheat_probability(s) == predicted_attack_probability(
+            spec, variant, m, model, game)
 
 
 @pytest.mark.parametrize("spec", COLUMN_FIELDS, ids=lambda s: f"q{s.q}")
@@ -846,7 +900,10 @@ def _reference_mc_wins(s, samples, seed):
     (FIELDS[7], Variant.STANDARD, 6, CausalModel(2, 0)),
     (FIELDS[9], Variant.SYMMETRIZED, 16, CausalModel(4, 1)),
     (FieldSpec(2, 4), Variant.STANDARD, 31, CausalModel(2, 0)),
-], ids=["q2", "q3-rho4", "q5", "q7", "q9-rho4", "q16-m31"])
+    (FieldSpec(3, 3), Variant.SYMMETRIZED, 11, CausalModel(4, 1)),
+    (FieldSpec(2, 8), Variant.SYMMETRIZED, 31, CausalModel(2, 0)),
+], ids=["q2", "q3-rho4", "q5", "q7", "q9-rho4", "q16-m31", "q27-rho4",
+        "q256-m31"])
 def test_column_mc_wins_match_accepts_loop(spec, variant, m, model):
     s = build_attack(spec, variant, m, model,
                      DetStrategy.random(spec, random.Random(f"mc:{m}")))
@@ -883,7 +940,8 @@ def test_column_mc_spans_many_small_blocks(monkeypatch):
     assert 400 - rejected == _reference_mc_wins(s, 400, 7)
 
 
-def test_per_transcript_path_beyond_q16_and_without_a_step_plan(monkeypatch):
+def test_per_transcript_path_beyond_q256_and_without_a_step_plan(
+        monkeypatch):
     calls = []
     accepts = CheatStrategy.accepts
 
@@ -893,27 +951,31 @@ def test_per_transcript_path_beyond_q16_and_without_a_step_plan(monkeypatch):
 
     monkeypatch.setattr(CheatStrategy, "accepts", spy)
     gf16, gf27, gf256 = FieldSpec(2, 4), FieldSpec(3, 3), FieldSpec(2, 8)
+    gf512, gf65536 = FieldSpec(2, 9), FieldSpec(2, 16)
     rng = random.Random("spy")
 
     def tower(spec, variant, m):
         return build_attack(spec, variant, m, CausalModel(),
                             DetStrategy.random(spec, rng))
 
-    # towers over Q <= 16 judge columns: no accepts call
+    # towers over Q <= 256 judge columns, in byte lanes up to Q = 16 and
+    # in 16-bit lanes beyond: no accepts call
     exact_cheat_probability(tower(gf16, Variant.STANDARD, 4))
     mc_cheat_probability(tower(gf16, Variant.STANDARD, 6), 200)
     assert tower(FIELDS[4], Variant.SYMMETRIZED, 5).verdict_table is not None
-    assert calls == []
-    # Q = 27 and Q = 256 play each transcript
-    big = tower(gf27, Variant.SYMMETRIZED, 3)
-    assert not big.columnar
-    assert exact_cheat_probability(big) == predicted_attack_probability(
-        gf27, Variant.SYMMETRIZED, 3, CausalModel(), big.game_strategy)
-    assert calls == [27] * (2 * 27 ** 3)
-    calls.clear()
-    mc_cheat_probability(big, 200)
+    wide = tower(gf27, Variant.SYMMETRIZED, 3)
+    assert wide.columnar
+    assert exact_cheat_probability(wide) == predicted_attack_probability(
+        gf27, Variant.SYMMETRIZED, 3, CausalModel(), wide.game_strategy)
+    mc_cheat_probability(wide, 200)
     mc_cheat_probability(tower(gf256, Variant.SYMMETRIZED, 31), 100)
-    assert calls == [27] * 200 + [256] * 100
+    assert calls == []
+    # Q = 2^9 and Q = 2^16 play each transcript
+    big = tower(gf512, Variant.SYMMETRIZED, 3)
+    assert not big.columnar
+    mc_cheat_probability(big, 200)
+    mc_cheat_probability(tower(gf65536, Variant.SYMMETRIZED, 31), 100)
+    assert calls == [512] * 200 + [65536] * 100
     # so does a strategy with no step plan, at any Q
     calls.clear()
     lifted = symmetrize_up(tower(gf16, Variant.STANDARD, 6))
@@ -923,6 +985,57 @@ def test_per_transcript_path_beyond_q16_and_without_a_step_plan(monkeypatch):
     exact_cheat_probability(small)
     assert len(small.verdict_table) == 2 * 2 ** 4
     assert calls == [16] * 200 + [2] * (2 * 2 * 2 ** 4)
+
+
+def test_rejected_rows_refuses_a_strategy_that_is_not_columnar():
+    # a tower beyond Q = 256, a strategy with no step plan and a tower
+    # whose steps play other tables than its game_strategy
+    spec = FIELDS[3]
+    rng = random.Random("not-columnar")
+    game, other = DetStrategy.random(spec, rng), DetStrategy.random(spec, rng)
+    tower = build_attack(spec, Variant.SYMMETRIZED, 6, CausalModel(), game)
+    off_game = dataclasses.replace(tower, rounds=tuple(
+        _GameRound(spec, fn.tower_step, other.s1 if fn.tower_step[1] == 1
+                   else other.s2, fn.window, fn.last)
+        if type(fn) is _GameRound else fn for fn in tower.rounds))
+    big_spec = FieldSpec(2, 9)
+    big = build_attack(big_spec, Variant.SYMMETRIZED, 3, CausalModel(),
+                       DetStrategy.random(big_spec, rng))
+    lifted = symmetrize_up(build_attack(spec, Variant.STANDARD, 6,
+                                        CausalModel(), game))
+    for s in (big, lifted, off_game):
+        assert not s.columnar
+        n = s.n_challenges
+        with pytest.raises(ValueError, match="columnar"):
+            s.rejected_rows(b"\1\1", [b"\1\1"] * n)
+    assert tower.columnar and off_game._step_plan is not None
+
+
+def test_columnar_is_settled_once_per_strategy():
+    spec = FieldSpec(3, 3)
+    s = build_attack(spec, Variant.SYMMETRIZED, 6, CausalModel(),
+                     DetStrategy.zeros(spec))
+    assert "columnar" not in vars(s)
+    assert s.columnar and vars(s)["columnar"] is True
+
+
+def test_wide_estimate_keeps_no_square_table():
+    # the GF(256), m = 31 estimate reads game_strategy.wins in place: with
+    # the win matrix built beforehand, neither the attack nor the estimate
+    # holds a Q^2 (65536-byte) table of its own
+    spec = FieldSpec(2, 8)
+    game = DetStrategy.random(spec, random.Random("square"))
+    assert len(game.wins) == spec.q ** 2
+    tracemalloc.start()
+    try:
+        attack = build_attack(spec, Variant.SYMMETRIZED, 31, CausalModel(),
+                              game)
+        est = mc_cheat_probability(attack, 1000, 1)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert attack.columnar and est.wins == _reference_mc_wins(attack, 1000, 1)
+    assert kept < spec.q ** 2 // 4
 
 
 @pytest.mark.parametrize("m", [6, 9])
