@@ -45,7 +45,6 @@ from .protocol import (
     ProtocolParams,
     Transcript,
     Variant,
-    hiding_distribution,
     hiding_distributions,
     honest_responses,
     run_honest,

@@ -51,11 +51,12 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .field import FieldSpec
 from .games import DetStrategy
-from .protocol import ProtocolParams, Variant, tilde, tilde_transform
+from .protocol import (ProtocolParams, Variant, _ByteStream, tilde,
+                       tilde_transform)
 
 # Largest input space 2*Q^n whose verdicts a strategy keeps as a table.
 MC_TABLE_CAP = 4096
-# Most rows in one chunk of _product_columns.
+# Most rows in one chunk of _product_columns and _drawn_columns.
 _CHUNK_ROWS = 1 << 16
 # Byte translate tables: x -> [x != 0], and a 0/1 win byte -> its loss.
 _NONZERO = bytes([0]) + bytes([1]) * 255
@@ -406,6 +407,27 @@ def _product_columns(q: int, n: int) -> Iterator[list[bytes]]:
     constant = [bytes([v]) * size for v in range(q)]
     for lead in itertools.product(constant, repeat=n - tail):
         yield [*lead, *varying]
+
+
+def _drawn_columns(rng: random.Random, q: int, n: int, samples: int
+                   ) -> Iterator[tuple[bytes, list]]:
+    """The bit column and the n challenge columns of `samples` uniform
+    (d, challenges) rows read off rng's _ByteStream, a chunk of at most
+    _CHUNK_ROWS rows at a time.
+
+    A chunk of R rows reads R tries below 2, the top bits of R bytes, for
+    its bits, then R*n tries below q for its challenges, row r's being
+    tries r*n .. r*n + n - 1, so that challenge j's column is the strided
+    slice tries[j::n].  The columns are bytes at Q <= 256 (byte tries) and
+    arrays of ints beyond (word tries).
+    """
+    stream = _ByteStream(rng)
+    while samples:
+        rows = min(samples, _CHUNK_ROWS)
+        d = stream.tries(2, rows)
+        tries = stream.tries(q, rows * n)
+        yield d, [tries[j::n] for j in range(n)]
+        samples -= rows
 
 
 def _check_reads(model: CausalModel, k: int, n: int,

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .adversary import (CausalModel, CheatStrategy, _product_columns,
-                        build_attack, tower_gamma)
+from .adversary import (_CHUNK_ROWS, CausalModel, CheatStrategy,
+                        _drawn_columns, _product_columns, build_attack,
+                        tower_gamma)
 from .errors import CapabilityError
 from .field import FieldSpec
 from .games import DetStrategy, GameDist, win_probability
-from .protocol import Variant, _TOP_BITS, _draws
+from .protocol import Variant, _ByteStream
 
 EXACT_ENUM_CAP = 10 ** 8
 
@@ -242,80 +243,37 @@ class McEstimate:
 
 
 def _table_wins(table: bytes, samples: int, rng: random.Random) -> int:
-    """Wins among `samples` draws of table[rng.randrange(len(table))], for a
-    table of 0/1 bytes, the same draws in bulk."""
-    code = table.ljust(256, b"\0")
-    wins = 0
+    """Wins among `samples` uniform draws of an entry of a table of 0/1
+    bytes: the table indexed by the first `samples` kept tries of rng's
+    _ByteStream, read at most _CHUNK_ROWS at a time.  Beyond 256 entries
+    the tries are word tries, which on the fresh stream are
+    rng.randrange(len(table)) draws."""
+    space, wins = len(table), 0
+    stream, code = _ByteStream(rng), table.ljust(256, b"\0")
     while samples:
-        draws = _draws(rng, len(table), samples)[:samples]
-        # on byte draws, translate + count is ~40x faster than sum(map)
-        wins += (draws.translate(code).count(1) if isinstance(draws, bytes)
-                 else sum(map(table.__getitem__, draws)))
-        samples -= len(draws)
+        tries = stream.tries(space, min(samples, _CHUNK_ROWS))
+        # translate + count is ~40x faster than sum(map)
+        wins += (tries.translate(code).count(1) if space <= 256
+                 else sum(map(table.__getitem__, tries)))
+        samples -= len(tries)
     return wins
 
 
 def _transcripts(rng: random.Random, q: int, n_ch: int, samples: int
                  ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """`samples` uniform (d, challenges), each drawn as d = randrange(2)
-    followed by n_ch draws of randrange(q), the same draws in bulk
-    (_row_blocks)."""
-    d_shift, width = q.bit_length() - 2, n_ch + 1
-    for draws, starts in _row_blocks(rng, q, n_ch, samples):
-        for i in starts:
-            yield draws[i] >> d_shift, tuple(draws[i + 1:i + width])
-
-
-def _row_blocks(rng: random.Random, q: int, n_ch: int, samples: int
-                ) -> Iterator[tuple[bytes | list[int], list[int]]]:
-    """The rows of `samples` transcripts, a _draws block at a time: the
-    block's draws and the start i of each row in it, whose d is
-    draws[i] >> (k - 2) and whose challenges are draws[i + 1:i + n_ch + 1].
-
-    With k = q.bit_length(), randrange(2) keeps a try on word w when
-    w < 2^31 and reads w >> 30, and randrange(q) keeps it when
-    w < q << (32 - k) and reads x = w >> (32 - k): randrange(2) keeps a
-    subset of the words randrange(q) keeps.  So d is tried on the draws of
-    randrange(q): a try is kept when x < 2^(k-1), and then d = x >> (k - 2).
-    Only q = 2^j keeps every try, so a row takes n_ch + q / 2^(k-1) draws
-    on average.
-    """
-    k = q.bit_length()
-    half, width = 1 << (k - 1), n_ch + 1
-    rest = ()
-    while samples:
-        draws = _draws(rng, q, samples * (n_ch * half + q) // half)
-        if rest:
-            draws = rest + draws
-        starts = []
-        i, end = 0, len(draws) - n_ch
-        while samples and i < end:
-            if draws[i] >= half:
-                i += 1
-                continue
-            starts.append(i)
-            i += width
-            samples -= 1
-        yield draws, starts
-        rest = draws[i:]
+    """`samples` uniform (d, challenges) rows of rng's _ByteStream, one at
+    a time: _drawn_columns' chunks, read row by row."""
+    for d, xs in _drawn_columns(rng, q, n_ch, samples):
+        yield from zip(d, zip(*xs))
 
 
 def _column_rejections(strategy: CheatStrategy, rng: random.Random,
                        samples: int) -> int:
     """Rejections among `samples` drawn transcripts of a columnar strategy:
-    _row_blocks' rows, judged a block at a time by rejected_rows.  For
-    Q <= 256 every draw is a byte, so a block's rows join into one byte
-    string whose columns are strided slices; d = draws[i] >> (k - 2) is
-    the translate _TOP_BITS[10 - k] (k <= 9)."""
-    q, n = strategy.field.q, strategy.n_challenges
-    to_d, width = _TOP_BITS[10 - q.bit_length()], n + 1
-    rejected = 0
-    for draws, starts in _row_blocks(rng, q, n, samples):
-        rows = b"".join([draws[i:i + width] for i in starts])
-        rejected += strategy.rejected_rows(
-            rows[::width].translate(to_d),
-            [rows[j::width] for j in range(1, width)]).bit_count()
-    return rejected
+    each chunk of _drawn_columns judged at once by rejected_rows."""
+    return sum(strategy.rejected_rows(d, xs).bit_count()
+               for d, xs in _drawn_columns(rng, strategy.field.q,
+                                           strategy.n_challenges, samples))
 
 
 def mc_cheat_probability(strategy: CheatStrategy,
@@ -326,12 +284,15 @@ def mc_cheat_probability(strategy: CheatStrategy,
     from the strategy's verdict table, which is built once per strategy;
     larger spaces draw transcripts, judged in batches by rejected_rows on
     a columnar strategy (a Q <= 256 tower) and one by one by accepts
-    otherwise.  One routine, _draws, makes every draw in bulk from
-    getrandbits blocks: draws below 256 (tables of at most 256 entries,
-    transcripts over Q <= 256) come out as bytes from the top byte of
-    each 32-bit word, wider ones from the whole word.  The
-    stream is the one per-draw randrange calls give, so seeded estimates
-    do not change.
+    otherwise.  The draws read relbc's own byte stream (_ByteStream): the
+    little-endian bytes of the seeded rng's successive 32-bit outputs.  An
+    index below a table of at most 256 entries and a challenge over
+    Q <= 256 take one byte a try, the top bits of it, and a bit d takes
+    one byte's top bit; a challenge over Q > 256 takes a 32-bit word a
+    try, and so does an index below a table of 257 to 4096 entries, which
+    on the fresh stream is rng.randrange(size).  Transcripts come in
+    chunks of _CHUNK_ROWS rows, every bit of a chunk before its challenges
+    (_drawn_columns).
     """
     params = strategy.params
     if samples < 100:

@@ -50,7 +50,6 @@ from .protocol import (
     ProtocolParams,
     Transcript,
     Variant,
-    hiding_distribution,
     hiding_distributions,
     verify_values,
 )
@@ -391,14 +390,10 @@ def cmd_sweep(p, n, modulus, m_list, variant, rho, k0, samples, seed,
 def cmd_hiding(p, n, modulus, m, variant, out):
     """Verify exact view-distribution equality for every pre-reveal prefix."""
     params = ProtocolParams(_field_from(p, n, modulus), m, Variant(variant))
-    last = params.n_rounds
-    prefixes = []
-    for r in range(1, last - 1):
-        dists = hiding_distribution(params, r)
-        prefixes.append({"upto_round": r, "equal": dists[0] == dists[1]})
-    # the last prefix is the full view truncated: one enumeration for both
-    dists, full = hiding_distributions(params, (last - 1, last))
-    prefixes.append({"upto_round": last - 1, "equal": dists[0] == dists[1]})
+    # every prefix is the full view truncated: one enumeration for all
+    *views, full = hiding_distributions(params, range(1, params.n_rounds + 1))
+    prefixes = [{"upto_round": r, "equal": dists[0] == dists[1]}
+                for r, dists in enumerate(views, 1)]
     _write_json(_document(params.field, {
         "prefixes": prefixes,
         "reveal_discloses_bit": full[0] != full[1],

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
@@ -29,10 +29,12 @@ BRUTE_FORCE_MAX_Q = 9
 BRUTE_FORCE_MAX_Q_BIASED = 7
 # Best responses read two Q x Q tables of rows over shared int objects
 # (2 x 134 MB at Q = 4096, 2 x 34 GB at Q = 2^16), and a response gathers
-# one more Q x Q set of rows.  At GF(4096) the tables take ~1.2 s, one
-# response ~2.7 s, and the two peak at ~400 MB (GF(1024): 0.06 s, 0.15 s,
-# 40 MB).  Larger searches are refused.
+# its rows Q x _GATHER_COLUMNS at a time.  At GF(4096) the tables take
+# ~1.3 s, one response ~3 s, and the two peak at ~280 MB (GF(1024):
+# 0.09 s, 0.15 s, 34 MB).  Larger searches are refused.
 SEARCH_MAX_Q = 4096
+# Most columns of gathered bucket rows _greedy_best holds at once.
+_GATHER_COLUMNS = 256
 
 
 @dataclass(frozen=True)
@@ -224,21 +226,21 @@ def _greedy_best(tables, other, w) -> tuple[tuple[int, ...], int]:
     (GameDist.weights), and input 0 puts A at bucket z = -other[0] for
     every y.  So y's bucket b scores exactly A*[b = z] + B*count_y(b), where
     count_y(b) counts the inputs x != 0 with x*y - other[x] = b.  The
-    bucket row y -> x*y - other[x] of each x != 0 is one gather from the
-    _game_tables of the field, the rows are transposed by zip, and each
-    column is counted in one loop.  Of the first most counted bucket and z,
-    the higher score wins, and on a tie the smaller index.
+    bucket row y -> x*y - other[x] of each x != 0 is gathered from the
+    _game_tables of the field, the rows are transposed by zip, a block of
+    columns at a time (_bucket_columns), and each column is counted in one
+    loop.  Of the first most counted bucket and z, the higher score wins,
+    and on a tie the smaller index.
 
     Returns the table and the total integer score (weights squared scale).
     """
     prod, minus = tables
     q = len(prod)
-    rows = [itemgetter(*row)(minus[o]) for row, o in zip(prod[1:], other[1:])]
     z = minus[other[0]][0]
     a_weight, b_weight = w[0], w[1]
     table = []
     total = 0
-    for wy, col in zip(w, zip(*rows)):
+    for wy, col in zip(w, _bucket_columns(tables, other)):
         counts = [0] * q
         for b in col:
             counts[b] += 1
@@ -252,6 +254,28 @@ def _greedy_best(tables, other, w) -> tuple[tuple[int, ...], int]:
             table.append(first)
             total += wy * score_top
     return tuple(table), total
+
+
+def _bucket_columns(tables, other) -> Iterator[tuple[int, ...]]:
+    """Column y of _greedy_best's bucket rows x -> x*y - other[x] over the
+    inputs x != 0, for y in index order.
+
+    The rows are gathered from the _game_tables a block of at most
+    _GATHER_COLUMNS columns at a time and transposed by zip, and chain
+    drops each block's zip before it gathers the next, so one block of
+    Q - 1 rows is held at once: one block at Q <= 256, where the slice of
+    a whole row is the row itself, and 16 at Q = 4096.  The blocks split
+    the columns evenly, so none is a single column (for which itemgetter
+    would give a scalar) while _GATHER_COLUMNS >= 3.
+    """
+    prod, minus = tables
+    q = len(prod)
+    blocks = -(-q // _GATHER_COLUMNS)
+    edges = [q * i // blocks for i in range(blocks + 1)]
+    return chain.from_iterable(
+        zip(*[itemgetter(*row[lo:hi])(minus[o])
+              for row, o in zip(prod[1:], other[1:])])
+        for lo, hi in zip(edges, edges[1:]))
 
 
 def brute_force_value(dist: GameDist) -> GameValueResult:

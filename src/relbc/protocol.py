@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 import itertools
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,11 +36,80 @@ _TOP_BITS = [bytes(t >> (8 - k) for t in range(256)) for k in range(9)]
 _KEEP = bytes(t < 128 for t in range(256))
 
 
+class _ByteStream:
+    """relbc's Monte Carlo stream: the little-endian bytes of rng's
+    successive 32-bit outputs, and the tries below a space read off them.
+
+    rng.getrandbits(32*n) returns n successive outputs, least significant
+    first, so its little-endian bytes are the bytes of n getrandbits(32)
+    calls in turn.  The bytes come in whole-word blocks of at most
+    _DRAW_BLOCK_WORDS words, each just large enough for the bytes asked;
+    what a request leaves of its block carries into the next request, so
+    the block sizes never change the stream.
+    """
+
+    __slots__ = ("_rng", "_rest")
+
+    def __init__(self, rng: random.Random):
+        self._rng = rng
+        self._rest = b""
+
+    def take(self, count: int) -> bytes:
+        """The next `count` bytes."""
+        parts, have = [self._rest], len(self._rest)
+        while have < count:
+            words = min(_DRAW_BLOCK_WORDS, (count - have + 3) // 4)
+            parts.append(self._rng.getrandbits(32 * words).to_bytes(
+                4 * words, "little"))
+            have += 4 * words
+        data = b"".join(parts)
+        self._rest = data[count:]
+        return data[:count]
+
+    def tries(self, space: int, count: int) -> bytes | array:
+        """The next `count` kept tries below `space`: bytes at space <= 256,
+        an array of ints beyond.
+
+        At space <= 256 a try reads one byte t and keeps its top
+        k = (space - 1).bit_length() bits, t >> (8 - k), when they are below
+        space.  A power-of-two space keeps every try, so its tries are one
+        translate of `count` bytes; any other keeps more than half of them,
+        and the same translate deletes the rest.  Beyond 256 a try reads
+        four bytes as a little-endian word w and keeps w >> (32 - k),
+        k = space.bit_length(), when it is below space: randrange's rule on
+        one word.  Each round asks for exactly the tries still missing, so
+        no byte past the last kept try is read.
+        """
+        if space <= 256:
+            k = (space - 1).bit_length()
+            top = _TOP_BITS[k]
+            if space == 1 << k:
+                return self.take(count).translate(top)
+            rejected = bytes(range(space << (8 - k), 256))
+            kept = []
+            while count:
+                kept.append(self.take(count).translate(top, rejected))
+                count -= len(kept[-1])
+            return b"".join(kept)
+        shift = 32 - space.bit_length()
+        limit = space << shift
+        out = array("I")
+        while short := count - len(out):
+            words = array("I", self.take(4 * min(short, _DRAW_BLOCK_WORDS)))
+            if sys.byteorder == "big":
+                words.byteswap()
+            out.extend([w >> shift for w in words if w < limit])
+        return out
+
+
 def _draws(rng: random.Random, space: int, count: int) -> bytes | list[int]:
     """The successive rng.randrange(space) draws held by one getrandbits
     block sized for about `count` of them: bytes when every draw is below
     256 (draw width k = space.bit_length() at most 8, or space = 256),
-    else a list of ints.
+    else a list of ints.  Honest shares and search starts draw through
+    it; every Monte Carlo draw reads the _ByteStream, whose word tries
+    (space > 256) give the same draws on a fresh stream, one round per
+    shortfall instead of one block with margin.
 
     A try of randrange(space) reads one 32-bit Mersenne Twister word w,
     keeps its top k bits, w >> (32 - k), unless they are >= space, and
@@ -48,8 +119,8 @@ def _draws(rng: random.Random, space: int, count: int) -> bytes | list[int]:
     translate maps t to t >> (8 - k) and deletes the rejected t >= space
     << (8 - k).  For space = 256 (k = 9) a try is kept when w's top bit is
     clear, and its draw is the 8 bits below that bit: the top byte of each
-    word of the block shifted left by one bit.  MAX_FIELD_SIZE = 2^20 (and
-    MC_TABLE_CAP = 4096) keep k <= 21, so one word always covers one try.
+    word of the block shifted left by one bit.  MAX_FIELD_SIZE = 2^20
+    keeps k <= 21, so one word always covers one try.
     cast("I") reads the little-endian bytes as native words, so on a
     big-endian host each word is byte-swapped: still uniform, but not
     randrange's stream.
@@ -227,21 +298,15 @@ def run_honest(params: ProtocolParams, d: int, seed: int = 0) -> Transcript:
     return Transcript(params, d, randomness.challenges, responses, accepted)
 
 
-def hiding_distribution(params: ProtocolParams, upto_round: int
-                        ) -> dict[int, dict[tuple, Fraction]]:
-    """Exact distribution of the verifier's view through a given round, per bit.
+def hiding_distributions(params: ProtocolParams, rounds: Sequence[int]
+                         ) -> list[dict[int, dict[tuple, Fraction]]]:
+    """Exact distribution of the verifier's view through each of `rounds`,
+    per bit, from one enumeration of the states of the last round
+    R = max(rounds).
 
     The view is (challenges sent, responses received).  For every prefix
     strictly before the final reveal the two per-bit distributions are
     identical (perfect hiding); at the full length they differ.
-    """
-    return hiding_distributions(params, (upto_round,))[0]
-
-
-def hiding_distributions(params: ProtocolParams, rounds: Sequence[int]
-                         ) -> list[dict[int, dict[tuple, Fraction]]]:
-    """hiding_distribution for each of `rounds`, from one enumeration of
-    the states of the last round R = max(rounds).
 
     A state is the challenges and the shares a round's view depends on.
     Round r's view is round R's view truncated to the first min(r, n)

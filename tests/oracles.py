@@ -4,10 +4,16 @@ compute_eta is the expanded sign-alternating sum that the tests check the
 chained verifier and the tower's carried eta against; it stays outside
 relbc so that it remains independent of the code it checks.
 symmetrize_up lifts a standard-variant strategy to the symmetrized
-protocol for the symmetrization checks.
+protocol for the symmetrization checks.  WordStream reads relbc's Monte
+Carlo byte stream one rng.getrandbits(32) call per four bytes, one try at
+a time, and reference_table_wins and reference_transcripts draw from it
+as the documented stream says, one draw at a time: the bulk draws are
+checked against them, and the seeded pins come from them.
 """
 
-from relbc import CheatStrategy, FieldSpec, Variant
+import random
+
+from relbc import CheatStrategy, FieldSpec, Variant, adversary
 
 
 def compute_eta(spec: FieldSpec, d: int, challenges: tuple[int, ...],
@@ -48,3 +54,57 @@ def symmetrize_up(s: CheatStrategy) -> CheatStrategy:
                          s.rounds[:-1] + (final,),
                          lineage=f"symmetrize_up({s.lineage})",
                          game_strategy=s.game_strategy)
+
+
+class WordStream:
+    """The little-endian bytes of rng's successive getrandbits(32) words,
+    and the tries below a space read off them, one at a time."""
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.pending: list[int] = []
+
+    def byte(self) -> int:
+        if not self.pending:
+            self.pending = list(self.rng.getrandbits(32).to_bytes(4, "little"))
+        return self.pending.pop(0)
+
+    def below(self, space: int) -> int:
+        """The next kept try below space: the top k = (space - 1).bit_length()
+        bits of one byte up to space 256, else the top k = space.bit_length()
+        bits of four bytes read as a little-endian word."""
+        if space <= 256:
+            k, width = (space - 1).bit_length(), 8
+        else:
+            k, width = space.bit_length(), 32
+        while True:
+            word = int.from_bytes(bytes(self.byte() for _ in range(width // 8)),
+                                  "little")
+            if word >> (width - k) < space:
+                return word >> (width - k)
+
+
+def reference_table_wins(verdicts, samples: int, rng: random.Random) -> int:
+    """Wins among `samples` draws of a verdict table's entries: byte tries
+    up to 256 entries, rng.randrange(len(verdicts)) beyond."""
+    space = len(verdicts)
+    if space <= 256:
+        stream = WordStream(rng)
+        return sum(verdicts[stream.below(space)] for _ in range(samples))
+    return sum(verdicts[rng.randrange(space)] for _ in range(samples))
+
+
+def reference_transcripts(rng: random.Random, q: int, n_ch: int,
+                          samples: int) -> list:
+    """`samples` (d, challenges) rows, a chunk of adversary._CHUNK_ROWS
+    rows at a time: the chunk's bits, one top bit of a byte each, then its
+    challenges, row after row."""
+    stream = WordStream(rng)
+    out = []
+    while samples:
+        rows = min(samples, adversary._CHUNK_ROWS)
+        bits = [stream.below(2) for _ in range(rows)]
+        out += [(d, tuple(stream.below(q) for _ in range(n_ch)))
+                for d in bits]
+        samples -= rows
+    return out

@@ -26,7 +26,7 @@ from relbc import (
     desymmetrize,
     exact_cheat_probability,
     extend_symmetrized,
-    hiding_distribution,
+    hiding_distributions,
     mc_cheat_probability,
     shift_strategy,
     theory_lower_bound,
@@ -241,10 +241,10 @@ def test_criterion_07_perfect_hiding():
                     if variant is Variant.SYMMETRIZED and m < 2:
                         continue
                     params = ProtocolParams(spec, m, variant)
-                    for upto in range(1, params.n_rounds):
-                        dist = hiding_distribution(params, upto)
+                    *views, full = hiding_distributions(
+                        params, range(1, params.n_rounds + 1))
+                    for dist in views:
                         assert dist[0] == dist[1]
-                    full = hiding_distribution(params, params.n_rounds)
                     assert full[0] != full[1]
 
 

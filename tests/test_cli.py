@@ -22,6 +22,8 @@ from relbc import (
 from relbc.analysis import SWEEP_COLUMNS
 from relbc.cli import load_config, main, parse_m_list
 
+from oracles import reference_transcripts
+
 
 def invoke(*args):
     return CliRunner().invoke(main, list(args))
@@ -248,20 +250,18 @@ def test_attack_transcripts(tmp_path):
            "--samples", "100", "--strategy", "search", "--restarts", "1")),
 ], ids=["gf2", "gf256"])
 def test_attack_transcripts_follow_per_call_randrange(tmp_path, q, args):
-    # the written (d, challenges) rows are the stream of per-call
-    # randrange draws on the command's seeded transcript rng
+    # the written (d, challenges) rows are the per-word reference's rows
+    # on the command's seeded transcript rng: twelve bits, then the
+    # challenges row by row
     tpath = tmp_path / "transcripts.json"
     result = invoke("attack", *args, "--seed", "5",
                     "--transcript-out", str(tpath), "--transcript-count", "12")
     assert result.exit_code == 0
     transcripts = json.loads(tpath.read_text())
     n_ch = len(transcripts[0]["challenges"])
-    rng = random.Random("5:attack-transcripts")
-    want = []
-    for _ in range(12):
-        d = rng.randrange(2)
-        want.append([d, [rng.randrange(q) for _ in range(n_ch)]])
-    assert [[t["d"], t["challenges"]] for t in transcripts] == want
+    want = reference_transcripts(random.Random("5:attack-transcripts"), q,
+                                 n_ch, 12)
+    assert [(t["d"], tuple(t["challenges"])) for t in transcripts] == want
 
 
 def test_attack_mc_reproducible():
@@ -586,10 +586,10 @@ def test_hiding_ok():
 
 def test_hiding_property_failure_exit(monkeypatch):
     # a leaky protocol must yield the property-failure exit code
-    def leaky(params, upto):
-        return {0: {"x": 1}, 1: {"y": 1}}
+    def leaky(params, rounds):
+        return [{0: {"x": 1}, 1: {"y": 1}} for _ in rounds]
 
-    monkeypatch.setattr(cli, "hiding_distribution", leaky)
+    monkeypatch.setattr(cli, "hiding_distributions", leaky)
     result = invoke("hiding", "--p", "2", "--m", "3")
     assert result.exit_code == 4
 

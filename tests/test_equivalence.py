@@ -15,9 +15,11 @@ round, and its verdict must be verify_values' verdict on those responses;
 best_shift, which scores every translate from the win set's row and column
 counts, must return the same BestShift as the original O(Q^4) loop that
 shifts and rescores each translate; on the same random.Random stream, the
-bulk verdict-table draws must count the same wins as the original per-draw
-randrange loop, and the bulk transcript draws must give the same transcripts
-as the original per-sample randrange calls; run_honest, which draws its
+bulk verdict-table draws must count the same wins, and the bulk transcript
+draws give the same transcripts, as the per-word reference
+(oracles.WordStream, one getrandbits(32) call per four bytes, one try at a
+time; randrange calls for tables of more than 256 entries), whatever the
+draw block size; run_honest, which draws its
 shares in one block and computes its responses in one pass, must give the
 same Transcript as the original per-call sample and per-round responses; and
 the column verdict of a tower over Q <= 256 (rejected_rows, in byte lanes
@@ -55,7 +57,6 @@ from relbc import (
     brute_force_value,
     build_attack,
     exact_cheat_probability,
-    hiding_distribution,
     hiding_distributions,
     honest_responses,
     mc_cheat_probability,
@@ -74,7 +75,8 @@ from relbc.analysis import (_column_rejections, _plugged_values, _table_wins,
                             _transcripts)
 from relbc.games import BestShift, _game_tables, _greedy_best
 
-from oracles import compute_eta, symmetrize_up
+from oracles import (compute_eta, reference_table_wins, reference_transcripts,
+                     symmetrize_up)
 
 FIELDS = {q: spec for q, spec in (
     (2, FieldSpec(2)), (3, FieldSpec(3)), (4, FieldSpec(2, 2)),
@@ -193,6 +195,42 @@ def test_greedy_best_matches_method_reference_past_gf9(p, n):
         for table in _tables(spec, rng):
             assert (_greedy_best(tables, table, w)
                     == _method_greedy_best(spec, table, w))
+
+
+@pytest.mark.parametrize("p, n, columns", [
+    (3, 3, 4), (2, 5, 3), (2, 5, 31), (257, 1, 256), (2, 9, 256)],
+    ids=["q27-by4", "q32-by3", "q32-by31", "q257", "q512"])
+def test_greedy_best_column_blocks_match_one_block(p, n, columns,
+                                                   monkeypatch):
+    # bucket columns gathered a block at a time (at the default 256,
+    # GF(257) splits 129 + 128 columns and GF(512) 256 + 256) give the
+    # table and score of one block over all Q columns, ties included
+    spec = FieldSpec(p, n)
+    tables = _game_tables(spec)
+    rng = random.Random(f"greedy-blocks:{spec.q}")
+    cases = [(GameDist(spec, gamma).weights()[0], table)
+             for gamma in _gammas(spec.q)[:2] for table in _tables(spec, rng)]
+    monkeypatch.setattr(games, "_GATHER_COLUMNS", spec.q)
+    want = [_greedy_best(tables, table, w) for w, table in cases]
+    monkeypatch.setattr(games, "_GATHER_COLUMNS", columns)
+    assert [_greedy_best(tables, table, w) for w, table in cases] == want
+
+
+def test_greedy_best_holds_one_column_block():
+    # at GF(1024) the 1023 gathered bucket rows take ~8 MB of tuples at
+    # once, and a block of 256 columns of them ~2 MB
+    spec = FieldSpec(2, 10)
+    tables = _game_tables(spec)
+    w, _den = GameDist(spec, Fraction(1, 3)).weights()
+    rng = random.Random("greedy-memory")
+    other = tuple(rng.randrange(spec.q) for _ in range(spec.q))
+    tracemalloc.start()
+    try:
+        _greedy_best(tables, other, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
 
 
 def reference_brute_force(dist: GameDist):
@@ -501,16 +539,7 @@ def test_search_starts_match_per_call_randrange(p, n, restarts, monkeypatch):
     assert best_response_search(dist, restarts, iters, seed=2) == bulk
 
 
-# --- reference: the original per-draw verdict-table loop, verbatim ----------
-
-def reference_table_wins(verdicts, samples: int, rng: random.Random) -> int:
-    space = len(verdicts)
-    wins = 0
-    for _ in range(samples):
-        if verdicts[rng.randrange(space)]:
-            wins += 1
-    return wins
-
+# --- the verdict-table draws against the per-word reference ----------------
 
 def _same_wins(table: bytes, samples: int, seed: int) -> int:
     got = _table_wins(table, samples, random.Random(f"{seed}:mc"))
@@ -555,28 +584,25 @@ class _CountingRandom(random.Random):
 
 
 @pytest.mark.parametrize("space, seed", [(17, 45), (129, 291), (257, 105)])
-def test_table_wins_refill_when_first_block_is_short(space, seed):
-    # seeds found by search: the first block's accepted draws fall short of
-    # 100, so a second getrandbits block is needed (257 entries read words,
-    # the others top bytes)
+def test_table_wins_refill_when_first_block_is_short(space, seed,
+                                                     monkeypatch):
+    # 17, 129 and 257 entries reject a try with probability 15/32,
+    # 127/256 and 255/512, so the first 100 tries fall short and the
+    # stream reads on (257 entries read a word a try); in 3-word blocks
+    # every read also spans blocks and carries leftover bytes, and the 100
+    # kept tries take at least 100 bytes
     table = bytes(i % 2 for i in range(space))
+    want = reference_table_wins(table, 100, random.Random(f"{seed}:mc"))
     rng = _CountingRandom(f"{seed}:mc")
-    got = _table_wins(table, 100, rng)
-    assert rng.calls == 2
-    assert got == reference_table_wins(table, 100,
-                                       _CountingRandom(f"{seed}:mc"))
+    assert _table_wins(table, 100, rng) == want
+    assert rng.calls > 1
+    monkeypatch.setattr(protocol, "_DRAW_BLOCK_WORDS", 3)
+    rng = _CountingRandom(f"{seed}:mc")
+    assert _table_wins(table, 100, rng) == want
+    assert rng.calls > 100 // 12
 
 
-# --- reference: the original per-sample transcript draws ---------------------
-
-def reference_transcripts(rng: random.Random, q: int, n_ch: int,
-                          samples: int) -> list:
-    out = []
-    for _ in range(samples):
-        d = rng.randrange(2)
-        xs = tuple(rng.randrange(q) for _ in range(n_ch))
-        out.append((d, xs))
-    return out
+# --- the transcript draws against the per-word reference -------------------
 
 
 @pytest.mark.parametrize("n_ch", [1, 4, 12])
@@ -584,11 +610,13 @@ def reference_transcripts(rng: random.Random, q: int, n_ch: int,
                                3, 5, 27, 131, 243, 256, 4096, 2 ** 16,
                                2 ** 20])
 def test_bulk_transcripts_match_randrange_loop(q, n_ch, monkeypatch):
-    # small blocks, so every estimate spans many getrandbits blocks and rows
-    # straddle block boundaries; q <= 256 reads top bytes, larger q read
-    # words, and only q other than 2^j rejects tries of d that it keeps
-    # for x (131 and 243 on the byte side at the full width k = 8)
+    # small blocks and 128-row chunks, so every estimate spans many
+    # getrandbits blocks, reads cross block boundaries and the bits of a
+    # chunk are followed by its challenges; q <= 256 reads one byte a try
+    # and larger q a word, and only q other than 2^j rejects tries (131 and
+    # 243 at the full byte width k = 8)
     monkeypatch.setattr(protocol, "_DRAW_BLOCK_WORDS", 61)
+    monkeypatch.setattr(adversary, "_CHUNK_ROWS", 128)
     rng = _CountingRandom(f"{q}:{n_ch}:mc")
     got = list(_transcripts(rng, q, n_ch, 300))
     assert got == reference_transcripts(random.Random(f"{q}:{n_ch}:mc"),
@@ -597,23 +625,30 @@ def test_bulk_transcripts_match_randrange_loop(q, n_ch, monkeypatch):
 
 
 @pytest.mark.parametrize("q, n_ch, seed", [(3, 4, 3505), (5, 1, 22)])
-def test_word_transcripts_refill_when_first_block_is_short(q, n_ch, seed):
-    # seeds found by search: the first full-size block's rows fall short of
-    # 100, so the rest carries over into a second getrandbits block
+def test_word_transcripts_refill_when_first_block_is_short(q, n_ch, seed,
+                                                           monkeypatch):
+    # 3-word (12-byte) blocks: the 100 bits end 4 bytes into a block, whose
+    # other 8 bytes carry into the challenge read; Q = 3 and Q = 5 reject a
+    # byte try with probability 1/4 and 3/8, so the first 100 * n_ch
+    # challenge tries fall short and the stream reads on, and the bits and
+    # the kept tries take at least 100 * (1 + n_ch) bytes
+    monkeypatch.setattr(protocol, "_DRAW_BLOCK_WORDS", 3)
     rng = _CountingRandom(f"{seed}:mc")
     got = list(_transcripts(rng, q, n_ch, 100))
-    assert rng.calls == 2
+    assert rng.calls > 100 * (1 + n_ch) // 12
     assert got == reference_transcripts(random.Random(f"{seed}:mc"), q, n_ch,
                                         100)
 
 
 def test_bulk_transcripts_span_full_size_blocks():
-    # 2000 samples of 13 draws need ~52,000 words: two 32,768-word blocks
+    # 12,000 rows at Q = 16: 12,000 bytes of bits in one 3,000-word block,
+    # then 144,000 challenge bytes in a full 32,768-word block and a
+    # 3,232-word one
     rng = _CountingRandom("blocks:mc")
-    got = list(_transcripts(rng, 16, 12, 2000))
-    assert rng.calls == 2
+    got = list(_transcripts(rng, 16, 12, 12000))
+    assert rng.calls == 3
     assert got == reference_transcripts(random.Random("blocks:mc"), 16, 12,
-                                        2000)
+                                        12000)
 
 
 # --- reference: the original per-call honest run, verbatim -------------------
@@ -720,7 +755,8 @@ def test_truncated_hiding_views_match_per_round_enumeration(spec, m, variant):
             for r in range(1, last + 1)]
     assert hiding_distributions(params, range(1, last + 1)) == want
     assert hiding_distributions(params, (last - 1, last)) == want[-2:]
-    assert [hiding_distribution(params, r) for r in range(1, last + 1)] == want
+    assert [hiding_distributions(params, (r,))[0]
+            for r in range(1, last + 1)] == want
 
 
 def test_hiding_views_check_the_cap_round_by_round():
@@ -729,7 +765,7 @@ def test_hiding_views_check_the_cap_round_by_round():
     # enumerates the last challenge, so the two counts differ)
     params = ProtocolParams(FieldSpec(5), 8, Variant.SYMMETRIZED)
     with pytest.raises(CapabilityError) as alone:
-        hiding_distribution(params, 7)
+        hiding_distributions(params, (7,))
     with pytest.raises(CapabilityError) as merged:
         hiding_distributions(params, (7, 8))
     assert str(merged.value) == str(alone.value)
@@ -918,20 +954,25 @@ def test_column_mc_wins_match_accepts_loop(spec, variant, m, model):
     (FieldSpec(2, 4), Variant.STANDARD, 5, 22),
     (FIELDS[5], Variant.SYMMETRIZED, 6, 1005),
 ], ids=["q3", "q16", "q5"])
-def test_column_mc_refills_when_first_block_is_short(spec, variant, m, seed):
-    # seeds found by search: the first full-size block's rows fall short of
-    # 100, so the rest carries over into a second getrandbits block
+def test_column_mc_refills_when_first_block_is_short(spec, variant, m, seed,
+                                                     monkeypatch):
+    # in 5-word blocks the bits and the challenges of the 100 rows span
+    # many blocks, and each read carries the rest of its last block into
+    # the next: the wins are those of full-size blocks
     s = build_attack(spec, variant, m, CausalModel(),
                      DetStrategy.random(spec, random.Random(1)))
+    want = mc_cheat_probability(s, 100, seed).wins
+    monkeypatch.setattr(protocol, "_DRAW_BLOCK_WORDS", 5)
     rng = _CountingRandom(f"{seed}:mc")
     rejected = _column_rejections(s, rng, 100)
-    assert rng.calls == 2
-    assert 100 - rejected == _reference_mc_wins(s, 100, seed) \
-        == mc_cheat_probability(s, 100, seed).wins
+    assert rng.calls > 100 * s.n_challenges // 20
+    assert 100 - rejected == _reference_mc_wins(s, 100, seed) == want
 
 
 def test_column_mc_spans_many_small_blocks(monkeypatch):
+    # small blocks and 64-row chunks: the 400 rows are judged in 7 chunks
     monkeypatch.setattr(protocol, "_DRAW_BLOCK_WORDS", 61)
+    monkeypatch.setattr(adversary, "_CHUNK_ROWS", 64)
     s = build_attack(FIELDS[7], Variant.SYMMETRIZED, 9, CausalModel(4, 1),
                      DetStrategy.random(FIELDS[7], random.Random(7)))
     rng = _CountingRandom("7:mc")

@@ -1,6 +1,7 @@
 """Protocol flow: honest runs, acceptance checking, hiding."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,15 +15,17 @@ from relbc import (
     ProtocolParams,
     Transcript,
     Variant,
-    hiding_distribution,
+    hiding_distributions,
     honest_responses,
     run_honest,
     tilde_transform,
     verify_values,
 )
+from relbc import protocol
 from relbc.errors import CapabilityError
+from relbc.protocol import _ByteStream
 
-from oracles import compute_eta
+from oracles import WordStream, compute_eta
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -201,7 +204,7 @@ def test_perfect_hiding_before_reveal(spec, m):
             continue
         params = ProtocolParams(spec, m, variant)
         for upto in range(1, params.n_rounds):
-            dist = hiding_distribution(params, upto)
+            dist = hiding_distributions(params, (upto,))[0]
             assert dist[0] == dist[1]
             assert sum(dist[0].values()) == 1
 
@@ -209,32 +212,71 @@ def test_perfect_hiding_before_reveal(spec, m):
 def test_reveal_discloses_bit():
     for variant in (Variant.STANDARD, Variant.SYMMETRIZED):
         params = ProtocolParams(GF2, 3, variant)
-        dist = hiding_distribution(params, params.n_rounds)
+        dist = hiding_distributions(params, (params.n_rounds,))[0]
         assert dist[0] != dist[1]
 
 
 def test_hiding_single_round():
     params = ProtocolParams(GF3, 1)
-    dist = hiding_distribution(params, 1)
+    dist = hiding_distributions(params, (1,))[0]
     assert dist[0] == dist[1]
-    full = hiding_distribution(params, 2)
+    full = hiding_distributions(params, (2,))[0]
     assert full[0] != full[1]
 
 
 def test_hiding_distribution_is_exact():
     params = ProtocolParams(GF2, 3)
-    dist = hiding_distribution(params, 2)
+    dist = hiding_distributions(params, (2,))[0]
     for mass in dist[0].values():
         assert isinstance(mass, Fraction)
 
 
 def test_hiding_capability_cap():
     with pytest.raises(CapabilityError):
-        hiding_distribution(ProtocolParams(FieldSpec(5), 8), 7)
+        hiding_distributions(ProtocolParams(FieldSpec(5), 8), (7,))
 
 
 def test_hiding_rejects_a_round_outside_the_protocol():
     params = ProtocolParams(GF2, 3)
     for r in (0, params.n_rounds + 1):
         with pytest.raises(ValueError, match=r"upto_round must lie in 1\.\.3"):
-            hiding_distribution(params, r)
+            hiding_distributions(params, (r,))
+
+
+def _chi_square_bound(df: int) -> float:
+    """Wilson-Hilferty's upper quantile of chi-square with df degrees of
+    freedom at the normal deviate 4.75: exceeded with probability ~1e-6."""
+    c = 2 / (9 * df)
+    return df * (1 - c + 4.75 * math.sqrt(c)) ** 3
+
+
+def test_byte_tries_are_uniform_below_every_space():
+    # one seeded stream, 40 tries a value below every space from 2 to 256
+    # (byte tries) and at 257 and 1000 (word tries): Pearson's statistic
+    # stays below its 1 - 1e-6 quantile
+    stream = _ByteStream(random.Random("uniform"))
+    for space in [*range(2, 257), 257, 1000]:
+        count = 40 * space
+        tries = stream.tries(space, count)
+        assert len(tries) == count and max(tries) < space
+        counts = [0] * space
+        for t in tries:
+            counts[t] += 1
+        stat = sum((n - 40) ** 2 for n in counts) / 40
+        assert stat < _chi_square_bound(space - 1), space
+
+
+@pytest.mark.parametrize("block_words", [None, 1, 3], ids=["full", "1", "3"])
+def test_byte_stream_reads_the_words_in_turn(block_words, monkeypatch):
+    # reads of every size, in blocks of any size, give the bytes and tries
+    # of one getrandbits(32) call per four bytes: leftover bytes carry
+    if block_words:
+        monkeypatch.setattr(protocol, "_DRAW_BLOCK_WORDS", block_words)
+    stream = _ByteStream(random.Random("stream"))
+    reference = WordStream(random.Random("stream"))
+    for size in [0, 1, 2, 3, 5, 4, 7, 100, 1, 12, 4099]:
+        assert stream.take(size) == bytes(reference.byte()
+                                          for _ in range(size))
+        for space in (2, 3, 128, 129, 256, 257, 4096, 4097):
+            assert list(stream.tries(space, size)) == [
+                reference.below(space) for _ in range(size)]
