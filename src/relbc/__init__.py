@@ -7,7 +7,6 @@ from .adversary import (
     attack_base,
     attack_general,
     build_attack,
-    causality_check,
     desymmetrize,
     extend_symmetrized,
     tower_gamma,

@@ -7,8 +7,7 @@ and every challenge received at the same location (same round parity).  The
 committed bit is modeled as an extra challenge delivered at the decision
 round k0 and propagating the same way.  Round functions get the bit and the
 whole challenge tuple; the tower checks its rounds' fixed reads against the
-model once, when it builds them, and causality_check audits any strategy by
-perturbing what its rounds should not see.
+model once, when it builds them (_check_reads).
 
 A transcript is evaluated along one chain, eta_0 = d and
 eta_k = x_k*eta_{k-1} - ytilde_k (x = 1 for the standard variant's final
@@ -106,13 +105,14 @@ class CheatStrategy:
     etas[j] = x_j*etas[j-1] - ytilde_j for j < k, so an earlier output is
     ytilde_j = x_j*etas[j-1] - etas[j].  A compliant round k reads only the
     bit and the challenges its causal model lets round k see, and eta_j
-    only for prefixes j whose challenges it may see; causality_check audits
-    this by perturbing the inputs round k may not see.  One pass along the
-    chain evaluates a transcript in O(m) field ops and gives its verdict
-    (accepts).  When the rounds form a tower of _zero_round and _GameRound
-    rounds (_step_plan), accepts instead judges each step by the plugged
-    game's win test on the step's windowed challenge products, without
-    calling the rounds, and stops at the first collapsing step.
+    only for prefixes j whose challenges it may see; causality_check in
+    tests/oracles.py audits this by perturbing the inputs round k may not
+    see.  One pass along the chain evaluates a transcript in O(m) field
+    ops and gives its verdict (accepts).  When the rounds form a tower of
+    _zero_round and _GameRound rounds (_step_plan), accepts instead judges
+    each step by the plugged game's win test on the step's windowed
+    challenge products, without calling the rounds, and stops at the first
+    collapsing step.
 
     A tower over a field with Q <= 256 whose steps all play game_strategy's
     tables is also judged a batch at a time (rejected_rows, columnar),
@@ -615,43 +615,3 @@ def build_attack(spec: FieldSpec, variant: Variant, m: int,
     tower = attack_general(spec, tower_m, model, game_strategy)
     return extend_symmetrized(tower, m - tower_m)
 
-
-@dataclass
-class CausalityReport:
-    violations: list[dict]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def causality_check(s: CheatStrategy, model: Optional[CausalModel] = None,
-                    trials: int = 100, seed: int = 0) -> CausalityReport:
-    """Audit a strategy against a causal model by input perturbation.
-
-    For each round and trial, every input the model hides from the round is
-    perturbed one at a time; any change in the round's output is recorded
-    as a violation.  Report-only; compliant strategies yield zero
-    violations.
-    """
-    model = model or s.model
-    rng = random.Random(f"{seed}:causality")
-    q = s.field.q
-    n_ch = s.n_challenges
-    violations: list[dict] = []
-    for k in range(1, len(s.rounds) + 1):
-        hidden = [j for j in range(1, n_ch + 1)
-                  if not model.challenge_visible(k, j)]
-        d_hidden = not model.d_visible(k)
-        for t in range(trials):
-            d = rng.randrange(2)
-            xs = tuple(rng.randrange(q) for _ in range(n_ch))
-            base = s.respond(k, d, xs)
-            if d_hidden and s.respond(k, 1 - d, xs) != base:
-                violations.append({"round": k, "input": "d", "trial": t})
-            for j in hidden:
-                alt = (xs[j - 1] + rng.randrange(1, q)) % q
-                pert = xs[:j - 1] + (alt,) + xs[j:]
-                if s.respond(k, d, pert) != base:
-                    violations.append({"round": k, "input": f"x{j}", "trial": t})
-    return CausalityReport(violations)

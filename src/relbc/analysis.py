@@ -5,15 +5,16 @@ challenge vectors, computed as rationals.  Monte Carlo estimates come with
 exact binomial (Clopper-Pearson) confidence intervals, whose endpoints are
 beta quantiles found by inverting the regularized incomplete beta function
 I_x(a, b): a Lentz continued fraction evaluates the tail and safeguarded
-Halley steps solve for x.  The bound formulas are the tower lower bound
-1 - (1/2)*((1-1/Q)(1-w))^floor((m-k0-1)/(rho+1)) and the heuristic upper
-comparison 1/2 + c*m/sqrt(Q).
+quartic (third-order Householder) steps solve for x.  The bound formulas
+are the tower lower bound 1 - (1/2)*((1-1/Q)(1-w))^floor((m-k0-1)/(rho+1))
+and the heuristic upper comparison 1/2 + c*m/sqrt(Q).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,8 +59,8 @@ _TINY = 1e-300
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _CF_EPS = 1e-15
 _CF_MAX_TERMS = 100000
-# After a Halley step of relative size s the error is O(s^3): stop there
-_STEP_RTOL = 1e-5
+# After a quartic step of relative size s the error is O(s^4): stop there
+_STEP_RTOL = 1e-3
 _QUANTILE_MAX_STEPS = 200
 
 
@@ -122,12 +123,16 @@ def _beta_quantile(p: float, a: float, b: float, upper: bool) -> float:
 
     The requested tail T is evaluated on the side of the continued
     fraction's split, so a small T is never the difference of two numbers
-    near 1.  Halley steps on log T - log p (log T is concave: the beta
-    density is log-concave for a, b >= 1) start from the Numerical Recipes
-    invbetai guess, or deep in a tail from the tail's leading term (where
-    that guess can be off by orders of magnitude), and stay inside a bracket
-    updated from the sign of the residual; a step that leaves the bracket is
-    replaced by bisection.
+    near 1.  Householder steps of the third order on log T - log p (log T
+    is concave: the beta density is log-concave for a, b >= 1) start from
+    the Numerical Recipes invbetai guess, or deep in a tail from the tail's
+    leading term (where that guess can be off by orders of magnitude), and
+    stay inside a bracket updated from the sign of the residual; a step that
+    leaves the bracket is replaced by bisection.  The second and third
+    derivatives of log T follow from its first and the log-density, so a
+    step costs one continued fraction; the steps converge quartically, so
+    from a start whose Newton step is below _STEP_RTOL one step is taken
+    and not checked by a second evaluation.
     """
     log_beta = _log_beta(a, b)
     # Deep in a tail, T ~ x^a / (a B(a, b)) (lower) or (1-x)^b / (b B(a, b))
@@ -182,13 +187,18 @@ def _beta_quantile(p: float, a: float, b: float, upper: bool) -> float:
             lo = x
         if slope != 0.0:
             step = residual / slope  # Newton's step
-            # log-density slope minus d log T / dx, from the second derivative
+            # L'' / L' and L''' / L' for L = log T and the log-density l:
+            # L'' = L' (l' - L') and L''' = L'' (l' - L') + L' (l'' - L'')
             bend = (a - 1.0) / x - (b - 1.0) / (1.0 - x) - slope
-            halley = x - step / (1.0 - 0.5 * min(1.0, step * bend))
+            twist = (bend * (bend - slope) - (a - 1.0) / (x * x)
+                     - (b - 1.0) / ((1.0 - x) * (1.0 - x)))
+            lean = step * bend
+            quartic = x - step * (1.0 - 0.5 * lean) / (
+                1.0 - lean + step * step * twist / 6.0)  # Householder's step
             if abs(step) <= max(_STEP_RTOL * min(x, 1.0 - x), math.ulp(x)):
-                return min(max(halley, lo), hi)
-            if lo < halley < hi:
-                x = halley
+                return min(max(quartic, lo), hi)
+            if lo < quartic < hi:
+                x = quartic
                 continue
         x = 0.5 * (lo + hi)
         if not lo < x < hi:  # no float left inside the bracket
@@ -204,7 +214,9 @@ def clopper_pearson(wins: int, samples: int, confidence: float = 0.99
     The endpoints are the alpha/2 lower quantile of Beta(wins, samples-wins+1)
     and the alpha/2 upper quantile of Beta(wins+1, samples-wins), with
     alpha = 1 - confidence; they are 0 and 1 at wins = 0 and wins = samples.
+    wins and samples must be integers (TypeError otherwise).
     """
+    wins, samples = operator.index(wins), operator.index(samples)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not 0 <= wins <= samples:

@@ -3,6 +3,9 @@
 compute_eta is the expanded sign-alternating sum that the tests check the
 chained verifier and the tower's carried eta against; it stays outside
 relbc so that it remains independent of the code it checks.
+causality_check audits any strategy against a causal model by perturbing
+the inputs its rounds should not see, independently of the read checks
+that the tower makes when it builds its rounds.
 symmetrize_up lifts a standard-variant strategy to the symmetrized
 protocol for the symmetrization checks.  WordStream reads relbc's Monte
 Carlo byte stream one rng.getrandbits(32) call per four bytes, one try at
@@ -12,8 +15,10 @@ checked against them, and the seeded pins come from them.
 """
 
 import random
+from dataclasses import dataclass
+from typing import Optional
 
-from relbc import CheatStrategy, FieldSpec, Variant, adversary
+from relbc import CausalModel, CheatStrategy, FieldSpec, Variant, adversary
 
 
 def compute_eta(spec: FieldSpec, d: int, challenges: tuple[int, ...],
@@ -54,6 +59,47 @@ def symmetrize_up(s: CheatStrategy) -> CheatStrategy:
                          s.rounds[:-1] + (final,),
                          lineage=f"symmetrize_up({s.lineage})",
                          game_strategy=s.game_strategy)
+
+
+@dataclass
+class CausalityReport:
+    violations: list[dict]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def causality_check(s: CheatStrategy, model: Optional[CausalModel] = None,
+                    trials: int = 100, seed: int = 0) -> CausalityReport:
+    """Audit a strategy against a causal model by input perturbation.
+
+    For each round and trial, every input the model hides from the round is
+    perturbed one at a time; any change in the round's output is recorded
+    as a violation.  Report-only; compliant strategies yield zero
+    violations.
+    """
+    model = model or s.model
+    rng = random.Random(f"{seed}:causality")
+    q = s.field.q
+    n_ch = s.n_challenges
+    violations: list[dict] = []
+    for k in range(1, len(s.rounds) + 1):
+        hidden = [j for j in range(1, n_ch + 1)
+                  if not model.challenge_visible(k, j)]
+        d_hidden = not model.d_visible(k)
+        for t in range(trials):
+            d = rng.randrange(2)
+            xs = tuple(rng.randrange(q) for _ in range(n_ch))
+            base = s.respond(k, d, xs)
+            if d_hidden and s.respond(k, 1 - d, xs) != base:
+                violations.append({"round": k, "input": "d", "trial": t})
+            for j in hidden:
+                alt = (xs[j - 1] + rng.randrange(1, q)) % q
+                pert = xs[:j - 1] + (alt,) + xs[j:]
+                if s.respond(k, d, pert) != base:
+                    violations.append({"round": k, "input": f"x{j}", "trial": t})
+    return CausalityReport(violations)
 
 
 class WordStream:

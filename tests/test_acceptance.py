@@ -22,7 +22,6 @@ from relbc import (
     attack_general,
     best_response_search,
     brute_force_value,
-    causality_check,
     desymmetrize,
     exact_cheat_probability,
     extend_symmetrized,
@@ -37,7 +36,7 @@ from relbc import (
     zeros_strategy,
 )
 
-from oracles import symmetrize_up
+from oracles import causality_check, symmetrize_up
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)

@@ -20,7 +20,6 @@ from relbc import (
     attack_general,
     brute_force_value,
     build_attack,
-    causality_check,
     desymmetrize,
     exact_cheat_probability,
     extend_symmetrized,
@@ -31,7 +30,7 @@ from relbc import (
 )
 from relbc.adversary import _check_reads, _GameRound
 
-from oracles import compute_eta, symmetrize_up
+from oracles import causality_check, compute_eta, symmetrize_up
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)

@@ -82,6 +82,12 @@ def test_clopper_pearson_rejects_bad_input(args):
         clopper_pearson(*args)
 
 
+@pytest.mark.parametrize("args", [(5.5, 10), ("3", 10), (3, 10.0)])
+def test_clopper_pearson_rejects_non_integral_counts(args):
+    with pytest.raises(TypeError):
+        clopper_pearson(*args)
+
+
 def _binomial_cdf(n, k, x: Fraction) -> Fraction:
     """P(Bin(n, x) <= k), exactly."""
     num, den = x.numerator, x.denominator
@@ -118,18 +124,69 @@ def test_clopper_pearson_against_exact_binomial_tail(n):
                                 hi, half), case
 
 
-@pytest.mark.parametrize("n", [100, 200, 10 ** 4, 10 ** 5])
+def _upper_tail_sign(n, k, x: Fraction, level: Fraction) -> int:
+    """The sign of P(Bin(n, x) >= k) - level, exactly, from the n - k + 1
+    terms j >= k.  It compares integers: reducing a Fraction over
+    denominator**n would spend seconds in its gcd at n = 10**4."""
+    num, den = x.numerator, x.denominator
+    # acc = sum over j >= k of C(n, j) num^(j-k) rest^(n-j), by Horner in num
+    rest, power, acc = den - num, 1, 0
+    for j in range(n, k - 1, -1):
+        acc = acc * num + math.comb(n, j) * power
+        power *= rest
+    diff = num ** k * acc * level.denominator - level.numerator * den ** n
+    return (diff > 0) - (diff < 0)
+
+
+@pytest.mark.parametrize("wins", [9900, 9922, 9950, 9990])
+def test_clopper_pearson_against_exact_binomial_tail_at_10_4(wins):
+    """The Monte Carlo operating point: each endpoint solves its binomial
+    tail equation to 1e-9 relative, P(X >= wins | lo) = alpha/2 and
+    P(X >= wins + 1 | hi) = 1 - alpha/2, summed over the upper tail only."""
+    n = 10 ** 4
+    for confidence in (0.99, 1 - 1e-6):
+        half = (1 - Fraction(confidence)) / 2
+        lo, hi = clopper_pearson(wins, n, confidence)
+        assert _crosses(lambda x: _upper_tail_sign(n, wins, x, half),
+                        lo, 0), (wins, confidence)
+        assert _crosses(lambda x: _upper_tail_sign(n, wins + 1, x, 1 - half),
+                        hi, 0), (wins, confidence)
+
+
+@pytest.mark.parametrize("n", [100, 200, 10 ** 4, 10 ** 5, 10 ** 6])
 def test_clopper_pearson_matches_scipy(n):
+    """The upper endpoint is scipy's isf of the tail: ppf of 1 - alpha/2
+    can round the tail to a multiple of 2**-53 before inverting it."""
     stats = pytest.importorskip("scipy.stats")
-    for confidence in (0.9, 0.99, 1 - 1e-6):
+    rng = random.Random(n)
+    drawn = [rng.randrange(n + 1) for _ in range(20)]
+    for confidence in (0.9, 0.99, 1 - 1e-6, 1 - 1e-10):
         alpha = 1 - confidence
-        for wins in (0, 1, n // 2, n - 78, n - 1, n):
+        for wins in (0, 1, n // 2, n - 78, n - 1, n, *drawn):
             lo = 0.0 if wins == 0 else stats.beta.ppf(alpha / 2, wins,
                                                       n - wins + 1)
-            hi = 1.0 if wins == n else stats.beta.ppf(1 - alpha / 2, wins + 1,
+            hi = 1.0 if wins == n else stats.beta.isf(alpha / 2, wins + 1,
                                                       n - wins)
             assert clopper_pearson(wins, n, confidence) == pytest.approx(
                 (lo, hi), rel=1e-9, abs=0), (wins, n, confidence)
+
+
+def test_clopper_pearson_costs_one_continued_fraction_an_endpoint(monkeypatch):
+    """At the Monte Carlo operating point each endpoint takes one continued
+    fraction: the start's Newton step is below the stopping size, and one
+    quartic step from it lands the endpoint."""
+    calls = []
+    beta_cf = relbc.analysis._beta_cf
+
+    def counted(a, b, x):
+        calls.append(x)
+        return beta_cf(a, b, x)
+
+    monkeypatch.setattr(relbc.analysis, "_beta_cf", counted)
+    for wins in range(100, 9951):
+        calls.clear()
+        clopper_pearson(wins, 10 ** 4, 0.99)
+        assert len(calls) == 2, wins
 
 
 def test_import_does_not_load_scipy():
