@@ -31,7 +31,9 @@ plugged strategy's CHSH_Q win on (A, B).  A tower transcript therefore
 ends at eta_n = d * prod(silent challenges) * prod(step factors), the
 silent challenges being those of the k0 quiet prefix and of the padding
 rounds, and its verdict is the game's own win test, step by step, up to
-the first collapsing step.
+the first collapsing step.  The builders that lay a tower out
+(attack_general, desymmetrize, extend_symmetrized, zeros_strategy) hand
+their strategy that step plan; no other strategy carries one.
 
 Strategies are built in sign-flipped response space (see
 protocol.tilde_transform) and converted back at the boundary.
@@ -108,22 +110,23 @@ class CheatStrategy:
     only for prefixes j whose challenges it may see; causality_check in
     tests/oracles.py audits this by perturbing the inputs round k may not
     see.  One pass along the chain evaluates a transcript in O(m) field
-    ops and gives its verdict (accepts).  When the rounds form a tower of
-    _zero_round and _GameRound rounds (_step_plan), accepts instead judges
-    each step by the plugged game's win test on the step's windowed
-    challenge products, without calling the rounds, and stops at the first
-    collapsing step.
+    ops and gives its verdict (accepts).  A strategy made by one of the
+    tower's builders carries the step plan its builder laid out
+    (_step_plan); accepts then judges each step by the plugged game's win
+    test on the step's windowed challenge products, without calling the
+    rounds, and stops at the first collapsing step.  Any other strategy,
+    hand-built or copied (dataclasses.replace), has no plan and walks the
+    chain.
 
-    A tower over a field with Q <= 256 whose steps all play game_strategy's
-    tables is also judged a batch at a time (rejected_rows, columnar),
-    from the same step plan: a step's input pair (A, B) then fits 16 bits
-    as A*Q + B (one byte at Q <= 16), so one big-integer multiply-add
-    gives the pair column of every row and one lookup in the plugged
-    game's win matrix the step's outcome in every row.  Exact
-    enumeration, the verdict table and Monte Carlo take that path on such
-    towers; accepts stays the one path for every other strategy, and the
-    reference the batch verdict is tested against.  The strategy is
-    frozen, so its verdict table, step plan, columnar flag and product
+    A planned strategy over a field with Q <= 256 is also judged a batch
+    at a time (rejected_rows, columnar), from the same step plan: a step's
+    input pair (A, B) then fits 16 bits as A*Q + B (one byte at Q <= 16),
+    so one big-integer multiply-add gives the pair column of every row and
+    one lookup in the plugged game's win matrix the step's outcome in
+    every row.  Exact enumeration, the verdict table and Monte Carlo take
+    that path on such towers; accepts stays the one path for every other
+    strategy, and the reference the batch verdict is tested against.  The
+    strategy is frozen, so its verdict table, columnar flag and product
     table, built on first use, cannot go stale.
     """
 
@@ -134,6 +137,15 @@ class CheatStrategy:
     rounds: tuple[RoundFn, ...]
     lineage: str = "custom"
     game_strategy: Optional[DetStrategy] = None
+    # (silent challenge positions, steps) of a tower, set by its builder
+    # (_planned), else None.  A step of prefix p spans the 0-based
+    # challenges p..last: rho - 1 zero rounds, then the first and the
+    # second _GameRound of prefix p, kept as (last, a, more_a, b, more_b,
+    # s1, s2): the second round's last challenge, each round's window as
+    # its first position and the rest, and the rounds' tables.  The
+    # windows partition p..last - 1, so their products multiply to the
+    # product of those challenges.  A silent challenge multiplies eta.
+    _step_plan = None
 
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
@@ -189,60 +201,13 @@ class CheatStrategy:
         return etas
 
     @cached_property
-    def _step_plan(self) -> Optional[tuple[tuple[int, ...],
-                                           tuple[Step, ...]]]:
-        """(silent challenge positions, steps) when every round is
-        _zero_round or a _GameRound in tower position, else None.
-
-        A step of prefix p spans the 0-based challenges p..hi - 1,
-        hi = p + rho + 1: rho - 1 zero rounds, then the first and the second
-        _GameRound of prefix p.  It is kept as (last, a, more_a, b, more_b,
-        s1, s2): the second round's last challenge, each round's window as
-        its first position and the rest, and the rounds' tables.  It is
-        kept only when the first round has no last challenge, the second's
-        is hi - 1 and the two windows partition p..hi - 2, so that the
-        window products multiply to the product of those challenges.
-        Every other round is a zero round, and below n_challenges its
-        challenge is silent: it multiplies eta.  Game rounds are known by
-        their exact type, so a wrapped or subclassed round, whose output
-        need not be linear in eta_p, leaves the strategy to the chain.
-        """
-        rounds, n, rho = self.rounds, self.n_challenges, self.model.rho
-        silent, steps = [], []
-        k = 0
-        while k < len(rounds):
-            kb = k + rho + 1
-            first, second = rounds[kb - 2:kb] if kb <= n else (None, None)
-            if (type(first) is _GameRound and first.tower_step == (k, 1)
-                    and type(second) is _GameRound
-                    and second.tower_step == (k, 2)
-                    and all(fn is _zero_round for fn in rounds[k:kb - 2])):
-                if (first.last is not None or second.last != kb - 1
-                        or sorted(first.window + second.window)
-                        != list(range(k, kb - 1))):
-                    return None
-                (a, *more_a), (b, *more_b) = first.window, second.window
-                steps.append((kb - 1, a, tuple(more_a), b, tuple(more_b),
-                              first.table, second.table))
-                k = kb
-            elif rounds[k] is _zero_round:
-                if k < n:
-                    silent.append(k)
-                k += 1
-            else:
-                return None
-        return tuple(silent), tuple(steps)
-
-    @cached_property
     def columnar(self) -> bool:
-        """Whether rejected_rows can judge this strategy: a tower
-        (_step_plan) over a field with Q <= 256 whose every step plays
-        game_strategy's tables, so that one win matrix serves every step.
-        A strategy with no step (zeros, padding only) is columnar."""
-        plan, game = self._step_plan, self.game_strategy
-        return (self.field.q <= 256 and plan is not None
-                and all(game is not None and (s1, s2) == (game.s1, game.s2)
-                        for *_, s1, s2 in plan[1]))
+        """Whether rejected_rows can judge this strategy: a planned one
+        (_step_plan) over a field with Q <= 256.  Its builder plugged
+        game_strategy's tables into every step, so that one win matrix
+        serves every step.  A strategy with no step (zeros, padding only)
+        is columnar."""
+        return self.field.q <= 256 and self._step_plan is not None
 
     @cached_property
     def _product_table(self) -> bytes:
@@ -285,8 +250,7 @@ class CheatStrategy:
         """
         if not self.columnar:
             raise ValueError("rejected_rows judges only a columnar strategy"
-                             " (a tower over Q <= 256 that plays its"
-                             " game_strategy); use accepts")
+                             " (a built tower over Q <= 256); use accepts")
         silent, steps = self._step_plan
         q, n = self.field.q, len(d)
         if q <= 16:
@@ -341,7 +305,8 @@ class CheatStrategy:
         prod(step factors), where a step's factor is
         x_last * (A*B - s1[A] - s2[B]), A and B being its window products.
         This holds because a _GameRound's output is linear in its step's
-        prefix eta and the windows partition the step's other challenges.
+        prefix eta and the builder's windows partition the step's other
+        challenges.
         So the verdict is true at d = 0, a zero silent challenge or the
         first step that collapses: x_last = 0, or the plugged strategy wins
         CHSH_Q on (A, B), the test win_probability counts.  No round is
@@ -446,19 +411,18 @@ class _GameRound:
     x_last when last is given, A being the product of the challenges at
     the 0-based positions in window, which is not empty.
 
-    tower_step = (p, 1) or (p, 2) marks the step's first or second game
-    round; the first has no last challenge, the second's is the step's
-    last.  The output is linear in eta_p by construction, which is what
-    CheatStrategy.accepts relies on when it judges the step by the game's
-    win test instead of calling the round.
+    A step's first game round has no last challenge, and its second's is
+    the step's last.  The output is linear in eta_p by construction, which
+    is what CheatStrategy.accepts relies on when it judges the step by the
+    game's win test instead of calling the round.
     """
 
-    __slots__ = ("tower_step", "table", "window", "last", "_mul")
+    __slots__ = ("prefix", "table", "window", "last", "_mul")
 
-    def __init__(self, spec: FieldSpec, tower_step: tuple[int, int],
+    def __init__(self, spec: FieldSpec, prefix: int,
                  table: tuple[int, ...], window: Iterable[int],
                  last: Optional[int] = None):
-        self.tower_step = tower_step
+        self.prefix = prefix
         self.table = table
         self.window = tuple(window)
         if not self.window:
@@ -474,24 +438,27 @@ class _GameRound:
         answer = self.table[answer]
         if self.last is not None:
             answer = mul(answer, xs[self.last])
-        return mul(etas[self.tower_step[0]], answer)
+        return mul(etas[self.prefix], answer)
 
 
 def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,
-                  game_strategy: DetStrategy) -> list[RoundFn]:
-    """Round functions of the tower: per step, rho - 1 zero rounds, then
-    the first and the second _GameRound of the step's prefix p.  Of the
-    step's first rho challenges, the first game round (ka = p + rho) reads
-    those of its parity, x_{p+2}, x_{p+4}, ..., x_ka, and answers s1 at
-    their product; the second (kb = ka + 1) reads x_{p+1}, x_{p+3}, ...,
-    x_{ka-1}, and answers s2 at their product times x_kb.
+                  game_strategy: DetStrategy
+                  ) -> tuple[list[RoundFn], list[Step]]:
+    """Round functions of the tower and its steps: per step, rho - 1 zero
+    rounds, then the first and the second _GameRound of the step's prefix
+    p.  Of the step's first rho challenges, the first game round
+    (ka = p + rho) reads those of its parity, x_{p+2}, x_{p+4}, ..., x_ka,
+    and answers s1 at their product; the second (kb = ka + 1) reads
+    x_{p+1}, x_{p+3}, ..., x_{ka-1}, and answers s2 at their product times
+    x_kb.  The two windows partition the step's first rho challenges.
     The bit and challenges each round reads are fixed by its position, so
     they are checked against the model once, here, rather than on every
     call."""
     rho, k0 = model.rho, model.k0
-    steps = (m - k0) // (rho + 1)
+    s1, s2 = game_strategy.s1, game_strategy.s2
     rounds: list[RoundFn] = [_zero_round] * k0
-    for s in range(steps):
+    steps: list[Step] = []
+    for s in range((m - k0) // (rho + 1)):
         p = k0 + s * (rho + 1)
         ka, kb = p + rho, p + rho + 1
         win_a, win_b = range(p + 1, ka, 2), range(p, ka - 1, 2)  # 0-based
@@ -499,10 +466,20 @@ def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,
         _check_reads(model, kb, m,
                      [*range(1, p + 1), *(j + 1 for j in win_b), kb])
         rounds.extend([_zero_round] * (rho - 1))
-        rounds.append(_GameRound(spec, (p, 1), game_strategy.s1, win_a))
-        rounds.append(_GameRound(spec, (p, 2), game_strategy.s2, win_b,
-                                 last=kb - 1))
-    return rounds
+        rounds.append(_GameRound(spec, p, s1, win_a))
+        rounds.append(_GameRound(spec, p, s2, win_b, last=kb - 1))
+        steps.append((kb - 1, p + 1, tuple(win_a[1:]), p, tuple(win_b[1:]),
+                      s1, s2))
+    return rounds, steps
+
+
+def _planned(strategy: CheatStrategy, silent: Iterable[int],
+             steps: Iterable[Step]) -> CheatStrategy:
+    """strategy, given the step plan its builder laid out: the 0-based
+    positions of its silent challenges and its tower steps (see
+    CheatStrategy._step_plan)."""
+    object.__setattr__(strategy, "_step_plan", (tuple(silent), tuple(steps)))
+    return strategy
 
 
 def attack_base(spec: FieldSpec, m: int, game_strategy: DetStrategy
@@ -538,9 +515,11 @@ def attack_general(spec: FieldSpec, m: int, model: CausalModel,
         raise ValueError(
             f"m = {m} is not of tower form k0 + k*(rho+1) with k >= 1 for"
             f" {model}; nearest valid tower is m = {nearest}")
-    rounds = _tower_rounds(spec, m, model, game_strategy)
-    return CheatStrategy(spec, Variant.SYMMETRIZED, m, model, tuple(rounds),
-                         lineage=lineage, game_strategy=game_strategy)
+    rounds, plan = _tower_rounds(spec, m, model, game_strategy)
+    return _planned(
+        CheatStrategy(spec, Variant.SYMMETRIZED, m, model, tuple(rounds),
+                      lineage=lineage, game_strategy=game_strategy),
+        range(model.k0), plan)
 
 
 def tower_gamma(spec: FieldSpec, model: CausalModel) -> Fraction:
@@ -558,10 +537,12 @@ def desymmetrize(s: CheatStrategy) -> CheatStrategy:
     """
     if s.variant is not Variant.SYMMETRIZED:
         raise ValueError("desymmetrize expects a symmetrized-variant strategy")
-    return CheatStrategy(s.field, Variant.STANDARD, s.m + 1, s.model,
-                         s.rounds + (_zero_round,),
-                         lineage=f"desymmetrize({s.lineage})",
-                         game_strategy=s.game_strategy)
+    longer = CheatStrategy(s.field, Variant.STANDARD, s.m + 1, s.model,
+                           s.rounds + (_zero_round,),
+                           lineage=f"desymmetrize({s.lineage})",
+                           game_strategy=s.game_strategy)
+    # the final round has no challenge, so the plan is s's
+    return longer if s._step_plan is None else _planned(longer, *s._step_plan)
 
 
 def extend_symmetrized(s: CheatStrategy, extra: int) -> CheatStrategy:
@@ -577,19 +558,25 @@ def extend_symmetrized(s: CheatStrategy, extra: int) -> CheatStrategy:
         raise ValueError("extra must be >= 0")
     if extra == 0:
         return s
-    return CheatStrategy(s.field, Variant.SYMMETRIZED, s.m + extra, s.model,
-                         s.rounds + (_zero_round,) * extra,
-                         lineage=f"pad+{extra}({s.lineage})",
-                         game_strategy=s.game_strategy)
+    padded = CheatStrategy(s.field, Variant.SYMMETRIZED, s.m + extra, s.model,
+                           s.rounds + (_zero_round,) * extra,
+                           lineage=f"pad+{extra}({s.lineage})",
+                           game_strategy=s.game_strategy)
+    if s._step_plan is None:
+        return padded
+    silent, steps = s._step_plan
+    return _planned(padded, silent + tuple(range(s.m, s.m + extra)), steps)
 
 
 def zeros_strategy(spec: FieldSpec, variant: Variant, m: int,
                    model: Optional[CausalModel] = None) -> CheatStrategy:
     """Always answer zero; wins whenever d = 0 or any challenge product dies."""
     model = model or CausalModel()
-    n_rounds = ProtocolParams(spec, m, variant).n_rounds
-    return CheatStrategy(spec, variant, m, model, (_zero_round,) * n_rounds,
-                         lineage="zeros")
+    params = ProtocolParams(spec, m, variant)
+    return _planned(
+        CheatStrategy(spec, variant, m, model,
+                      (_zero_round,) * params.n_rounds, lineage="zeros"),
+        range(params.n_challenges), ())
 
 
 def build_attack(spec: FieldSpec, variant: Variant, m: int,

@@ -5,7 +5,9 @@ chained verifier and the tower's carried eta against; it stays outside
 relbc so that it remains independent of the code it checks.
 causality_check audits any strategy against a causal model by perturbing
 the inputs its rounds should not see, independently of the read checks
-that the tower makes when it builds its rounds.
+that the tower makes when it builds its rounds.  derive_step_plan
+recovers a tower's step plan from its rounds alone, by their types, marks
+and windows, for the tests to check each builder's own plan against.
 symmetrize_up lifts a standard-variant strategy to the symmetrized
 protocol for the symmetrization checks.  WordStream reads relbc's Monte
 Carlo byte stream one rng.getrandbits(32) call per four bytes, one try at
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from relbc import CausalModel, CheatStrategy, FieldSpec, Variant, adversary
+from relbc.adversary import _GameRound, _zero_round
 
 
 def compute_eta(spec: FieldSpec, d: int, challenges: tuple[int, ...],
@@ -59,6 +62,57 @@ def symmetrize_up(s: CheatStrategy) -> CheatStrategy:
                          s.rounds[:-1] + (final,),
                          lineage=f"symmetrize_up({s.lineage})",
                          game_strategy=s.game_strategy)
+
+
+def tower_step(fn: _GameRound) -> tuple[int, int]:
+    """A game round's mark: (p, 1) for the first game round of the step
+    of prefix p, which has no last challenge, and (p, 2) for its second."""
+    return fn.prefix, 1 if fn.last is None else 2
+
+
+def derive_step_plan(strategy: CheatStrategy):
+    """(silent challenge positions, steps) when every round is
+    _zero_round or a _GameRound in tower position, else None: the plan
+    CheatStrategy._step_plan holds, found by walking the rounds.
+
+    A step of prefix p spans the 0-based challenges p..hi - 1,
+    hi = p + rho + 1: rho - 1 zero rounds, then the first and the second
+    _GameRound of prefix p.  It is kept as (last, a, more_a, b, more_b,
+    s1, s2): the second round's last challenge, each round's window as
+    its first position and the rest, and the rounds' tables.  It is
+    kept only when the first round has no last challenge, the second's
+    is hi - 1 and the two windows partition p..hi - 2, so that the
+    window products multiply to the product of those challenges.
+    Every other round is a zero round, and below n_challenges its
+    challenge is silent: it multiplies eta.  Game rounds are known by
+    their exact type, so a wrapped or subclassed round, whose output
+    need not be linear in eta_p, finds no plan.
+    """
+    rounds, n, rho = strategy.rounds, strategy.n_challenges, strategy.model.rho
+    silent, steps = [], []
+    k = 0
+    while k < len(rounds):
+        kb = k + rho + 1
+        first, second = rounds[kb - 2:kb] if kb <= n else (None, None)
+        if (type(first) is _GameRound and tower_step(first) == (k, 1)
+                and type(second) is _GameRound
+                and tower_step(second) == (k, 2)
+                and all(fn is _zero_round for fn in rounds[k:kb - 2])):
+            if (first.last is not None or second.last != kb - 1
+                    or sorted(first.window + second.window)
+                    != list(range(k, kb - 1))):
+                return None
+            (a, *more_a), (b, *more_b) = first.window, second.window
+            steps.append((kb - 1, a, tuple(more_a), b, tuple(more_b),
+                          first.table, second.table))
+            k = kb
+        elif rounds[k] is _zero_round:
+            if k < n:
+                silent.append(k)
+            k += 1
+        else:
+            return None
+    return tuple(silent), tuple(steps)
 
 
 @dataclass

@@ -28,9 +28,10 @@ from relbc import (
     win_probability,
     zeros_strategy,
 )
-from relbc.adversary import _check_reads, _GameRound
+from relbc.adversary import _check_reads, _GameRound, _planned
 
-from oracles import causality_check, compute_eta, symmetrize_up
+from oracles import (causality_check, compute_eta, derive_step_plan,
+                     symmetrize_up)
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -512,15 +513,54 @@ def test_step_verdict_matches_chain_on_longer_windows(spec, rho, k0):
     assert_accepts_matches_chain(strategy)
 
 
+@pytest.mark.parametrize("spec", [GF2, GF3, FieldSpec(2, 2), FieldSpec(2, 4),
+                                  FieldSpec(2, 8)], ids=lambda s: f"q{s.q}")
+def test_builders_lay_out_the_plan_a_walk_over_their_rounds_finds(spec):
+    # each builder's own step plan against derive_step_plan's walk over
+    # the rounds it built: build_attack at every length up to two steps
+    # and two padding rounds (the shortest fit no step and give
+    # zeros_strategy) for rho in {2, 4, 6} and k0 in {0, 1, 2};
+    # desymmetrize and extend_symmetrized of a one-step tower and of the
+    # all-zeros strategy; zeros_strategy at m = 1..4
+    game = DetStrategy.random(spec, random.Random(f"plan:{spec.q}"))
+    built = []
+    for rho in (2, 4, 6):
+        for k0 in (0, 1, 2):
+            model = CausalModel(rho=rho, k0=k0)
+            for variant in Variant:
+                built += [build_attack(spec, variant, m, model, game)
+                          for m in range(2, k0 + 2 * (rho + 1) + 3)]
+            tower = attack_general(spec, k0 + rho + 1, model, game)
+            zeros = zeros_strategy(spec, Variant.SYMMETRIZED, 3, model)
+            for base in (tower, zeros):
+                for extra in (0, 1, 3):
+                    padded = extend_symmetrized(base, extra)
+                    built += [padded, desymmetrize(padded)]
+    built += [zeros_strategy(spec, variant, m) for m in range(1, 5)
+              for variant in Variant
+              if (m, variant) != (1, Variant.SYMMETRIZED)]
+    for s in built:
+        assert s._step_plan is not None, s.lineage
+        assert s._step_plan == derive_step_plan(s), s.lineage
+    # the plan is handed over, not found: a strategy the builders did not
+    # lay out has none, and neither do the padded or longer ones made
+    # from it
+    lifted = symmetrize_up(build_attack(spec, Variant.STANDARD, 4, BASE, game))
+    for s in (lifted, extend_symmetrized(lifted, 2), desymmetrize(lifted)):
+        assert s._step_plan is None and derive_step_plan(s) is None
+
+
 def test_towers_off_the_step_plan_take_the_chain():
     # rounds Z F0 S0 Z F3 S3 Z: zero rounds, and the first and second game
     # rounds of prefixes 0 and 3.  Each variant below breaks the tower's
-    # form: an unmarked game round, a step's rounds swapped, a step one
-    # round late, a second round of another prefix, a quiet round that
-    # answers.
+    # form: a plain function for a game round, a step's rounds swapped, a
+    # step one round late, a second round of another prefix, a quiet
+    # round that answers.  Only a builder hands a strategy its plan, and
+    # no walk over these rounds finds one either.
     tower = build_attack(GF2, Variant.STANDARD, 7, BASE, OPT2)
     first, second = tower.rounds[1], tower.rounds[2]
-    assert first.tower_step == (0, 1) and second.tower_step == (0, 2)
+    assert (first.prefix, first.last) == (0, None)
+    assert (second.prefix, second.last) == (0, 2)
     plain = dataclasses.replace(tower, rounds=(
         tower.rounds[:2] + (lambda d, xs, etas: second(d, xs, etas),)
         + tower.rounds[3:]))
@@ -534,6 +574,7 @@ def test_towers_off_the_step_plan_take_the_chain():
         (lambda d, xs, etas: xs[0],) + tower.rounds[1:]))
     for strategy in (symmetrize_up(tower), plain, swapped, late, mixed, loud):
         assert strategy._step_plan is None
+        assert derive_step_plan(strategy) is None
         assert_accepts_matches_chain(strategy)
     assert exact_cheat_probability(plain) == exact_cheat_probability(tower)
 
@@ -556,9 +597,9 @@ def test_game_rounds_are_prefix_eta_times_their_coefficient(spec, rho,
     games = [(k, fn) for k, fn in enumerate(tower.rounds, 1)
              if fn is not tower.rounds[0]]
     assert [k for k, _ in games] == [rho + 1, rho + 2, 2 * rho + 2, 2 * rho + 3]
-    for k, fn in games:
-        assert type(fn) is _GameRound
-        prefix, which = fn.tower_step
+    for i, (k, fn) in enumerate(games):
+        assert isinstance(fn, _GameRound)
+        prefix, which = fn.prefix, 1 + i % 2
         assert k == prefix + rho + which - 1
         if which == 1:
             assert (fn.table, fn.window, fn.last) == (
@@ -571,8 +612,8 @@ def test_game_rounds_are_prefix_eta_times_their_coefficient(spec, rho,
         d = rng.randrange(2)
         xs = tuple(rng.randrange(spec.q) for _ in range(n))
         etas = [rng.randrange(spec.q) for _ in range(n + 1)]
-        for k, fn in games:
-            prefix, which = fn.tower_step
+        for i, (k, fn) in enumerate(games):
+            prefix, which = fn.prefix, 1 + i % 2
             xin, yin = _windows(xs[prefix:], rho, spec)
             coef = (game.s1[xin] if which == 1
                     else spec.mul(game.s2[yin], xs[k - 1]))
@@ -582,10 +623,10 @@ def test_game_rounds_are_prefix_eta_times_their_coefficient(spec, rho,
 def test_wrapped_game_round_takes_the_chain():
     # only a _GameRound is linear in eta_p by construction, so a plain
     # function in its place leaves the strategy to the chain, even when it
-    # wraps the round and carries its mark, table, window and last
+    # wraps the round and carries its prefix, table, window and last
     tower = build_attack(GF3, Variant.SYMMETRIZED, 7, CausalModel(k0=1), OPT3)
     second = tower.rounds[3]
-    assert type(second) is _GameRound and second.tower_step == (1, 2)
+    assert isinstance(second, _GameRound) and second.prefix == 1
 
     @functools.wraps(second)
     def wrapped(d, xs, etas):
@@ -595,11 +636,12 @@ def test_wrapped_game_round_takes_the_chain():
         return GF3.mul(etas[1], second(d, xs, etas))
 
     for fn in (wrapped, squared):
-        fn.tower_step, fn.table = second.tower_step, second.table
+        fn.prefix, fn.table = second.prefix, second.table
         fn.window, fn.last = second.window, second.last
         strategy = dataclasses.replace(
             tower, rounds=tower.rounds[:3] + (fn,) + tower.rounds[4:])
         assert tower._step_plan is not None and strategy._step_plan is None
+        assert derive_step_plan(strategy) is None
         assert_accepts_matches_chain(strategy)
         if fn is wrapped:
             assert list(strategy.verdicts()) == list(tower.verdicts())
@@ -608,16 +650,17 @@ def test_wrapped_game_round_takes_the_chain():
 def test_game_rounds_off_their_step_take_the_chain():
     # a step is judged by the win test only when its second round's last
     # challenge is the step's last and the two windows partition the
-    # step's other challenges; rounds of the right type and marks that
-    # break either leave the strategy to the chain.  The tower's step of
-    # prefix 1 spans positions 1..3: windows (2,) and (1,), last 3.
+    # step's other challenges; rounds of the right type and prefix that
+    # break either carry no plan, no walk over them finds one, and they
+    # take the chain.  The tower's step of prefix 1 spans positions 1..3:
+    # windows (2,) and (1,), last 3.
     tower = build_attack(GF3, Variant.SYMMETRIZED, 7, CausalModel(k0=1), OPT3)
     first, second = tower.rounds[2:4]
     assert (first.window, first.last) == ((2,), None)
     assert (second.window, second.last) == ((1,), 3)
 
     def game_round(fn, window, last):
-        return _GameRound(GF3, fn.tower_step, fn.table, window, last)
+        return _GameRound(GF3, fn.prefix, fn.table, window, last)
 
     broken = {
         "overlap": (game_round(first, (1,), None), second),
@@ -634,6 +677,7 @@ def test_game_rounds_off_their_step_take_the_chain():
         strategy = dataclasses.replace(
             tower, rounds=tower.rounds[:2] + pair + tower.rounds[4:])
         assert strategy._step_plan is None, name
+        assert derive_step_plan(strategy) is None, name
         assert_accepts_matches_chain(strategy)
     with pytest.raises(ValueError, match="window"):
         game_round(first, (), None)
@@ -653,19 +697,17 @@ class _SpyTable:
 def test_step_verdict_stops_at_the_first_zero_factor():
     model = CausalModel(rho=2, k0=1)
     tower = build_attack(GF3, Variant.SYMMETRIZED, 7, model, OPT3)
-    called = []
-    # zero rounds stay as they are: the step plan knows them by identity;
-    # game rounds keep their type, marks, windows and last challenge, with
-    # tables that record each lookup
-    spied = dataclasses.replace(tower, rounds=tuple(
-        _GameRound(GF3, fn.tower_step, _SpyTable(k, fn.table, called),
-                   fn.window, fn.last)
-        if isinstance(fn, _GameRound) else fn
-        for k, fn in enumerate(tower.rounds, 1)))
-    silent, steps = spied._step_plan
-    assert silent == tower._step_plan[0]
+    silent, steps = tower._step_plan
+    assert silent == (0,)
     assert [step[:5] for step in steps] == [(3, 2, (), 1, ()),
                                             (6, 5, (), 4, ())]
+    # the tower's plan, with step tables that record each lookup under
+    # their game round (rounds 3 and 4, then 6 and 7)
+    called = []
+    spied = _planned(dataclasses.replace(tower), silent, [
+        (last, *where, _SpyTable(last, s1, called),
+         _SpyTable(last + 1, s2, called))
+        for last, *where, s1, s2 in steps])
     # step 1's game inputs are A = x_3 and B = x_2 (1-based)
     win, loss = ([(a, b) for a in range(3) for b in range(3)
                   if (GF3.add(OPT3.s1[a], OPT3.s2[b]) == GF3.mul(a, b))
@@ -682,6 +724,7 @@ def test_step_verdict_stops_at_the_first_zero_factor():
     # the first step survives: the second step's tables are read too
     assert spied.accepts(1, xs) == tower.accepts(1, xs)
     assert called == [3, 4, 6, 7]
+    assert list(spied.verdicts()) == list(tower.verdicts())
 
 
 def _windows(xs, rho, spec):

@@ -1029,27 +1029,36 @@ def test_per_transcript_path_beyond_q256_and_without_a_step_plan(
 
 
 def test_rejected_rows_refuses_a_strategy_that_is_not_columnar():
-    # a tower beyond Q = 256, a strategy with no step plan and a tower
-    # whose steps play other tables than its game_strategy
+    # a tower beyond Q = 256, and strategies with no step plan: a lifted
+    # tower, a copy of a tower (dataclasses.replace) and a copy whose
+    # steps play other tables than its game_strategy.  Only a builder
+    # hands a strategy its plan, so the copies take the chain of their
+    # own rounds: the plain copy judges every input as the tower does.
     spec = FIELDS[3]
     rng = random.Random("not-columnar")
     game, other = DetStrategy.random(spec, rng), DetStrategy.random(spec, rng)
     tower = build_attack(spec, Variant.SYMMETRIZED, 6, CausalModel(), game)
+    copied = dataclasses.replace(tower)
     off_game = dataclasses.replace(tower, rounds=tuple(
-        _GameRound(spec, fn.tower_step, other.s1 if fn.tower_step[1] == 1
+        _GameRound(spec, fn.prefix, other.s1 if fn.last is None
                    else other.s2, fn.window, fn.last)
-        if type(fn) is _GameRound else fn for fn in tower.rounds))
+        if isinstance(fn, _GameRound) else fn for fn in tower.rounds))
     big_spec = FieldSpec(2, 9)
     big = build_attack(big_spec, Variant.SYMMETRIZED, 3, CausalModel(),
                        DetStrategy.random(big_spec, rng))
     lifted = symmetrize_up(build_attack(spec, Variant.STANDARD, 6,
                                         CausalModel(), game))
-    for s in (big, lifted, off_game):
+    for s in (big, lifted, copied, off_game):
         assert not s.columnar
         n = s.n_challenges
         with pytest.raises(ValueError, match="columnar"):
             s.rejected_rows(b"\1\1", [b"\1\1"] * n)
-    assert tower.columnar and off_game._step_plan is not None
+    assert tower.columnar
+    assert copied._step_plan is None and off_game._step_plan is None
+    assert copied.verdict_table == tower.verdict_table
+    inputs = list(itertools.product(range(spec.q), repeat=6))
+    assert off_game.verdict_table == bytes(
+        off_game._chain(d, xs, 6)[-1] == 0 for d in (0, 1) for xs in inputs)
 
 
 def test_columnar_is_settled_once_per_strategy():
@@ -1083,22 +1092,23 @@ def test_wide_estimate_keeps_no_square_table():
 def test_tower_off_its_game_strategy_takes_accepts(m):
     # a tower whose later steps play other tables than its game_strategy,
     # as dataclasses.replace can make: one lost table, read off
-    # game_strategy, would misjudge it, so it is not columnar, and exact
-    # enumeration, the verdict table (m = 6) and Monte Carlo on drawn
-    # transcripts (m = 9) follow the chain of its own rounds
+    # game_strategy, would misjudge it, and the copy carries no plan, so
+    # it is not columnar, and exact enumeration, the verdict table (m = 6)
+    # and Monte Carlo on drawn transcripts (m = 9) follow the chain of its
+    # own rounds
     spec, rng = FIELDS[3], random.Random(f"off-game:{m}")
     game, other = DetStrategy.random(spec, rng), DetStrategy.random(spec, rng)
     tower = build_attack(spec, Variant.SYMMETRIZED, m, CausalModel(), game)
 
     def replay(fn):
-        if type(fn) is not _GameRound or fn.tower_step[0] == 0:
+        if not isinstance(fn, _GameRound) or fn.prefix == 0:
             return fn
-        table = (other.s1, other.s2)[fn.tower_step[1] - 1]
-        return _GameRound(spec, fn.tower_step, table, fn.window, fn.last)
+        table = other.s1 if fn.last is None else other.s2
+        return _GameRound(spec, fn.prefix, table, fn.window, fn.last)
 
     altered = dataclasses.replace(tower, rounds=tuple(map(replay,
                                                           tower.rounds)))
-    assert altered._step_plan is not None
+    assert altered._step_plan is None
     assert tower.columnar and not altered.columnar
 
     def chain_accepts(d, xs):
