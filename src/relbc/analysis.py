@@ -297,19 +297,20 @@ def mc_cheat_probability(strategy: CheatStrategy,
     larger spaces draw transcripts, judged in batches by rejected_rows on
     a columnar strategy (a Q <= 256 tower) and one by one by accepts
     otherwise.  The draws read relbc's own byte stream (_ByteStream): the
-    little-endian bytes of the seeded rng's successive 32-bit outputs.  An
-    index below a table of at most 256 entries and a challenge over
-    Q <= 256 take one byte a try, the top bits of it, and a bit d takes
-    one byte's top bit; a challenge over Q > 256 takes a 32-bit word a
-    try, and so does an index below a table of 257 to 4096 entries, which
-    on the fresh stream is rng.randrange(size).  Transcripts come in
-    chunks of _CHUNK_ROWS rows, every bit of a chunk before its challenges
-    (_drawn_columns).
+    little-endian bytes of the successive 32-bit outputs of an rng keyed
+    by the seed and the protocol length, f"{seed}:mc:{m}", so that two
+    estimates share a stream only when they share both.  An index below a
+    table of at most 256 entries and a challenge over Q <= 256 take one
+    byte a try, the top bits of it, and a bit d takes one byte's top bit;
+    a challenge over Q > 256 takes a 32-bit word a try, and so does an
+    index below a table of 257 to 4096 entries, which on the fresh stream
+    is rng.randrange(size).  Transcripts come in chunks of _CHUNK_ROWS
+    rows, every bit of a chunk before its challenges (_drawn_columns).
     """
     params = strategy.params
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    rng = random.Random(f"{seed}:mc")
+    rng = random.Random(f"{seed}:mc:{params.m}")
     table = strategy.verdict_table
     if table is not None:
         wins = _table_wins(table, samples, rng)
@@ -522,7 +523,8 @@ def trend_sweep(spec: FieldSpec, m_values: Sequence[int],
     """One evaluated attack per protocol length.
 
     Row m is enumerated when its 2*Q^n transcripts fit in exact_cap, and
-    is otherwise a Monte Carlo estimate seeded with seed + m.  The plugged
+    is otherwise evaluate's Monte Carlo estimate with the sweep's own
+    seed, whose stream mc_cheat_probability keys by m.  The plugged
     strategy's game values are computed once per sweep.  A bad upper_c is
     rejected before any row, even when there is none.
     """
@@ -535,7 +537,7 @@ def trend_sweep(spec: FieldSpec, m_values: Sequence[int],
         method = ("exact" if 2 * spec.q ** strategy.params.n_challenges
                   <= exact_cap else "mc")
         values = _UNPLUGGED if strategy.game_strategy is None else plugged
-        rows.append(_evaluate(strategy, method, samples, seed + m, upper_c,
+        rows.append(_evaluate(strategy, method, samples, seed, upper_c,
                               *values))
     return rows
 

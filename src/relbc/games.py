@@ -19,7 +19,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import CapabilityError, FieldMismatchError
 from .field import FieldSpec
-from .protocol import _draw_exactly
+from .protocol import _ByteStream
 
 # The walk costs ~Q^(Q-1) steps for a uniform game (s1(0) = s1(1) = 0) and
 # ~Q^Q for a biased one (s1(0) = 0).  Uniform: GF(5) ~0.3 ms, GF(7)
@@ -398,9 +398,9 @@ def best_response_search(dist: GameDist, restarts: int = 8,
     w, den = dist.weights()
     tables = _game_tables(spec)
     minus = tables[1]
-    # every restart's (s1, s2), drawn in one stream and cut into tables
-    starts = zip(*[iter(_draw_exactly(random.Random(
-        f"{seed}:best-response-search"), q, 2 * q * restarts))] * q)
+    # every restart's (s1, s2): tries below Q of one stream, cut into tables
+    starts = zip(*[iter(_ByteStream(random.Random(
+        f"{seed}:best-response-search")).tries(q, 2 * q * restarts))] * q)
     best_score = -1
     best_pair = None
     all_converged = True

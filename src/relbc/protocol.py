@@ -32,13 +32,13 @@ HIDING_STATE_CAP = 10 ** 7
 _DRAW_BLOCK_WORDS = 1 << 15
 # _TOP_BITS[k][t]: the top k bits of the byte t
 _TOP_BITS = [bytes(t >> (8 - k) for t in range(256)) for k in range(9)]
-# _KEEP[t]: whether a word with top byte t is below 2^31
-_KEEP = bytes(t < 128 for t in range(256))
 
 
 class _ByteStream:
-    """relbc's Monte Carlo stream: the little-endian bytes of rng's
+    """relbc's one random stream: the little-endian bytes of rng's
     successive 32-bit outputs, and the tries below a space read off them.
+    Monte Carlo draws, honest shares and search starts all read it, each
+    from its own seeded rng.
 
     rng.getrandbits(32*n) returns n successive outputs, least significant
     first, so its little-endian bytes are the bytes of n getrandbits(32)
@@ -102,52 +102,6 @@ class _ByteStream:
         return out
 
 
-def _draws(rng: random.Random, space: int, count: int) -> bytes | list[int]:
-    """The successive rng.randrange(space) draws held by one getrandbits
-    block sized for about `count` of them: bytes when every draw is below
-    256 (draw width k = space.bit_length() at most 8, or space = 256),
-    else a list of ints.  Honest shares and search starts draw through
-    it; every Monte Carlo draw reads the _ByteStream, whose word tries
-    (space > 256) give the same draws on a fresh stream, one round per
-    shortfall instead of one block with margin.
-
-    A try of randrange(space) reads one 32-bit Mersenne Twister word w,
-    keeps its top k bits, w >> (32 - k), unless they are >= space, and
-    getrandbits(32*n) returns n such words, least significant first.  The
-    block has margin for `count` kept tries: a try is kept with probability
-    space / 2^k.  For k <= 8 only each word's top byte t matters, so one
-    translate maps t to t >> (8 - k) and deletes the rejected t >= space
-    << (8 - k).  For space = 256 (k = 9) a try is kept when w's top bit is
-    clear, and its draw is the 8 bits below that bit: the top byte of each
-    word of the block shifted left by one bit.  MAX_FIELD_SIZE = 2^20
-    keeps k <= 21, so one word always covers one try.
-    cast("I") reads the little-endian bytes as native words, so on a
-    big-endian host each word is byte-swapped: still uniform, but not
-    randrange's stream.
-    """
-    k = space.bit_length()
-    words = min(_DRAW_BLOCK_WORDS, (count << k) // space + count // 16 + 32)
-    block = rng.getrandbits(32 * words)
-    data = block.to_bytes(4 * words, "little")
-    if k <= 8:
-        return data[3::4].translate(_TOP_BITS[k],
-                                    bytes(range(space << (8 - k), 256)))
-    if space == 256:
-        shifted = (block << 1).to_bytes(4 * words + 1, "little")[3::4]
-        return bytes(itertools.compress(shifted, data[3::4].translate(_KEEP)))
-    shift = 32 - k
-    limit = space << shift
-    return [w >> shift for w in memoryview(data).cast("I") if w < limit]
-
-
-def _draw_exactly(rng: random.Random, space: int, count: int) -> list[int]:
-    """The next `count` rng.randrange(space) draws, from _draws blocks."""
-    out = []
-    while short := count - len(out):
-        out += _draws(rng, space, short)[:short]
-    return out
-
-
 class Variant(str, enum.Enum):
     STANDARD = "standard"
     SYMMETRIZED = "symmetrized"
@@ -193,14 +147,14 @@ class HonestSharedRandomness:
     def sample(cls, params: ProtocolParams, rng: random.Random
                ) -> "HonestSharedRandomness":
         """The n_rounds shares a_i, then the n_challenges challenges, as
-        successive rng.randrange(Q) draws.
+        successive tries below Q of rng's _ByteStream.
 
-        The draws come from _draws blocks, so the rng ends past the last
-        block rather than just past the last draw: give it an rng that
-        makes no later draws.
+        The rng ends just past the word that holds the last try, and the
+        rest of that word is dropped: give it an rng that makes no later
+        draws.
         """
-        shares = _draw_exactly(rng, params.field.q,
-                               params.n_rounds + params.n_challenges)
+        shares = _ByteStream(rng).tries(params.field.q,
+                                        params.n_rounds + params.n_challenges)
         return cls(tuple(shares[:params.n_rounds]),
                    tuple(shares[params.n_rounds:]))
 

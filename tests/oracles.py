@@ -9,11 +9,12 @@ that the tower makes when it builds its rounds.  derive_step_plan
 recovers a tower's step plan from its rounds alone, by their types, marks
 and windows, for the tests to check each builder's own plan against.
 symmetrize_up lifts a standard-variant strategy to the symmetrized
-protocol for the symmetrization checks.  WordStream reads relbc's Monte
-Carlo byte stream one rng.getrandbits(32) call per four bytes, one try at
-a time, and reference_table_wins and reference_transcripts draw from it
-as the documented stream says, one draw at a time: the bulk draws are
-checked against them, and the seeded pins come from them.
+protocol for the symmetrization checks.  WordStream reads relbc's byte
+stream one rng.getrandbits(32) call per four bytes, one try at a time, and
+reference_table_wins and reference_transcripts draw from it as the
+documented stream says, one draw at a time: the bulk draws, honest shares
+and search starts are checked against it, and the seeded pins come from
+it.
 """
 
 import random

@@ -36,6 +36,7 @@ from relbc import (
     write_sweep_csv,
     zeros_strategy,
 )
+from relbc import protocol
 from relbc.errors import CapabilityError
 
 GF2 = FieldSpec(2)
@@ -220,31 +221,32 @@ def _echo_strategy(spec, m):
 
 @pytest.mark.parametrize("strategy, wins", [
     # space 128: one byte try a draw, every try kept
-    (attack_base(GF2, 6, OPT2), (9922, 9916, 9910)),
+    (attack_base(GF2, 6, OPT2), (9923, 9919, 9918)),
     # space 1458: randrange draws, word by word
-    (build_attack(GF3, Variant.SYMMETRIZED, 6, BASE, OPT3), (9731, 9747, 9742)),
+    (build_attack(GF3, Variant.SYMMETRIZED, 6, BASE, OPT3), (9784, 9736, 9749)),
     # space 4374: beyond the table cap, transcripts whose byte tries at
     # Q = 3 reject a quarter of the bytes
-    (build_attack(GF3, Variant.SYMMETRIZED, 7, BASE, OPT3), (9827, 9838, 9860)),
+    (build_attack(GF3, Variant.SYMMETRIZED, 7, BASE, OPT3), (9842, 9824, 9845)),
     # beyond the table cap at Q = 16 and Q = 2: transcripts in bulk
     (build_attack(GF16, Variant.STANDARD, 9, BASE,
                   DetStrategy.random(GF16, random.Random(16))),
-     (6605, 6549, 6595)),
-    (_echo_strategy(GF2, 12), (3341, 3336, 3360)),
+     (6471, 6585, 6614)),
+    (_echo_strategy(GF2, 12), (3367, 3432, 3275)),
     # Q = 256: one byte a challenge, judged in 16-bit lanes
     (build_attack(GF256, Variant.SYMMETRIZED, 31, BASE,
                   DetStrategy.random(GF256, random.Random(256))),
-     (5415, 5464, 5462)),
+     (5411, 5463, 5409)),
     # rho = 4 with a quiet prefix, in bulk
     (build_attack(GF4, Variant.STANDARD, 13, CausalModel(rho=4, k0=1),
                   DetStrategy.random(GF4, random.Random(4))),
-     (8957, 8977, 9065)),
+     (9063, 8971, 8962)),
 ], ids=["q2-m6-table", "q3-m6-table", "q3-m7-direct", "q16-m9-bulk",
         "q2-m12-bulk", "q256-m31-direct", "q4-m13-rho4"])
 def test_mc_seeded_wins_are_pinned(strategy, wins):
     # the seeded streams are part of the output: a changed draw shows here.
     # The pins are the per-word reference's (oracles.reference_table_wins
-    # and reference_transcripts), computed one draw at a time
+    # and reference_transcripts on the "{seed}:mc:{m}" rng), computed one
+    # draw at a time and judged by verify_values on each row's responses
     assert tuple(mc_cheat_probability(strategy, samples=10 ** 4, seed=seed).wins
                  for seed in (0, 1, 2)) == wins
 
@@ -483,6 +485,48 @@ def test_trend_sweep_mc_fallback():
     assert all(r.exact is None and r.mc is not None for r in rows)
     for r in rows:
         assert r.mc.covers(r.closed_form)
+
+
+def test_sweep_rows_of_other_seeds_and_lengths_draw_other_streams(
+        monkeypatch):
+    # row m of a sweep at seed s once drew the stream of seed s + m, so
+    # rows (seed 0, m = 5) and (seed 1, m = 4) read the same bytes
+    first = []
+    take = protocol._ByteStream.take
+
+    def spy(self, count):
+        data = take(self, count)
+        first.append(data)
+        return data
+
+    monkeypatch.setattr(protocol._ByteStream, "take", spy)
+    drawn = []
+    for seed, m in [(0, 5), (1, 4)]:
+        first.clear()
+        [row] = trend_sweep(GF2, [m], OPT2, exact_cap=0, samples=1000,
+                            seed=seed)
+        assert row.mc is not None and first
+        drawn.append(first[0])
+    size = min(map(len, drawn))
+    assert size >= 100 and drawn[0][:size] != drawn[1][:size]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9])
+def test_sweep_monte_carlo_rows_are_evaluate_at_the_sweep_seed(seed):
+    # every estimated row is the estimate of its own length's attack at the
+    # sweep's seed, so `attack --m m --seed s` replays row m of a sweep
+    model = CausalModel(rho=4, k0=1)
+    game = DetStrategy.random(GF4, random.Random(seed))
+    # m = 4 is enumerated, m = 5 draws from its 2048-entry verdict table
+    # and the longer rows draw transcripts
+    ms = [4, 5, 6, 9, 12, 13]
+    rows = trend_sweep(GF4, ms, game, model, Variant.SYMMETRIZED,
+                       exact_cap=1000, samples=500, seed=seed)
+    assert [row.mc is not None for row in rows] == [False] + [True] * 5
+    for m, row in zip(ms, rows):
+        if row.mc is not None:
+            attack = build_attack(GF4, Variant.SYMMETRIZED, m, model, game)
+            assert row == evaluate(attack, "mc", 500, seed)
 
 
 def test_empirical_upper_constant():

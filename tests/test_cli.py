@@ -545,6 +545,26 @@ def test_attack_and_sweep_agree(tmp_path, p, n, m, variant):
     assert row["closed_form"] == row["exact"]
 
 
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_sweep_monte_carlo_rows_replay_as_attacks(tmp_path, seed):
+    # a sweep's estimated row m reports the wins of `attack --m m` at the
+    # sweep's own seed and sample count, searched plug included
+    common = ("--p", "2", "--n", "2", "--variant", "symmetrized",
+              "--strategy", "search", "--restarts", "2", "--samples", "500",
+              "--seed", seed)
+    out = tmp_path / "sweep.json"
+    sweep = invoke("sweep", *common, "--m-list", "6,9,10", "--exact-cap",
+                   "100", "--format", "json", "--out", str(out))
+    assert sweep.exit_code == 0, sweep.stderr
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["m"] for row in rows if row["mc"]] == [6, 9, 10]
+    for row in rows:
+        attack = invoke("attack", *common, "--m", str(row["m"]),
+                        "--method", "mc")
+        assert attack.exit_code == 0, attack.stderr
+        assert row["mc"] == json.loads(attack.output)["report"]["estimate"]
+
+
 def _predicted(p, m, variant, rho, k0):
     spec, model = FieldSpec(p), CausalModel(rho, k0)
     game = brute_force_value(GameDist(spec, tower_gamma(spec, model)))

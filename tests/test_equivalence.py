@@ -8,8 +8,9 @@ value and pair as the original loop over all Q^Q tables with field-method
 calls; win_probability, DetStrategy.wins and the plugged values, read from
 win rows gathered on the field's exp/log tables, must equal the original
 _score sum and win matrix, both built from two field calls a cell, and
-best_response_search, which draws its starts in one block, must return what
-it returns on per-call randrange starts; the tower's carried eta must give
+best_response_search, which draws its starts from the byte stream in bulk,
+must return what it returns on the per-word stream's starts
+(oracles.WordStream, one try at a time); the tower's carried eta must give
 the same responses as recomputing compute_eta from scratch at every tower
 round, and its verdict must be verify_values' verdict on those responses;
 best_shift, which scores every translate from the win set's row and column
@@ -20,8 +21,9 @@ draws give the same transcripts, as the per-word reference
 (oracles.WordStream, one getrandbits(32) call per four bytes, one try at a
 time; randrange calls for tables of more than 256 entries), whatever the
 draw block size; run_honest, which draws its
-shares in one block and computes its responses in one pass, must give the
-same Transcript as the original per-call sample and per-round responses; and
+shares from the byte stream in bulk and computes its responses in one pass,
+must give the same Transcript as the per-word stream's shares and the
+original per-round responses; and
 the column verdict of a tower over Q <= 256 (rejected_rows, in byte lanes
 up to Q = 16 and 16-bit lanes beyond) must reject exactly the inputs
 accepts rejects, in exact enumeration, the verdict table and Monte Carlo,
@@ -75,8 +77,8 @@ from relbc.analysis import (_column_rejections, _plugged_values, _table_wins,
                             _transcripts)
 from relbc.games import BestShift, _game_tables, _greedy_best
 
-from oracles import (compute_eta, reference_table_wins, reference_transcripts,
-                     symmetrize_up)
+from oracles import (WordStream, compute_eta, reference_table_wins,
+                     reference_transcripts, symmetrize_up)
 
 FIELDS = {q: spec for q, spec in (
     (2, FieldSpec(2)), (3, FieldSpec(3)), (4, FieldSpec(2, 2)),
@@ -519,23 +521,31 @@ def test_win_probability_holds_no_square_table():
     assert value == reference_win_probability(strategy, dist)
 
 
-def _randrange_draws(rng, space, count):
-    return [rng.randrange(space) for _ in range(count)]
+class _WordTries:
+    """_ByteStream's tries read off oracles.WordStream, one at a time."""
+
+    def __init__(self, rng):
+        self.words = WordStream(rng)
+
+    def tries(self, space, count):
+        return [self.words.below(space) for _ in range(count)]
 
 
 @pytest.mark.parametrize("p, n, restarts", [(5, 1, 4), (2, 4, 16), (3, 3, 4),
                                             (2, 5, 3), (2, 10, 1)],
                          ids=["q5", "q16", "q27", "q32", "q1024"])
 def test_search_starts_match_per_call_randrange(p, n, restarts, monkeypatch):
+    # the reference starts are the per-word stream's tries below Q (at
+    # Q = 1024, word tries: on the fresh stream, per-call randrange draws)
     spec = FieldSpec(p, n)
-    rng = random.Random("starts")
-    assert (protocol._draw_exactly(rng, spec.q, 2 * spec.q * restarts)
-            == _randrange_draws(random.Random("starts"), spec.q,
-                                2 * spec.q * restarts))
+    count = 2 * spec.q * restarts
+    assert (list(protocol._ByteStream(random.Random("starts")).tries(
+        spec.q, count)) == _WordTries(random.Random("starts")).tries(
+            spec.q, count))
     dist = GameDist(spec, Fraction(1, 3))
     iters = 1 if spec.q > 32 else 3
     bulk = best_response_search(dist, restarts, iters, seed=2)
-    monkeypatch.setattr(games, "_draw_exactly", _randrange_draws)
+    monkeypatch.setattr(games, "_ByteStream", _WordTries)
     assert best_response_search(dist, restarts, iters, seed=2) == bulk
 
 
@@ -651,14 +661,14 @@ def test_bulk_transcripts_span_full_size_blocks():
                                         12000)
 
 
-# --- reference: the original per-call honest run, verbatim -------------------
+# --- reference: per-word shares and the original per-round responses --------
 
-def reference_sample(params: ProtocolParams, rng: random.Random
-                     ) -> HonestSharedRandomness:
-    q = params.field.q
-    return HonestSharedRandomness(
-        tuple(rng.randrange(q) for _ in range(params.n_rounds)),
-        tuple(rng.randrange(q) for _ in range(params.n_challenges)))
+def word_stream_sample(params: ProtocolParams, rng: random.Random
+                       ) -> HonestSharedRandomness:
+    stream, q, rounds = WordStream(rng), params.field.q, params.n_rounds
+    shares = [stream.below(q) for _ in range(rounds + params.n_challenges)]
+    return HonestSharedRandomness(tuple(shares[:rounds]),
+                                  tuple(shares[rounds:]))
 
 
 def reference_honest_response(params: ProtocolParams, k: int, d: int,
@@ -681,7 +691,7 @@ def reference_honest_response(params: ProtocolParams, k: int, d: int,
 def reference_run_honest(params: ProtocolParams, d: int, seed: int = 0
                          ) -> Transcript:
     rng = random.Random(f"{seed}:honest-run")
-    randomness = reference_sample(params, rng)
+    randomness = word_stream_sample(params, rng)
     responses = tuple(reference_honest_response(params, k, d, randomness)
                       for k in range(1, params.n_rounds + 1))
     accepted = verify_values(params, d, randomness.challenges, responses)
@@ -697,8 +707,9 @@ HONEST_FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(3, 2), FieldSpec(2, 4),
 @pytest.mark.parametrize("spec", HONEST_FIELDS, ids=lambda s: f"q{s.q}")
 def test_run_honest_matches_per_call_reference(spec, variant, block_words,
                                                monkeypatch):
-    # 3-word blocks make every honest run refill its draws several times;
-    # GF(256) reads the shifted byte lane and GF(2^16) whole words
+    # the shares are the per-word stream's tries below Q; 3-word blocks
+    # make every longer honest run read several blocks, carrying leftover
+    # bytes; GF(256) reads one byte a try and GF(2^16) a word
     if block_words:
         monkeypatch.setattr(protocol, "_DRAW_BLOCK_WORDS", block_words)
     for m in (1, 2, 7, 31):
@@ -710,7 +721,7 @@ def test_run_honest_matches_per_call_reference(spec, variant, block_words,
                 got = run_honest(params, d, seed=seed)
                 assert got == reference_run_honest(params, d, seed=seed)
                 assert got.accepted
-        rand = reference_sample(params, random.Random(f"{m}:shares"))
+        rand = word_stream_sample(params, random.Random(f"{m}:shares"))
         for d in (0, 1):
             assert honest_responses(params, d, rand) \
                 == tuple(reference_honest_response(params, k, d, rand)
@@ -926,7 +937,8 @@ def test_chunked_exact_matches_closed_form(chunk_rows, monkeypatch):
 
 def _reference_mc_wins(s, samples, seed):
     return sum(s.accepts(d, xs) for d, xs in reference_transcripts(
-        random.Random(f"{seed}:mc"), s.field.q, s.n_challenges, samples))
+        random.Random(f"{seed}:mc:{s.params.m}"), s.field.q, s.n_challenges,
+        samples))
 
 
 @pytest.mark.parametrize("spec, variant, m, model", [
@@ -963,7 +975,7 @@ def test_column_mc_refills_when_first_block_is_short(spec, variant, m, seed,
                      DetStrategy.random(spec, random.Random(1)))
     want = mc_cheat_probability(s, 100, seed).wins
     monkeypatch.setattr(protocol, "_DRAW_BLOCK_WORDS", 5)
-    rng = _CountingRandom(f"{seed}:mc")
+    rng = _CountingRandom(f"{seed}:mc:{m}")
     rejected = _column_rejections(s, rng, 100)
     assert rng.calls > 100 * s.n_challenges // 20
     assert 100 - rejected == _reference_mc_wins(s, 100, seed) == want
@@ -975,7 +987,7 @@ def test_column_mc_spans_many_small_blocks(monkeypatch):
     monkeypatch.setattr(adversary, "_CHUNK_ROWS", 64)
     s = build_attack(FIELDS[7], Variant.SYMMETRIZED, 9, CausalModel(4, 1),
                      DetStrategy.random(FIELDS[7], random.Random(7)))
-    rng = _CountingRandom("7:mc")
+    rng = _CountingRandom("7:mc:9")
     rejected = _column_rejections(s, rng, 400)
     assert rng.calls > 10
     assert 400 - rejected == _reference_mc_wins(s, 400, 7)
@@ -1125,11 +1137,11 @@ def test_tower_off_its_game_strategy_takes_accepts(m):
         if len(chain) <= adversary.MC_TABLE_CAP:
             assert altered.verdict_table == chain
             want = reference_table_wins(chain, 500,
-                                        random.Random(f"{seed}:mc"))
+                                        random.Random(f"{seed}:mc:{m}"))
         else:
             assert altered.verdict_table is None
             want = sum(chain_accepts(d, xs) for d, xs in reference_transcripts(
-                random.Random(f"{seed}:mc"), q, n, 500))
+                random.Random(f"{seed}:mc:{m}"), q, n, 500))
         assert mc_cheat_probability(altered, 500, seed).wins == want
 
 

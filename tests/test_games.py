@@ -189,19 +189,22 @@ def test_best_response_search_rejects_bad_counts():
 
 
 def test_best_response_search_golden_results():
-    # pinned from the method-call implementation the table lookups replaced
+    # pinned from the search run on the per-word reference's starts
+    # (oracles.WordStream tries below Q, one at a time)
     gf16, gf27 = FieldSpec(2, 4), FieldSpec(3, 3)
     r = best_response_search(GameDist.uniform(gf16), seed=1)
-    assert r.value == Fraction(29, 128)
-    assert r.strategy.s1 == (0, 10, 7, 3, 6, 4, 11, 0, 8, 0, 9, 0, 10, 2, 0, 0)
-    assert r.strategy.s2 == (0, 0, 14, 1, 15, 6, 0, 10, 0, 12, 0, 4, 2, 7, 8, 5)
+    assert r.value == Fraction(59, 256)
+    assert r.strategy.s1 == (2, 4, 3, 1, 0, 10, 6, 0, 6, 14, 0, 12, 0, 4, 0, 0)
+    assert r.strategy.s2 == (0, 7, 7, 2, 13, 8, 2, 2, 10, 2, 14, 2, 8, 10, 4, 2)
     assert r.meta["converged"] is True
+    assert r.meta["best_responses"] == 64
     dist = GameDist(gf27, tower_gamma(gf27, CausalModel(rho=4)))
     r = best_response_search(dist, seed=3)
     assert r.value == Fraction(29744, 177147)
-    assert r.strategy.s1 == (19,) + (0,) * 26
-    assert r.strategy.s2 == (0,) + (11,) * 26
+    assert r.strategy.s1 == (17,) + (0,) * 26
+    assert r.strategy.s2 == (0,) + (22,) * 26
     assert r.meta["converged"] is True
+    assert r.meta["best_responses"] == 74
 
 
 def test_best_response_search_cap_builds_no_tables(monkeypatch):

@@ -269,7 +269,9 @@ def test_byte_tries_are_uniform_below_every_space():
 @pytest.mark.parametrize("block_words", [None, 1, 3], ids=["full", "1", "3"])
 def test_byte_stream_reads_the_words_in_turn(block_words, monkeypatch):
     # reads of every size, in blocks of any size, give the bytes and tries
-    # of one getrandbits(32) call per four bytes: leftover bytes carry
+    # of one getrandbits(32) call per four bytes: leftover bytes carry;
+    # the spaces run to the field cap 2^20, whose honest shares are word
+    # tries with k = 21
     if block_words:
         monkeypatch.setattr(protocol, "_DRAW_BLOCK_WORDS", block_words)
     stream = _ByteStream(random.Random("stream"))
@@ -277,6 +279,7 @@ def test_byte_stream_reads_the_words_in_turn(block_words, monkeypatch):
     for size in [0, 1, 2, 3, 5, 4, 7, 100, 1, 12, 4099]:
         assert stream.take(size) == bytes(reference.byte()
                                           for _ in range(size))
-        for space in (2, 3, 128, 129, 256, 257, 4096, 4097):
+        for space in (2, 3, 128, 129, 256, 257, 4096, 4097, 2 ** 16,
+                      2 ** 20):
             assert list(stream.tries(space, size)) == [
                 reference.below(space) for _ in range(size)]
