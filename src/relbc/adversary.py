@@ -44,9 +44,10 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -93,9 +94,8 @@ class CausalModel:
 
 RoundFn = Callable[[int, tuple[int, ...], list[int]], int]
 # A tower step, positions 0-based, as accepts and rejected_rows read it:
-# (last, a, more_a, b, more_b, s1, s2), see CheatStrategy._step_plan.
-Step = tuple[int, int, tuple[int, ...], int, tuple[int, ...],
-             tuple[int, ...], tuple[int, ...]]
+# (last, a, more_a, b, more_b), see CheatStrategy._step_plan.
+Step = tuple[int, int, tuple[int, ...], int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -118,16 +118,17 @@ class CheatStrategy:
     hand-built or copied (dataclasses.replace), has no plan and walks the
     chain.
 
-    A planned strategy over a field with Q <= 256 is also judged a batch
-    at a time (rejected_rows, columnar), from the same step plan: a step's
-    input pair (A, B) then fits 16 bits as A*Q + B (one byte at Q <= 16),
-    so one big-integer multiply-add gives the pair column of every row and
-    one lookup in the plugged game's win matrix the step's outcome in
-    every row.  Exact enumeration, the verdict table and Monte Carlo take
-    that path on such towers; accepts stays the one path for every other
-    strategy, and the reference the batch verdict is tested against.  The
-    strategy is frozen, so its verdict table, columnar flag and product
-    table, built on first use, cannot go stale.
+    Exact enumeration, the verdict table and Monte Carlo judge every
+    strategy a batch at a time, by rejected_rows.  A planned strategy over
+    a field with Q <= 256 (columnar) is judged there column by column,
+    from the same step plan: a step's input pair (A, B) then fits 16 bits
+    as A*Q + B (one byte at Q <= 16), so one big-integer multiply-add
+    gives the pair column of every row and one lookup in the plugged
+    game's win matrix the step's outcome in every row.  Any other
+    strategy's batch is judged row by row by accepts, which is also the
+    reference the column verdict is tested against.  The strategy is
+    frozen, so its verdict table, columnar flag and product table, built
+    on first use, cannot go stale.
     """
 
     field: FieldSpec
@@ -140,11 +141,12 @@ class CheatStrategy:
     # (silent challenge positions, steps) of a tower, set by its builder
     # (_planned), else None.  A step of prefix p spans the 0-based
     # challenges p..last: rho - 1 zero rounds, then the first and the
-    # second _GameRound of prefix p, kept as (last, a, more_a, b, more_b,
-    # s1, s2): the second round's last challenge, each round's window as
-    # its first position and the rest, and the rounds' tables.  The
-    # windows partition p..last - 1, so their products multiply to the
-    # product of those challenges.  A silent challenge multiplies eta.
+    # second _GameRound of prefix p, kept as (last, a, more_a, b, more_b):
+    # the second round's last challenge, and each round's window as its
+    # first position and the rest.  The rounds play game_strategy's s1
+    # and s2.  The windows partition p..last - 1, so their products
+    # multiply to the product of those challenges.  A silent challenge
+    # multiplies eta.
     _step_plan = None
 
     def __post_init__(self):
@@ -162,30 +164,24 @@ class CheatStrategy:
     def n_challenges(self) -> int:
         return self.params.n_challenges
 
-    def verdicts(self) -> Iterator[bool]:
-        """Acceptance verdict of every (d, challenges), d-major in product
-        order."""
-        accepts = self.accepts
-        for d in (0, 1):
-            for xs in itertools.product(range(self.field.q),
-                                        repeat=self.n_challenges):
-                yield accepts(d, xs)
+    def _rejections(self) -> Iterator[bytes]:
+        """rejected_rows on every input (d, challenges), d-major in
+        product order: one 0/1 byte per input, a _product_columns chunk
+        at a time."""
+        for bit in (b"\0", b"\1"):
+            for xs in _product_columns(self.field.q, self.n_challenges):
+                rows = len(xs[0])
+                yield self.rejected_rows(bit * rows, xs).to_bytes(rows, "big")
 
     @cached_property
     def verdict_table(self) -> Optional[bytes]:
-        """verdicts() as one 0/1 byte per input, built once per strategy, or
-        None when the input space exceeds MC_TABLE_CAP.  A columnar
-        strategy judges the d = 1 half in one rejected_rows batch (Q^n <=
-        MC_TABLE_CAP / 2 rows, so _product_columns gives one chunk)."""
-        size = self.field.q ** self.n_challenges
-        if 2 * size > MC_TABLE_CAP:
+        """The verdict of every input (d, challenges), d-major in product
+        order, as one 0/1 byte each (1 = accepted): the enumeration that
+        exact_cheat_probability counts, built once per strategy, or None
+        when the input space exceeds MC_TABLE_CAP."""
+        if 2 * self.field.q ** self.n_challenges > MC_TABLE_CAP:
             return None
-        if not self.columnar:
-            return bytes(self.verdicts())
-        ones = b"\1" * size
-        (xs,) = _product_columns(self.field.q, self.n_challenges)
-        accepted = self.rejected_rows(ones, xs) ^ int.from_bytes(ones, "big")
-        return ones + accepted.to_bytes(size, "big")
+        return b"".join(chunk.translate(_LOST) for chunk in self._rejections())
 
     def _chain(self, d: int, xs: tuple[int, ...], upto: int) -> list[int]:
         """eta_0..eta_upto of the transcript the rounds play on (d, xs)."""
@@ -202,11 +198,11 @@ class CheatStrategy:
 
     @cached_property
     def columnar(self) -> bool:
-        """Whether rejected_rows can judge this strategy: a planned one
-        (_step_plan) over a field with Q <= 256.  Its builder plugged
-        game_strategy's tables into every step, so that one win matrix
-        serves every step.  A strategy with no step (zeros, padding only)
-        is columnar."""
+        """Whether rejected_rows judges this strategy column by column: a
+        planned one (_step_plan) over a field with Q <= 256.  Its builder
+        plugged game_strategy's tables into every step, so that one win
+        matrix serves every step.  A strategy with no step (zeros, padding
+        only) is columnar."""
         return self.field.q <= 256 and self._step_plan is not None
 
     @cached_property
@@ -222,22 +218,25 @@ class CheatStrategy:
         return b"".join(bytes(products(spec._exp[lx:]))
                         for lx in spec._log).ljust(256, b"\0")
 
-    def rejected_rows(self, d: bytes, xs: Sequence[bytes]) -> int:
-        """The rows of a batch that accepts rejects, for a columnar
-        strategy (ValueError otherwise).  Row r is (d[r], xs[0][r], ...,
-        xs[n-1][r]): one byte column for the bit and one per challenge, all
-        of one length N.
+    def rejected_rows(self, d: bytes, xs: Sequence) -> int:
+        """The rows of a batch that accepts rejects.  Row r is (d[r],
+        xs[0][r], ..., xs[n-1][r]): one byte column for the bit and one
+        column per challenge, all of one length N; the challenge columns
+        are bytes at Q <= 256 and arrays of ints beyond (_product_columns,
+        _drawn_columns).
 
         Returns an int whose N bytes, big-endian, are 1 at the rejected
-        rows and 0 elsewhere, so bit_count() counts them.  A row is
+        rows and 0 elsewhere, so bit_count() counts them.  A strategy that
+        is not columnar plays each row through accepts.  A columnar one is
+        judged column by column, and at once when d is all zero: a row is
         rejected when d, every silent challenge and every step's last
         challenge are nonzero and every step loses CHSH_Q on its pair
-        (A, B): accepts' test on the same _step_plan, read column by
-        column.  The pair column is A*Q + B, from one big-integer
-        multiply-add over whole columns, and the step's outcome in every
-        row is looked up at it in game_strategy.wins (its gathered win
-        rows, joined).  A window of several challenges folds into its
-        product column the same way, through _product_table.
+        (A, B), accepts' test on the same _step_plan.  The pair column is
+        A*Q + B, from one big-integer multiply-add over whole columns, and
+        the step's outcome in every row is looked up at it in
+        game_strategy.wins (its gathered win rows, joined).  A window of
+        several challenges folds into its product column the same way,
+        through _product_table.
 
         The lane width depends on Q.  At Q <= 16 the pair fits one byte,
         as A*Q + B < Q^2 <= 256, so the ints are the columns themselves,
@@ -249,8 +248,11 @@ class CheatStrategy:
         are 0 or 1, by and-ing the complement, so wins is read in place.
         """
         if not self.columnar:
-            raise ValueError("rejected_rows judges only a columnar strategy"
-                             " (a built tower over Q <= 256); use accepts")
+            return int.from_bytes(bytes(map(self.accepts, d, zip(*xs)))
+                                  .translate(_LOST), "big")
+        alive = int.from_bytes(d.translate(_NONZERO), "big")
+        if not alive:
+            return 0
         silent, steps = self._step_plan
         q, n = self.field.q, len(d)
         if q <= 16:
@@ -282,13 +284,12 @@ class CheatStrategy:
                 column = look(pairs(column, xs[j]), self._product_table)
             return column
 
-        alive = int.from_bytes(d.translate(_NONZERO), "big")
         for j in silent:
             alive &= int.from_bytes(xs[j].translate(_NONZERO), "big")
         if steps:  # a strategy with no step may have no game_strategy
             wins = self.game_strategy.wins
             lost = wins.translate(_LOST).ljust(256, b"\0") if q <= 16 else None
-        for last, a, more_a, b, more_b, _, _ in steps:
+        for last, a, more_a, b, more_b in steps:
             alive &= int.from_bytes(xs[last].translate(_NONZERO), "big")
             index = pairs(window(a, more_a), window(b, more_b))
             if lost is None:
@@ -303,7 +304,8 @@ class CheatStrategy:
 
         For a tower (_step_plan), eta_n = d * prod(silent challenges) *
         prod(step factors), where a step's factor is
-        x_last * (A*B - s1[A] - s2[B]), A and B being its window products.
+        x_last * (A*B - s1[A] - s2[B]), A and B being its window products
+        and s1, s2 game_strategy's tables.
         This holds because a _GameRound's output is linear in its step's
         prefix eta and the builder's windows partition the step's other
         challenges.
@@ -322,7 +324,9 @@ class CheatStrategy:
             if not xs[j]:
                 return True
         add, mul = self.field.add, self.field.mul
-        for last, a, more_a, b, more_b, s1, s2 in steps:
+        if steps:  # a strategy with no step may have no game_strategy
+            s1, s2 = self.game_strategy.s1, self.game_strategy.s2
+        for last, a, more_a, b, more_b in steps:
             if not xs[last]:
                 return True
             # a and b go from window positions to window products; the
@@ -358,20 +362,25 @@ def _zero_round(d, xs, etas) -> int:
     return 0
 
 
-def _product_columns(q: int, n: int) -> Iterator[list[bytes]]:
-    """The n byte columns of every challenge tuple over range(q), in
-    product order, a chunk at a time: each chunk runs through the last L
+def _product_columns(q: int, n: int) -> Iterator[list]:
+    """The n columns of every challenge tuple over range(q), in product
+    order, a chunk at a time: each chunk runs through the last L
     challenges, L the most with Q^L <= _CHUNK_ROWS, and holds the leading
-    n - L constant."""
+    n - L constant.  The columns are bytes at Q <= 256 and arrays of ints
+    beyond, as _drawn_columns gives them."""
     tail = 0
     while tail < n and q ** (tail + 1) <= _CHUNK_ROWS:
         tail += 1
     size = q ** tail
-    varying = [b"".join(bytes([v]) * q ** (n - 1 - j) for v in range(q))
-               * q ** (j - n + tail) for j in range(n - tail, n)]
-    constant = [bytes([v]) * size for v in range(q)]
-    for lead in itertools.product(constant, repeat=n - tail):
-        yield [*lead, *varying]
+    if q <= 256:
+        column, cells = bytes, [bytes([v]) for v in range(q)]
+    else:
+        column = partial(array, "I")
+        cells = [array("I", [v]).tobytes() for v in range(q)]
+    varying = [column(b"".join(cell * q ** (n - 1 - j) for cell in cells)
+                      * q ** (j - n + tail)) for j in range(n - tail, n)]
+    for lead in itertools.product(cells, repeat=n - tail):
+        yield [*(column(cell * size) for cell in lead), *varying]
 
 
 def _drawn_columns(rng: random.Random, q: int, n: int, samples: int
@@ -468,8 +477,7 @@ def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,
         rounds.extend([_zero_round] * (rho - 1))
         rounds.append(_GameRound(spec, p, s1, win_a))
         rounds.append(_GameRound(spec, p, s2, win_b, last=kb - 1))
-        steps.append((kb - 1, p + 1, tuple(win_a[1:]), p, tuple(win_b[1:]),
-                      s1, s2))
+        steps.append((kb - 1, p + 1, tuple(win_a[1:]), p, tuple(win_b[1:])))
     return rounds, steps
 
 

@@ -18,11 +18,10 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .adversary import (_CHUNK_ROWS, CausalModel, CheatStrategy,
-                        _drawn_columns, _product_columns, build_attack,
-                        tower_gamma)
+                        _drawn_columns, build_attack, tower_gamma)
 from .errors import CapabilityError
 from .field import FieldSpec
 from .games import DetStrategy, GameDist, win_probability
@@ -32,26 +31,17 @@ EXACT_ENUM_CAP = 10 ** 8
 
 
 def exact_cheat_probability(strategy: CheatStrategy) -> Fraction:
-    """Exact acceptance probability by full enumeration of (d, challenges).
-
-    A columnar strategy (Q <= 256 tower) counts the rejected d = 1 inputs a
-    chunk of product-order columns at a time (every d = 0 input is
-    accepted), so memory stays bounded; any other plays every input
-    through accepts.
+    """Exact acceptance probability by full enumeration of (d, challenges):
+    the rows that rejected_rows rejects, counted a chunk of product-order
+    columns at a time, so memory stays bounded.  The verdict table is the
+    same enumeration.
     """
-    params = strategy.params
-    q, n = params.field.q, params.n_challenges
-    total = 2 * q ** n
+    total = 2 * strategy.field.q ** strategy.n_challenges
     if total > EXACT_ENUM_CAP:
         raise CapabilityError(
             f"exact enumeration needs {total} transcripts (cap {EXACT_ENUM_CAP});"
             " use mc_cheat_probability")
-    if not strategy.columnar:
-        return Fraction(sum(strategy.verdicts()), total)
-    rejected = 0
-    for xs in _product_columns(q, n):
-        ones = b"\1" * len(xs[0])
-        rejected += strategy.rejected_rows(ones, xs).bit_count()
+    rejected = sum(chunk.count(1) for chunk in strategy._rejections())
     return Fraction(total - rejected, total)
 
 
@@ -271,18 +261,10 @@ def _table_wins(table: bytes, samples: int, rng: random.Random) -> int:
     return wins
 
 
-def _transcripts(rng: random.Random, q: int, n_ch: int, samples: int
-                 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """`samples` uniform (d, challenges) rows of rng's _ByteStream, one at
-    a time: _drawn_columns' chunks, read row by row."""
-    for d, xs in _drawn_columns(rng, q, n_ch, samples):
-        yield from zip(d, zip(*xs))
-
-
 def _column_rejections(strategy: CheatStrategy, rng: random.Random,
                        samples: int) -> int:
-    """Rejections among `samples` drawn transcripts of a columnar strategy:
-    each chunk of _drawn_columns judged at once by rejected_rows."""
+    """Rejections among `samples` drawn transcripts: each chunk of
+    _drawn_columns judged at once by rejected_rows."""
     return sum(strategy.rejected_rows(d, xs).bit_count()
                for d, xs in _drawn_columns(rng, strategy.field.q,
                                            strategy.n_challenges, samples))
@@ -294,10 +276,9 @@ def mc_cheat_probability(strategy: CheatStrategy,
 
     For input spaces of at most MC_TABLE_CAP the trials are index draws
     from the strategy's verdict table, which is built once per strategy;
-    larger spaces draw transcripts, judged in batches by rejected_rows on
-    a columnar strategy (a Q <= 256 tower) and one by one by accepts
-    otherwise.  The draws read relbc's own byte stream (_ByteStream): the
-    little-endian bytes of the successive 32-bit outputs of an rng keyed
+    larger spaces draw transcripts, judged a chunk at a time by
+    rejected_rows.  The draws read relbc's own byte stream (_ByteStream):
+    the little-endian bytes of the successive 32-bit outputs of an rng keyed
     by the seed and the protocol length, f"{seed}:mc:{m}", so that two
     estimates share a stream only when they share both.  An index below a
     table of at most 256 entries and a challenge over Q <= 256 take one
@@ -307,19 +288,14 @@ def mc_cheat_probability(strategy: CheatStrategy,
     is rng.randrange(size).  Transcripts come in chunks of _CHUNK_ROWS
     rows, every bit of a chunk before its challenges (_drawn_columns).
     """
-    params = strategy.params
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    rng = random.Random(f"{seed}:mc:{params.m}")
+    rng = random.Random(f"{seed}:mc:{strategy.m}")
     table = strategy.verdict_table
     if table is not None:
         wins = _table_wins(table, samples, rng)
-    elif strategy.columnar:
-        wins = samples - _column_rejections(strategy, rng, samples)
     else:
-        accepts = strategy.accepts
-        wins = sum(accepts(d, xs) for d, xs in _transcripts(
-            rng, params.field.q, params.n_challenges, samples))
+        wins = samples - _column_rejections(strategy, rng, samples)
     lo, hi = clopper_pearson(wins, samples)
     return McEstimate(wins / samples, lo, hi, samples, seed, wins)
 

@@ -26,12 +26,12 @@ import json
 import random
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 import click
 
-from .adversary import CausalModel, build_attack, tower_gamma
+from .adversary import CausalModel, _drawn_columns, build_attack, tower_gamma
 from .analysis import (
-    _transcripts,
     check_upper_c,
     empirical_upper_constant,
     evaluate,
@@ -271,6 +271,14 @@ def _plugged_strategy(spec, model, source, path, restarts, seed):
             raise ValueError(f"malformed strategy file {path}: {exc}") from None
     dist = GameDist(spec, tower_gamma(spec, model))
     return _game_result(dist, source, restarts, 200, seed).strategy
+
+
+def _transcripts(rng: random.Random, q: int, n_ch: int, samples: int
+                 ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """`samples` uniform (d, challenges) rows of rng's _ByteStream, one at
+    a time: _drawn_columns' chunks, read row by row."""
+    for d, xs in _drawn_columns(rng, q, n_ch, samples):
+        yield from zip(d, zip(*xs))
 
 
 @main.command("attack")

@@ -6,17 +6,20 @@ relbc so that it remains independent of the code it checks.
 causality_check audits any strategy against a causal model by perturbing
 the inputs its rounds should not see, independently of the read checks
 that the tower makes when it builds its rounds.  derive_step_plan
-recovers a tower's step plan from its rounds alone, by their types, marks
-and windows, for the tests to check each builder's own plan against.
-symmetrize_up lifts a standard-variant strategy to the symmetrized
-protocol for the symmetrization checks.  WordStream reads relbc's byte
-stream one rng.getrandbits(32) call per four bytes, one try at a time, and
+recovers a tower's step plan from its rounds alone, by their types, marks,
+windows and tables, for the tests to check each builder's own plan against.
+accepted_inputs calls accepts once on every input, the per-input verdict
+that the batch verdicts are checked against.  symmetrize_up lifts a
+standard-variant strategy to the symmetrized protocol for the
+symmetrization checks.  WordStream reads relbc's byte stream one
+rng.getrandbits(32) call per four bytes, one try at a time, and
 reference_table_wins and reference_transcripts draw from it as the
 documented stream says, one draw at a time: the bulk draws, honest shares
 and search starts are checked against it, and the seeded pins come from
 it.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -65,6 +68,14 @@ def symmetrize_up(s: CheatStrategy) -> CheatStrategy:
                          game_strategy=s.game_strategy)
 
 
+def accepted_inputs(strategy: CheatStrategy) -> list[bool]:
+    """accepts on every input (d, challenges), d-major in product order,
+    one call per input."""
+    return [strategy.accepts(d, xs) for d in (0, 1)
+            for xs in itertools.product(range(strategy.field.q),
+                                        repeat=strategy.n_challenges)]
+
+
 def tower_step(fn: _GameRound) -> tuple[int, int]:
     """A game round's mark: (p, 1) for the first game round of the step
     of prefix p, which has no last challenge, and (p, 2) for its second."""
@@ -78,12 +89,13 @@ def derive_step_plan(strategy: CheatStrategy):
 
     A step of prefix p spans the 0-based challenges p..hi - 1,
     hi = p + rho + 1: rho - 1 zero rounds, then the first and the second
-    _GameRound of prefix p.  It is kept as (last, a, more_a, b, more_b,
-    s1, s2): the second round's last challenge, each round's window as
-    its first position and the rest, and the rounds' tables.  It is
-    kept only when the first round has no last challenge, the second's
-    is hi - 1 and the two windows partition p..hi - 2, so that the
-    window products multiply to the product of those challenges.
+    _GameRound of prefix p.  It is kept as (last, a, more_a, b, more_b):
+    the second round's last challenge, and each round's window as its
+    first position and the rest.  It is kept only when the first round
+    has no last challenge, the second's is hi - 1, the two windows
+    partition p..hi - 2, so that the window products multiply to the
+    product of those challenges, and the rounds play game_strategy's s1
+    and s2, the tables the plan's verdict reads.
     Every other round is a zero round, and below n_challenges its
     challenge is silent: it multiplies eta.  Game rounds are known by
     their exact type, so a wrapped or subclassed round, whose output
@@ -99,13 +111,15 @@ def derive_step_plan(strategy: CheatStrategy):
                 and type(second) is _GameRound
                 and tower_step(second) == (k, 2)
                 and all(fn is _zero_round for fn in rounds[k:kb - 2])):
+            game = strategy.game_strategy
             if (first.last is not None or second.last != kb - 1
                     or sorted(first.window + second.window)
-                    != list(range(k, kb - 1))):
+                    != list(range(k, kb - 1))
+                    or game is None
+                    or (first.table, second.table) != (game.s1, game.s2)):
                 return None
             (a, *more_a), (b, *more_b) = first.window, second.window
-            steps.append((kb - 1, a, tuple(more_a), b, tuple(more_b),
-                          first.table, second.table))
+            steps.append((kb - 1, a, tuple(more_a), b, tuple(more_b)))
             k = kb
         elif rounds[k] is _zero_round:
             if k < n:

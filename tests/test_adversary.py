@@ -5,6 +5,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,8 +31,8 @@ from relbc import (
 )
 from relbc.adversary import _check_reads, _GameRound, _planned
 
-from oracles import (causality_check, compute_eta, derive_step_plan,
-                     symmetrize_up)
+from oracles import (accepted_inputs, causality_check, compute_eta,
+                     derive_step_plan, symmetrize_up)
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -644,7 +645,7 @@ def test_wrapped_game_round_takes_the_chain():
         assert derive_step_plan(strategy) is None
         assert_accepts_matches_chain(strategy)
         if fn is wrapped:
-            assert list(strategy.verdicts()) == list(tower.verdicts())
+            assert accepted_inputs(strategy) == accepted_inputs(tower)
 
 
 def test_game_rounds_off_their_step_take_the_chain():
@@ -684,13 +685,13 @@ def test_game_rounds_off_their_step_take_the_chain():
 
 
 class _SpyTable:
-    """A game table that records, under its round, every lookup."""
+    """A game table that records, under its name, every lookup."""
 
-    def __init__(self, k, table, called):
-        self.k, self.table, self.called = k, table, called
+    def __init__(self, name, table, called):
+        self.name, self.table, self.called = name, table, called
 
     def __getitem__(self, i):
-        self.called.append(self.k)
+        self.called.append(self.name)
         return self.table[i]
 
 
@@ -699,15 +700,14 @@ def test_step_verdict_stops_at_the_first_zero_factor():
     tower = build_attack(GF3, Variant.SYMMETRIZED, 7, model, OPT3)
     silent, steps = tower._step_plan
     assert silent == (0,)
-    assert [step[:5] for step in steps] == [(3, 2, (), 1, ()),
-                                            (6, 5, (), 4, ())]
-    # the tower's plan, with step tables that record each lookup under
-    # their game round (rounds 3 and 4, then 6 and 7)
+    assert steps == ((3, 2, (), 1, ()), (6, 5, (), 4, ()))
+    # the tower's plan, with a game strategy whose tables record each
+    # lookup: s1 in a step's first game round, s2 in its second
     called = []
-    spied = _planned(dataclasses.replace(tower), silent, [
-        (last, *where, _SpyTable(last, s1, called),
-         _SpyTable(last + 1, s2, called))
-        for last, *where, s1, s2 in steps])
+    spy_game = SimpleNamespace(s1=_SpyTable("s1", OPT3.s1, called),
+                               s2=_SpyTable("s2", OPT3.s2, called))
+    spied = _planned(dataclasses.replace(tower, game_strategy=spy_game),
+                     silent, steps)
     # step 1's game inputs are A = x_3 and B = x_2 (1-based)
     win, loss = ([(a, b) for a in range(3) for b in range(3)
                   if (GF3.add(OPT3.s1[a], OPT3.s2[b]) == GF3.mul(a, b))
@@ -719,12 +719,12 @@ def test_step_verdict_stops_at_the_first_zero_factor():
     assert spied.accepts(1, xs[:3] + (0,) + xs[4:]) and called == []
     # a win collapses the first step after its two lookups
     assert spied.accepts(1, (1, win[1], win[0]) + xs[3:])
-    assert called == [3, 4]
+    assert called == ["s1", "s2"]
     called.clear()
-    # the first step survives: the second step's tables are read too
+    # the first step survives: the second step's lookups follow
     assert spied.accepts(1, xs) == tower.accepts(1, xs)
-    assert called == [3, 4, 6, 7]
-    assert list(spied.verdicts()) == list(tower.verdicts())
+    assert called == ["s1", "s2"] * 2
+    assert accepted_inputs(spied) == accepted_inputs(tower)
 
 
 def _windows(xs, rho, spec):

@@ -24,10 +24,10 @@ draw block size; run_honest, which draws its
 shares from the byte stream in bulk and computes its responses in one pass,
 must give the same Transcript as the per-word stream's shares and the
 original per-round responses; and
-the column verdict of a tower over Q <= 256 (rejected_rows, in byte lanes
-up to Q = 16 and 16-bit lanes beyond) must reject exactly the inputs
-accepts rejects, in exact enumeration, the verdict table and Monte Carlo,
-while every other strategy still plays each transcript through accepts.
+the batch verdict (rejected_rows) must reject exactly the inputs accepts
+rejects, in exact enumeration, the verdict table and Monte Carlo: by
+columns on a tower over Q <= 256, in byte lanes up to Q = 16 and 16-bit
+lanes beyond, and by one accepts call per row on every other strategy.
 """
 
 import dataclasses
@@ -36,6 +36,7 @@ import random
 import sys
 import time
 import tracemalloc
+from array import array
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -72,13 +73,14 @@ from relbc import (
     zeros_strategy,
 )
 from relbc import adversary, games, protocol
-from relbc.adversary import _GameRound, _product_columns
-from relbc.analysis import (_column_rejections, _plugged_values, _table_wins,
-                            _transcripts)
+from relbc.adversary import _drawn_columns, _GameRound, _product_columns
+from relbc.analysis import _column_rejections, _plugged_values, _table_wins
+from relbc.cli import _transcripts
 from relbc.games import BestShift, _game_tables, _greedy_best
 
-from oracles import (WordStream, compute_eta, reference_table_wins,
-                     reference_transcripts, symmetrize_up)
+from oracles import (WordStream, accepted_inputs, compute_eta,
+                     reference_table_wins, reference_transcripts,
+                     symmetrize_up)
 
 FIELDS = {q: spec for q, spec in (
     (2, FieldSpec(2)), (3, FieldSpec(3)), (4, FieldSpec(2, 2)),
@@ -906,12 +908,17 @@ def test_column_verdict_matches_accepts_on_the_largest_enumeration(spec):
 
 
 def test_product_columns_run_through_product_order(monkeypatch):
-    monkeypatch.setattr(adversary, "_CHUNK_ROWS", 10)
-    for q, n in ((2, 5), (3, 4), (16, 2), (5, 1)):
-        rows = [bytes(row) for xs in _product_columns(q, n)
-                for row in zip(*xs)]
-        assert rows == [bytes(row) for row in itertools.product(range(q),
-                                                                repeat=n)]
+    # byte columns up to Q = 256 and int arrays beyond, in chunks of at
+    # most _CHUNK_ROWS rows
+    for q, n, chunk_rows in ((2, 5, 10), (3, 4, 10), (16, 2, 10),
+                             (5, 1, 10), (300, 2, 600)):
+        monkeypatch.setattr(adversary, "_CHUNK_ROWS", chunk_rows)
+        chunks = list(_product_columns(q, n))
+        assert {type(x) for xs in chunks for x in xs} == {
+            bytes if q <= 256 else array}
+        assert max(len(xs[0]) for xs in chunks) <= chunk_rows
+        assert [row for xs in chunks for row in zip(*xs)] == list(
+            itertools.product(range(q), repeat=n))
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 8], ids=["natural", "small"])
@@ -1040,10 +1047,11 @@ def test_per_transcript_path_beyond_q256_and_without_a_step_plan(
     assert calls == [16] * 200 + [2] * (2 * 2 * 2 ** 4)
 
 
-def test_rejected_rows_refuses_a_strategy_that_is_not_columnar():
+def test_rejected_rows_judges_a_strategy_that_is_not_columnar():
     # a tower beyond Q = 256, and strategies with no step plan: a lifted
     # tower, a copy of a tower (dataclasses.replace) and a copy whose
-    # steps play other tables than its game_strategy.  Only a builder
+    # steps play other tables than its game_strategy.  rejected_rows
+    # plays each row of a drawn batch through accepts.  Only a builder
     # hands a strategy its plan, so the copies take the chain of their
     # own rounds: the plain copy judges every input as the tower does.
     spec = FIELDS[3]
@@ -1060,17 +1068,37 @@ def test_rejected_rows_refuses_a_strategy_that_is_not_columnar():
                        DetStrategy.random(big_spec, rng))
     lifted = symmetrize_up(build_attack(spec, Variant.STANDARD, 6,
                                         CausalModel(), game))
-    for s in (big, lifted, copied, off_game):
+    for i, s in enumerate((big, lifted, copied, off_game)):
         assert not s.columnar
-        n = s.n_challenges
-        with pytest.raises(ValueError, match="columnar"):
-            s.rejected_rows(b"\1\1", [b"\1\1"] * n)
+        (d, xs), = _drawn_columns(random.Random(f"rows:{i}"), s.field.q,
+                                  s.n_challenges, 300)
+        want = bytes(not s.accepts(*row) for row in zip(d, zip(*xs)))
+        assert 0 < want.count(1) < 300
+        assert _rejected_bytes(s, d, xs) == want
     assert tower.columnar
     assert copied._step_plan is None and off_game._step_plan is None
     assert copied.verdict_table == tower.verdict_table
     inputs = list(itertools.product(range(spec.q), repeat=6))
     assert off_game.verdict_table == bytes(
         off_game._chain(d, xs, 6)[-1] == 0 for d in (0, 1) for xs in inputs)
+
+
+def test_enumeration_beyond_q256_plays_int_columns_through_accepts():
+    # beyond Q = 256 _product_columns gives int arrays, whose rows the
+    # batch verdict plays through accepts: the all-zeros strategy over
+    # GF(512), symmetrized m = 2 (2*512^2 inputs), is exactly its closed
+    # form, and the standard m = 2 one (n = 1) keeps a 1024-entry verdict
+    # table
+    spec, model = FieldSpec(2, 9), CausalModel()
+    zeros = DetStrategy.zeros(spec)
+    s = build_attack(spec, Variant.SYMMETRIZED, 2, model, zeros)
+    assert not s.columnar
+    assert exact_cheat_probability(s) == Fraction(263167, 524288) \
+        == predicted_attack_probability(spec, Variant.SYMMETRIZED, 2, model,
+                                        zeros)
+    standard = build_attack(spec, Variant.STANDARD, 2, model, zeros)
+    assert standard.n_challenges == 1 and len(standard.verdict_table) == 1024
+    assert standard.verdict_table == bytes(accepted_inputs(standard))
 
 
 def test_columnar_is_settled_once_per_strategy():
