@@ -87,6 +87,15 @@ class CausalModel:
             return False
         return j <= k - self.rho or (k - j) % 2 == 0
 
+    def prefix_visible(self, k: int, p: int) -> bool:
+        """May the round-k function read every challenge x_1..x_p?
+
+        The first hidden challenge is x_{k-rho+1} when k >= rho, as it
+        sits an odd distance from k; below that, x_1 when k is even and
+        x_2 when k is odd.  As rho is even, that is p <= max(k - rho, k % 2).
+        """
+        return p <= max(k - self.rho, k % 2)
+
     def d_visible(self, k: int) -> bool:
         """The bit is a pseudo-challenge delivered at round k0."""
         return k >= self.k0 + self.rho or (k >= self.k0 and (k - self.k0) % 2 == 0)
@@ -275,7 +284,7 @@ class CheatStrategy:
 
             def look(index: memoryview, table: bytes) -> bytes:
                 if n > 1:  # itemgetter needs an index, and one gives a scalar
-                    return bytes(itemgetter(*index)(table))
+                    return bytes(itemgetter(*index.tolist())(table))
                 return bytes(map(table.__getitem__, index))
 
         def window(first: int, more: tuple[int, ...]) -> bytes:
@@ -404,12 +413,16 @@ def _drawn_columns(rng: random.Random, q: int, n: int, samples: int
         samples -= rows
 
 
-def _check_reads(model: CausalModel, k: int, n: int,
-                 reads: Iterable[int]) -> None:
-    """Raise LookupError unless round k may read the bit and each challenge
-    index in `reads` of a transcript with n challenges."""
+def _check_reads(model: CausalModel, k: int, n: int, reads: Iterable[int],
+                 prefix: int = 0) -> None:
+    """Raise LookupError unless round k may read the bit, the challenges
+    x_1..x_prefix and each challenge index in `reads` of a transcript with
+    n challenges."""
     if not model.d_visible(k):
         raise LookupError(f"bit not yet known at round {k}")
+    if not (prefix <= n and model.prefix_visible(k, prefix)):
+        raise LookupError(f"challenges x_1..x_{prefix} are not visible at"
+                          f" round {k}")
     for j in reads:
         if not (1 <= j <= n and model.challenge_visible(k, j)):
             raise LookupError(f"challenge x_{j} is not visible at round {k}")
@@ -471,9 +484,8 @@ def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,
         p = k0 + s * (rho + 1)
         ka, kb = p + rho, p + rho + 1
         win_a, win_b = range(p + 1, ka, 2), range(p, ka - 1, 2)  # 0-based
-        _check_reads(model, ka, m, [*range(1, p + 1), *(j + 1 for j in win_a)])
-        _check_reads(model, kb, m,
-                     [*range(1, p + 1), *(j + 1 for j in win_b), kb])
+        _check_reads(model, ka, m, [j + 1 for j in win_a], prefix=p)
+        _check_reads(model, kb, m, [*(j + 1 for j in win_b), kb], prefix=p)
         rounds.extend([_zero_round] * (rho - 1))
         rounds.append(_GameRound(spec, p, s1, win_a))
         rounds.append(_GameRound(spec, p, s2, win_b, last=kb - 1))

@@ -300,6 +300,16 @@ def mc_cheat_probability(strategy: CheatStrategy,
     return McEstimate(wins / samples, lo, hi, samples, seed, wins)
 
 
+def _survival(q: int, misses: int, w: Fraction, steps: int) -> Fraction:
+    """1 - (1/2)(1 - 1/q)^misses (1 - w)^steps, the acceptance probability
+    left by a deficit of 1/2 that shrinks by 1 - 1/q `misses` times and by
+    1 - w `steps` times, as one integer numerator over one integer
+    denominator, reduced once."""
+    wd = w.denominator
+    den = 2 * q ** misses * wd ** steps
+    return Fraction(den - (q - 1) ** misses * (wd - w.numerator) ** steps, den)
+
+
 def theory_lower_bound(m: int, q: int, w, rho: int = 2, k0: int = 0) -> Fraction:
     """Tower lower bound on the cheating probability.
 
@@ -316,8 +326,7 @@ def theory_lower_bound(m: int, q: int, w, rho: int = 2, k0: int = 0) -> Fraction
     elif m < k0 + 2:
         raise ValueError(f"the general bound needs m >= k0 + 2, got m={m}, k0={k0}")
     exponent = (m - k0 - 1) // (rho + 1)
-    factor = (1 - Fraction(1, q)) * (1 - w)
-    return 1 - Fraction(1, 2) * factor ** exponent
+    return _survival(q, exponent, w, exponent)
 
 
 def check_upper_c(c: float) -> None:
@@ -339,20 +348,17 @@ def theory_upper_bound(m: int, q: int, c: float = 1.0) -> float:
 def _closed_form(q: int, variant: Variant, m: int, model: CausalModel,
                  w_gamma: Optional[Fraction]) -> Fraction:
     """predicted_attack_probability from the plugged strategy's w_gamma
-    (None when no strategy is plugged)."""
-    half = Fraction(1, 2)
-    miss = 1 - Fraction(1, q)
+    (None when no strategy is plugged): the deficit shrinks by 1 - 1/Q in
+    every round outside the tower steps and once per step, and by
+    1 - w_gamma per step."""
     if Variant(variant) is Variant.STANDARD:
-        if m - 1 < 2:
-            return 1 - half * miss ** (max(m, 2) - 1)
-        m -= 1  # the symmetrized attack on m - 1 rounds, desymmetrized
+        # the symmetrized attack on m - 1 rounds, desymmetrized; below
+        # m - 1 = 2 no step fits and the deficit is (1/2)(1 - 1/Q)
+        m = max(m - 1, 1)
     steps = (m - model.k0) // (model.rho + 1)
     if steps < 1 or w_gamma is None:
-        return 1 - half * miss ** m
-    tower_m = model.k0 + steps * (model.rho + 1)
-    step_factor = miss * (1 - w_gamma)
-    deficit = half * miss ** model.k0 * step_factor ** steps * miss ** (m - tower_m)
-    return 1 - deficit
+        return _survival(q, m, Fraction(0), 0)
+    return _survival(q, m - steps * model.rho, w_gamma, steps)
 
 
 def predicted_attack_probability(spec: FieldSpec, variant: Variant, m: int,

@@ -384,6 +384,13 @@ def best_response_search(dist: GameDist, restarts: int = 8,
     (adding c to s1, subtracting it from s2) is removed by renormalizing
     s2(0) = 0 after every update.  Capped at Q <= SEARCH_MAX_Q, the largest
     field whose _game_tables are built.
+
+    A restart stops at its first best response that equals the same
+    player's two responses earlier (the start s1 counts, the start s2 does
+    not): a repeated s2 means s1 is already its best response, and a
+    repeated s1 means the next iteration would give the same (s1, s2).
+    meta counts the best responses computed, and converged is false when
+    some restart ran max_iters iterations without stopping.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -406,15 +413,19 @@ def best_response_search(dist: GameDist, restarts: int = 8,
     all_converged = True
     responses = 0
     for s1, s2 in zip(starts, starts):
-        for _ in range(max_iters):
-            prev = (s1, s2)
-            s2, _sc = _greedy_best(tables, s1, w)
+        for i in range(max_iters):
+            new_s2, _sc = _greedy_best(tables, s1, w)
             # s2 - s2[0] pairs with s1 + s2[0], but s1 is recomputed from s2
-            s2 = itemgetter(*s2)(minus[s2[0]])
-            s1, score = _greedy_best(tables, s2, w)
-            responses += 2
-            if (s1, s2) == prev:
-                break
+            new_s2 = itemgetter(*new_s2)(minus[new_s2[0]])
+            responses += 1
+            if i and new_s2 == s2:
+                break  # s1 = BR(s2) already, and score is its score
+            s2 = new_s2
+            new_s1, score = _greedy_best(tables, s2, w)
+            responses += 1
+            if new_s1 == s1:
+                break  # the next iteration would give (s1, s2) again
+            s1 = new_s1
         else:
             all_converged = False
         if score > best_score:

@@ -16,16 +16,25 @@ rng.getrandbits(32) call per four bytes, one try at a time, and
 reference_table_wins and reference_transcripts draw from it as the
 documented stream says, one draw at a time: the bulk draws, honest shares
 and search starts are checked against it, and the seeded pins come from
-it.
+it.  confirm_both_search is best_response_search's earlier loop, which
+stopped a restart only when both players repeated, and keeps every
+restart's responses; closed_form_fractions and lower_bound_fractions are
+the closed form and the tower lower bound as chains of Fraction
+operations, for the integer forms in relbc.analysis to equal.
 """
 
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
-from relbc import CausalModel, CheatStrategy, FieldSpec, Variant, adversary
+from relbc import (CausalModel, CheatStrategy, FieldSpec, GameDist, Variant,
+                   adversary)
 from relbc.adversary import _GameRound, _zero_round
+from relbc.games import _game_tables, _greedy_best
+from relbc.protocol import _ByteStream
 
 
 def compute_eta(spec: FieldSpec, d: int, challenges: tuple[int, ...],
@@ -223,3 +232,63 @@ def reference_transcripts(rng: random.Random, q: int, n_ch: int,
                 for d in bits]
         samples -= rows
     return out
+
+
+def confirm_both_search(dist: GameDist, restarts: int, max_iters: int,
+                        seed: int):
+    """(value, s1, s2, paths) of the search loop that stops a restart when
+    an iteration leaves both s1 and s2 unchanged.
+
+    Each restart's path is its start s1 followed by every best response it
+    computed, in order: s2, s1, s2, ...  The starts and the best responses
+    are best_response_search's own.
+    """
+    spec, q = dist.field, dist.field.q
+    w, den = dist.weights()
+    tables = _game_tables(spec)
+    minus = tables[1]
+    starts = zip(*[iter(_ByteStream(random.Random(
+        f"{seed}:best-response-search")).tries(q, 2 * q * restarts))] * q)
+    best_score, best_pair, paths = -1, None, []
+    for s1, s2 in zip(starts, starts):
+        path = [s1]
+        for _ in range(max_iters):
+            prev = (s1, s2)
+            s2, _ = _greedy_best(tables, s1, w)
+            s2 = itemgetter(*s2)(minus[s2[0]])
+            s1, score = _greedy_best(tables, s2, w)
+            path += [s2, s1]
+            if (s1, s2) == prev:
+                break
+        paths.append(path)
+        if score > best_score:
+            best_score, best_pair = score, (s1, s2)
+    return Fraction(best_score, den * den), *best_pair, paths
+
+
+def closed_form_fractions(q: int, variant: Variant, m: int,
+                          model: CausalModel,
+                          w_gamma: Optional[Fraction]) -> Fraction:
+    """analysis._closed_form as a chain of Fraction operations."""
+    half = Fraction(1, 2)
+    miss = 1 - Fraction(1, q)
+    if Variant(variant) is Variant.STANDARD:
+        if m - 1 < 2:
+            return 1 - half * miss ** (max(m, 2) - 1)
+        m -= 1
+    steps = (m - model.k0) // (model.rho + 1)
+    if steps < 1 or w_gamma is None:
+        return 1 - half * miss ** m
+    tower_m = model.k0 + steps * (model.rho + 1)
+    step_factor = miss * (1 - w_gamma)
+    return 1 - (half * miss ** model.k0 * step_factor ** steps
+                * miss ** (m - tower_m))
+
+
+def lower_bound_fractions(m: int, q: int, w, rho: int = 2,
+                          k0: int = 0) -> Fraction:
+    """analysis.theory_lower_bound's value as a chain of Fraction
+    operations, for inputs that theory_lower_bound accepts."""
+    exponent = (m - k0 - 1) // (rho + 1)
+    factor = (1 - Fraction(1, q)) * (1 - Fraction(w))
+    return 1 - Fraction(1, 2) * factor ** exponent

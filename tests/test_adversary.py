@@ -107,6 +107,40 @@ def test_read_check_rejects_what_the_model_hides():
         _check_reads(m, 1, 2, ())
 
 
+@pytest.mark.parametrize("rho", [2, 4, 6])
+def test_prefix_check_agrees_with_challenge_visible(rho):
+    # one comparison stands for the p challenge_visible calls of a prefix
+    for k0 in (0, 1, 3):
+        model = CausalModel(rho=rho, k0=k0)
+        for k in range(41):
+            for p in range(41):
+                visible = all(model.challenge_visible(k, j)
+                              for j in range(1, p + 1))
+                assert model.prefix_visible(k, p) is visible
+                if model.d_visible(k) and visible:
+                    _check_reads(model, k, 40, (), prefix=p)
+                else:
+                    with pytest.raises(LookupError):
+                        _check_reads(model, k, 40, (), prefix=p)
+    with pytest.raises(LookupError, match="x_1..x_3 are not visible"):
+        _check_reads(CausalModel(rho=rho), rho + 3, 2, (), prefix=3)
+
+
+@pytest.mark.parametrize("m", [31, 532])
+def test_tower_build_checks_reads_in_linear_calls(m, monkeypatch):
+    calls = 0
+    visible = CausalModel.challenge_visible
+
+    def counted(self, k, j):
+        nonlocal calls
+        calls += 1
+        return visible(self, k, j)
+
+    monkeypatch.setattr(CausalModel, "challenge_visible", counted)
+    build_attack(GF3, Variant.STANDARD, m, BASE, OPT3)
+    assert 0 < calls <= 2 * m
+
+
 @pytest.mark.parametrize("rho", [2, 4])
 def test_read_check_agrees_with_challenge_visible(rho):
     for k0 in (0, 1, 3):

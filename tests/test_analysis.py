@@ -1,6 +1,7 @@
 """Probability measurement, bound formulas, reports and sweeps."""
 
 import csv
+import itertools
 import math
 import os
 import random
@@ -37,7 +38,10 @@ from relbc import (
     zeros_strategy,
 )
 from relbc import protocol
+from relbc.analysis import _closed_form
 from relbc.errors import CapabilityError
+
+from oracles import closed_form_fractions, lower_bound_fractions
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -426,6 +430,23 @@ def test_closed_form_matches_enumeration(variant, m):
     s = build_attack(GF2, variant, m, BASE, OPT2)
     assert exact_cheat_probability(s) \
         == predicted_attack_probability(GF2, variant, m, BASE, OPT2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 16, 1 << 16])
+def test_integer_closed_forms_match_fraction_chains(q):
+    ms = [*range(1, 41), 133, 134, 135, 530, 531, 532]
+    for rho, k0 in itertools.product((2, 4), (0, 1, 2)):
+        model = CausalModel(rho=rho, k0=k0)
+        for w in (None, Fraction(0), Fraction(1), Fraction(59, 256)):
+            for variant, m in itertools.product(Variant, ms):
+                assert _closed_form(q, variant, m, model, w) \
+                    == closed_form_fractions(q, variant, m, model, w)
+            if w is None:
+                continue
+            for m in ms:
+                if m >= k0 + 2 and (m >= 3 or (rho, k0) != (2, 0)):
+                    assert theory_lower_bound(m, q, w, rho, k0) \
+                        == lower_bound_fractions(m, q, w, rho, k0)
 
 
 def test_closed_form_matches_enumeration_q3():

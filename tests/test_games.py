@@ -22,6 +22,8 @@ from relbc import (
 )
 from relbc import games
 
+from oracles import confirm_both_search
+
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
 GF4 = FieldSpec(2, 2)
@@ -188,23 +190,57 @@ def test_best_response_search_rejects_bad_counts():
         best_response_search(dist, max_iters=0)
 
 
+def _stop_rule(path, max_iters):
+    """(best responses, stopped) of a restart under the search's stop rule,
+    read off its confirm-both path [s1 start, s2, s1, s2, ...]: the first
+    response j >= 2 that equals path[j - 2] ends the restart."""
+    for j in range(2, len(path)):
+        if path[j] == path[j - 2]:
+            return j, True
+    return 2 * max_iters, False
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(p, n) for p, n in
+                                  ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                   (2, 3), (3, 2), (2, 4), (5, 2), (3, 3),
+                                   (2, 5), (2, 6))],
+                         ids=lambda spec: f"q{spec.q}")
+def test_search_stops_where_the_confirm_both_loop_would(spec):
+    # the first repeated best response ends a restart at the pair, score and
+    # value that confirming both players would give, with fewer responses
+    for dist in (GameDist.uniform(spec),
+                 GameDist(spec, tower_gamma(spec, CausalModel(rho=4))),
+                 GameDist(spec, Fraction(1, 2))):
+        for seed in range(4):
+            for max_iters in (1, 2, 3, 200):
+                r = best_response_search(dist, 4, max_iters, seed)
+                value, s1, s2, paths = confirm_both_search(
+                    dist, 4, max_iters, seed)
+                assert (r.value, r.strategy.s1, r.strategy.s2) \
+                    == (value, s1, s2)
+                stops = [_stop_rule(path, max_iters) for path in paths]
+                assert r.meta["best_responses"] == sum(n for n, _ in stops)
+                assert r.meta["converged"] is all(ok for _, ok in stops)
+
+
 def test_best_response_search_golden_results():
     # pinned from the search run on the per-word reference's starts
-    # (oracles.WordStream tries below Q, one at a time)
+    # (oracles.WordStream tries below Q, one at a time); the response
+    # counts are the stop rule's on oracles.confirm_both_search's paths
     gf16, gf27 = FieldSpec(2, 4), FieldSpec(3, 3)
     r = best_response_search(GameDist.uniform(gf16), seed=1)
     assert r.value == Fraction(59, 256)
     assert r.strategy.s1 == (2, 4, 3, 1, 0, 10, 6, 0, 6, 14, 0, 12, 0, 4, 0, 0)
     assert r.strategy.s2 == (0, 7, 7, 2, 13, 8, 2, 2, 10, 2, 14, 2, 8, 10, 4, 2)
     assert r.meta["converged"] is True
-    assert r.meta["best_responses"] == 64
+    assert r.meta["best_responses"] == 54
     dist = GameDist(gf27, tower_gamma(gf27, CausalModel(rho=4)))
     r = best_response_search(dist, seed=3)
     assert r.value == Fraction(29744, 177147)
     assert r.strategy.s1 == (17,) + (0,) * 26
     assert r.strategy.s2 == (0,) + (22,) * 26
     assert r.meta["converged"] is True
-    assert r.meta["best_responses"] == 74
+    assert r.meta["best_responses"] == 63
 
 
 def test_best_response_search_cap_builds_no_tables(monkeypatch):
