@@ -463,34 +463,52 @@ class _GameRound:
         return mul(etas[self.prefix], answer)
 
 
-def _tower_rounds(spec: FieldSpec, m: int, model: CausalModel,
+def _tower_rounds(spec: FieldSpec, steps: int, model: CausalModel,
                   game_strategy: DetStrategy
-                  ) -> tuple[list[RoundFn], list[Step]]:
-    """Round functions of the tower and its steps: per step, rho - 1 zero
-    rounds, then the first and the second _GameRound of the step's prefix
-    p.  Of the step's first rho challenges, the first game round
-    (ka = p + rho) reads those of its parity, x_{p+2}, x_{p+4}, ..., x_ka,
-    and answers s1 at their product; the second (kb = ka + 1) reads
-    x_{p+1}, x_{p+3}, ..., x_{ka-1}, and answers s2 at their product times
-    x_kb.  The two windows partition the step's first rho challenges.
-    The bit and challenges each round reads are fixed by its position, so
-    they are checked against the model once, here, rather than on every
-    call."""
+                  ) -> tuple[tuple[RoundFn, ...], tuple[Step, ...]]:
+    """Round functions of the tower of `steps` steps and its steps: per
+    step, rho - 1 zero rounds, then the first and the second _GameRound of
+    the step's prefix p.  Of the step's first rho challenges, the first
+    game round (ka = p + rho) reads those of its parity, x_{p+2}, x_{p+4},
+    ..., x_ka, and answers s1 at their product; the second (kb = ka + 1)
+    reads x_{p+1}, x_{p+3}, ..., x_{ka-1}, and answers s2 at their product
+    times x_kb.  The two windows partition the step's first rho
+    challenges.  The bit and challenges each round reads are fixed by its
+    position, so they are checked against the model once, here, rather
+    than on every call.  Nothing in a step depends on the steps after it,
+    so the tower of s <= steps steps is the first k0 + s*(rho+1) rounds
+    and the first s steps of this one (_cut_tower)."""
     rho, k0 = model.rho, model.k0
+    n = k0 + steps * (rho + 1)
     s1, s2 = game_strategy.s1, game_strategy.s2
     rounds: list[RoundFn] = [_zero_round] * k0
-    steps: list[Step] = []
-    for s in range((m - k0) // (rho + 1)):
+    plan: list[Step] = []
+    for s in range(steps):
         p = k0 + s * (rho + 1)
         ka, kb = p + rho, p + rho + 1
         win_a, win_b = range(p + 1, ka, 2), range(p, ka - 1, 2)  # 0-based
-        _check_reads(model, ka, m, [j + 1 for j in win_a], prefix=p)
-        _check_reads(model, kb, m, [*(j + 1 for j in win_b), kb], prefix=p)
+        _check_reads(model, ka, n, [j + 1 for j in win_a], prefix=p)
+        _check_reads(model, kb, n, [*(j + 1 for j in win_b), kb], prefix=p)
         rounds.extend([_zero_round] * (rho - 1))
         rounds.append(_GameRound(spec, p, s1, win_a))
         rounds.append(_GameRound(spec, p, s2, win_b, last=kb - 1))
-        steps.append((kb - 1, p + 1, tuple(win_a[1:]), p, tuple(win_b[1:])))
-    return rounds, steps
+        plan.append((kb - 1, p + 1, tuple(win_a[1:]), p, tuple(win_b[1:])))
+    return tuple(rounds), tuple(plan)
+
+
+def _cut_tower(spec: FieldSpec, model: CausalModel,
+               game_strategy: DetStrategy,
+               layout: tuple[tuple[RoundFn, ...], tuple[Step, ...]],
+               steps: int, lineage: str) -> CheatStrategy:
+    """The symmetrized tower of `steps` steps, cut from the layout
+    (_tower_rounds) of a tower of at least as many: its first
+    k0 + steps*(rho+1) rounds and its first `steps` steps."""
+    rounds, plan = layout
+    m = model.k0 + steps * (model.rho + 1)
+    return _planned(
+        CheatStrategy(spec, Variant.SYMMETRIZED, m, model, rounds[:m],
+                      lineage=lineage, game_strategy=game_strategy),
+        range(model.k0), plan[:steps])
 
 
 def _planned(strategy: CheatStrategy, silent: Iterable[int],
@@ -535,11 +553,9 @@ def attack_general(spec: FieldSpec, m: int, model: CausalModel,
         raise ValueError(
             f"m = {m} is not of tower form k0 + k*(rho+1) with k >= 1 for"
             f" {model}; nearest valid tower is m = {nearest}")
-    rounds, plan = _tower_rounds(spec, m, model, game_strategy)
-    return _planned(
-        CheatStrategy(spec, Variant.SYMMETRIZED, m, model, tuple(rounds),
-                      lineage=lineage, game_strategy=game_strategy),
-        range(model.k0), plan)
+    return _cut_tower(spec, model, game_strategy,
+                      _tower_rounds(spec, steps, model, game_strategy),
+                      steps, lineage)
 
 
 def tower_gamma(spec: FieldSpec, model: CausalModel) -> Fraction:
@@ -607,18 +623,38 @@ def build_attack(spec: FieldSpec, variant: Variant, m: int,
     Builds the largest strict tower that fits and pads the remaining rounds
     with silent rounds (symmetrized) or the silent final round (standard).
     """
+    return next(_build_attacks(spec, variant, (m,), model, game_strategy))
+
+
+def _build_attacks(spec: FieldSpec, variant: Variant, lengths: Iterable[int],
+                  model: CausalModel, game_strategy: DetStrategy
+                  ) -> Iterator[CheatStrategy]:
+    """build_attack at each of `lengths`, in their order.
+
+    The longest tower any length needs is laid out once (_tower_rounds),
+    and each length's tower is cut from it, so a sweep does O(max m)
+    layout work rather than O(m) per length.  A length pads its tower as
+    build_attack does: a standard strategy is the desymmetrized one of
+    length m - 1, and a symmetrized one below one tower step is
+    zeros_strategy, as is a standard one below two rounds.
+    """
     if game_strategy.field != spec:
         raise ValueError("game strategy is over a different field")
     variant = Variant(variant)
-    if variant is Variant.STANDARD:
-        if m - 1 < 2:
-            return zeros_strategy(spec, variant, m, model)
-        return desymmetrize(
-            build_attack(spec, Variant.SYMMETRIZED, m - 1, model, game_strategy))
-    steps = (m - model.k0) // (model.rho + 1)
-    if steps < 1:
-        return zeros_strategy(spec, variant, m, model)
-    tower_m = model.k0 + steps * (model.rho + 1)
-    tower = attack_general(spec, tower_m, model, game_strategy)
-    return extend_symmetrized(tower, m - tower_m)
-
+    lengths = list(lengths)
+    # the symmetrized length of each strategy and the tower steps it holds
+    inner = [m - 1 if variant is Variant.STANDARD else m for m in lengths]
+    steps = [(n - model.k0) // (model.rho + 1) for n in inner]
+    layout = _tower_rounds(spec, max(steps, default=0), model, game_strategy)
+    for m, n, s in zip(lengths, inner, steps):
+        if variant is Variant.STANDARD and n < 2:
+            yield zeros_strategy(spec, variant, m, model)
+            continue
+        if s < 1:
+            strategy = zeros_strategy(spec, Variant.SYMMETRIZED, n, model)
+        else:
+            tower = _cut_tower(spec, model, game_strategy, layout, s,
+                               "general")
+            strategy = extend_symmetrized(tower, n - tower.m)
+        yield strategy if variant is Variant.SYMMETRIZED else desymmetrize(
+            strategy)

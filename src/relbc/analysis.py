@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .adversary import (_CHUNK_ROWS, CausalModel, CheatStrategy,
-                        _drawn_columns, build_attack, tower_gamma)
+                        _build_attacks, _drawn_columns, tower_gamma)
 from .errors import CapabilityError
 from .field import FieldSpec
 from .games import DetStrategy, GameDist, win_probability
@@ -249,15 +249,18 @@ def _table_wins(table: bytes, samples: int, rng: random.Random) -> int:
     bytes: the table indexed by the first `samples` kept tries of rng's
     _ByteStream, read at most _CHUNK_ROWS at a time.  Beyond 256 entries
     the tries are word tries, which on the fresh stream are
-    rng.randrange(len(table)) draws."""
+    rng.randrange(len(table)) draws.  Up to 256 entries the stream looks
+    each try up in the table as it reads it (tries' code), so a block is
+    one translate and one count, ~40x faster than sum(map)."""
     space, wins = len(table), 0
     stream, code = _ByteStream(rng), table.ljust(256, b"\0")
     while samples:
-        tries = stream.tries(space, min(samples, _CHUNK_ROWS))
-        # translate + count is ~40x faster than sum(map)
-        wins += (tries.translate(code).count(1) if space <= 256
-                 else sum(map(table.__getitem__, tries)))
-        samples -= len(tries)
+        block = min(samples, _CHUNK_ROWS)
+        if space <= 256:
+            wins += stream.tries(space, block, code).count(1)
+        else:
+            wins += sum(map(table.__getitem__, stream.tries(space, block)))
+        samples -= block
     return wins
 
 
@@ -502,20 +505,23 @@ def trend_sweep(spec: FieldSpec, m_values: Sequence[int],
                     exact_cap: int = 2 * 10 ** 5,
                     samples: int = 20000, seed: int = 0,
                     upper_c: float = 1.0) -> list[AttackRow]:
-    """One evaluated attack per protocol length.
+    """One evaluated attack per protocol length, in m_values' order.
 
-    Row m is enumerated when its 2*Q^n transcripts fit in exact_cap, and
-    is otherwise evaluate's Monte Carlo estimate with the sweep's own
-    seed, whose stream mc_cheat_probability keys by m.  The plugged
-    strategy's game values are computed once per sweep.  A bad upper_c is
-    rejected before any row, even when there is none.
+    Row m's strategy is build_attack's at m, cut from the sweep's longest
+    tower, which is laid out once (adversary._build_attacks).  Row m is
+    enumerated when its 2*Q^n transcripts fit in exact_cap, and is
+    otherwise evaluate's Monte Carlo estimate with the sweep's own seed,
+    whose stream mc_cheat_probability keys by m; so every row equals
+    evaluate(build_attack(...)) at its m.  The plugged strategy's game
+    values are computed once per sweep.  A bad upper_c is rejected before
+    any row, even when there is none.
     """
     check_upper_c(upper_c)
     model = model or CausalModel()
     plugged = _plugged_values(spec, model, game_strategy)
     rows = []
-    for m in m_values:
-        strategy = build_attack(spec, variant, m, model, game_strategy)
+    for strategy in _build_attacks(spec, variant, m_values, model,
+                                   game_strategy):
         method = ("exact" if 2 * spec.q ** strategy.params.n_challenges
                   <= exact_cap else "mc")
         values = _UNPLUGGED if strategy.game_strategy is None else plugged

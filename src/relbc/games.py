@@ -8,6 +8,7 @@ uniform nonzero element otherwise.  All probabilities are exact rationals.
 
 from __future__ import annotations
 
+import io
 import operator
 import random
 from dataclasses import dataclass, field as _field
@@ -33,7 +34,9 @@ BRUTE_FORCE_MAX_Q_BIASED = 7
 # ~1.3 s, one response ~3 s, and the two peak at ~280 MB (GF(1024):
 # 0.09 s, 0.15 s, 34 MB).  Larger searches are refused.
 SEARCH_MAX_Q = 4096
-# Most columns of gathered bucket rows _greedy_best holds at once.
+# Most columns of gathered bucket rows _greedy_best holds at once: up to
+# this many, a response gathers its rows whole in one pass, and beyond, a
+# block of this many columns at a time (_bucket_columns).
 _GATHER_COLUMNS = 256
 
 
@@ -92,9 +95,14 @@ class DetStrategy:
     @cached_property
     def wins(self) -> bytes:
         """The win matrix, row-major: wins[a*Q + b] is 1 when the pair wins
-        on (a, b), s1[a] + s2[b] = a*b, and 0 otherwise: the _win_rows
-        joined, kept with the strategy (16 MB at Q = 4096)."""
-        return b"".join(_win_rows(self))
+        on (a, b), s1[a] + s2[b] = a*b, and 0 otherwise: the _win_rows in
+        order, kept with the strategy (16 MB at Q = 4096).  Each row goes
+        into one growing buffer as it comes, so the build peaks at ~1.2x
+        the matrix; b"".join would hold every row and the joined copy at
+        once (~2.1x)."""
+        buffer = io.BytesIO()
+        buffer.writelines(_win_rows(self))
+        return buffer.getvalue()
 
     @cached_property
     def _win_counts(self) -> tuple[int, int, int, int]:
@@ -260,16 +268,20 @@ def _bucket_columns(tables, other) -> Iterator[tuple[int, ...]]:
     """Column y of _greedy_best's bucket rows x -> x*y - other[x] over the
     inputs x != 0, for y in index order.
 
-    The rows are gathered from the _game_tables a block of at most
-    _GATHER_COLUMNS columns at a time and transposed by zip, and chain
-    drops each block's zip before it gathers the next, so one block of
-    Q - 1 rows is held at once: one block at Q <= 256, where the slice of
-    a whole row is the row itself, and 16 at Q = 4096.  The blocks split
-    the columns evenly, so none is a single column (for which itemgetter
-    would give a scalar) while _GATHER_COLUMNS >= 3.
+    At Q <= _GATHER_COLUMNS every row is gathered from the _game_tables
+    whole and the rows are transposed by one zip.  Beyond, the rows are
+    gathered a block of at most _GATHER_COLUMNS columns at a time and
+    transposed by zip, and chain drops each block's zip before it gathers
+    the next, so one block of Q - 1 rows is held at once (16 at
+    Q = 4096).  The blocks split the columns evenly, so none is a single
+    column (for which itemgetter would give a scalar) while
+    _GATHER_COLUMNS >= 3.
     """
     prod, minus = tables
     q = len(prod)
+    if q <= _GATHER_COLUMNS:
+        return zip(*[itemgetter(*row)(minus[o])
+                     for row, o in zip(prod[1:], other[1:])])
     blocks = -(-q // _GATHER_COLUMNS)
     edges = [q * i // blocks for i in range(blocks + 1)]
     return chain.from_iterable(

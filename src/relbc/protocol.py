@@ -66,9 +66,12 @@ class _ByteStream:
         self._rest = data[count:]
         return data[:count]
 
-    def tries(self, space: int, count: int) -> bytes | array:
+    def tries(self, space: int, count: int, code: bytes | None = None
+              ) -> bytes | array:
         """The next `count` kept tries below `space`: bytes at space <= 256,
-        an array of ints beyond.
+        an array of ints beyond.  At space <= 256 a 256-byte translate
+        table `code` may be given: each kept try t then comes out as
+        code[t], from the same one translate.
 
         At space <= 256 a try reads one byte t and keeps its top
         k = (space - 1).bit_length() bits, t >> (8 - k), when they are below
@@ -83,6 +86,8 @@ class _ByteStream:
         if space <= 256:
             k = (space - 1).bit_length()
             top = _TOP_BITS[k]
+            if code is not None:
+                top = top.translate(code)
             if space == 1 << k:
                 return self.take(count).translate(top)
             rejected = bytes(range(space << (8 - k), 256))

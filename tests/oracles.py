@@ -8,6 +8,9 @@ the inputs its rounds should not see, independently of the read checks
 that the tower makes when it builds its rounds.  derive_step_plan
 recovers a tower's step plan from its rounds alone, by their types, marks,
 windows and tables, for the tests to check each builder's own plan against.
+build_attack_alone builds one length's attack from a tower laid out for
+that length alone, for the strategies a sweep cuts from its longest tower
+to equal.
 accepted_inputs calls accepts once on every input, the per-input verdict
 that the batch verdicts are checked against.  symmetrize_up lifts a
 standard-variant strategy to the symmetrized protocol for the
@@ -31,7 +34,8 @@ from operator import itemgetter
 from typing import Optional
 
 from relbc import (CausalModel, CheatStrategy, FieldSpec, GameDist, Variant,
-                   adversary)
+                   adversary, attack_general, desymmetrize, extend_symmetrized,
+                   zeros_strategy)
 from relbc.adversary import _GameRound, _zero_round
 from relbc.games import _game_tables, _greedy_best
 from relbc.protocol import _ByteStream
@@ -89,6 +93,27 @@ def tower_step(fn: _GameRound) -> tuple[int, int]:
     """A game round's mark: (p, 1) for the first game round of the step
     of prefix p, which has no last challenge, and (p, 2) for its second."""
     return fn.prefix, 1 if fn.last is None else 2
+
+
+def build_attack_alone(spec: FieldSpec, variant: Variant, m: int,
+                       model: CausalModel, game_strategy) -> CheatStrategy:
+    """build_attack's strategy at length m from attack_general's tower of
+    the largest strict length that fits, laid out for it alone and padded
+    by extend_symmetrized (symmetrized) or desymmetrize (standard, from
+    length m - 1); zeros_strategy below one tower step, and for a
+    standard protocol below two rounds."""
+    variant = Variant(variant)
+    if variant is Variant.STANDARD:
+        if m - 1 < 2:
+            return zeros_strategy(spec, variant, m, model)
+        return desymmetrize(build_attack_alone(
+            spec, Variant.SYMMETRIZED, m - 1, model, game_strategy))
+    steps = (m - model.k0) // (model.rho + 1)
+    if steps < 1:
+        return zeros_strategy(spec, variant, m, model)
+    tower_m = model.k0 + steps * (model.rho + 1)
+    return extend_symmetrized(
+        attack_general(spec, tower_m, model, game_strategy), m - tower_m)
 
 
 def derive_step_plan(strategy: CheatStrategy):

@@ -37,11 +37,13 @@ from relbc import (
     write_sweep_csv,
     zeros_strategy,
 )
-from relbc import protocol
+from relbc import adversary, protocol
+from relbc.adversary import _GameRound
 from relbc.analysis import _closed_form
 from relbc.errors import CapabilityError
 
-from oracles import closed_form_fractions, lower_bound_fractions
+from oracles import (build_attack_alone, closed_form_fractions,
+                     lower_bound_fractions)
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -411,7 +413,7 @@ def test_bad_upper_c_is_rejected_before_any_row(monkeypatch):
         raise AssertionError("evaluated despite a bad upper_c")
 
     monkeypatch.setattr(relbc.analysis, "exact_cheat_probability", no_work)
-    monkeypatch.setattr(relbc.analysis, "build_attack", no_work)
+    monkeypatch.setattr(relbc.analysis, "_build_attacks", no_work)
     strategy = attack_base(GF2, 3, OPT2)
     for c in (0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -548,6 +550,73 @@ def test_sweep_monte_carlo_rows_are_evaluate_at_the_sweep_seed(seed):
         if row.mc is not None:
             attack = build_attack(GF4, Variant.SYMMETRIZED, m, model, game)
             assert row == evaluate(attack, "mc", 500, seed)
+
+
+# m lists a sweep may get: out of order, repeated, with gaps, below one
+# tower step (zeros strategies at every rho and k0 here), and a range
+SWEEP_LENGTHS = {"unsorted": [9, 4, 13, 6], "repeated": [7, 5, 7, 7],
+                 "gapped": [5, 11, 20], "below-a-step": [3, 2, 4, 3],
+                 "range": range(2, 12)}
+
+
+def _laid_out(strategy):
+    """A strategy's length, variant, lineage, step plan and rounds, each
+    game round by its prefix, window, last challenge and table."""
+    return (strategy.m, strategy.variant, strategy.lineage,
+            strategy._step_plan,
+            [(fn.prefix, fn.window, fn.last, fn.table)
+             if isinstance(fn, _GameRound) else fn for fn in strategy.rounds])
+
+
+@pytest.mark.parametrize("lengths", SWEEP_LENGTHS.values(),
+                         ids=SWEEP_LENGTHS)
+@pytest.mark.parametrize("k0", [0, 1, 2])
+@pytest.mark.parametrize("rho", [2, 4])
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_sweep_rows_are_their_lengths_built_one_by_one(variant, rho, k0,
+                                                       lengths, monkeypatch):
+    # every row's strategy, cut from the sweep's longest tower, is
+    # build_attack's at its length and the one a tower laid out for that
+    # length alone gives, and every row, exact (n <= 4 challenges) or
+    # Monte Carlo, is evaluate's on that strategy
+    model = CausalModel(rho=rho, k0=k0)
+    game = DetStrategy.random(GF4, random.Random(f"sweep:{rho}:{k0}"))
+    built = []
+    cut = relbc.analysis._build_attacks
+
+    def spy(*args):
+        for strategy in cut(*args):
+            built.append(strategy)
+            yield strategy
+
+    monkeypatch.setattr(relbc.analysis, "_build_attacks", spy)
+    rows = trend_sweep(GF4, lengths, game, model, variant, exact_cap=2000,
+                       samples=300, seed=5)
+    assert [row.m for row in rows] == [s.m for s in built] == list(lengths)
+    for m, row, strategy in zip(lengths, rows, built):
+        alone = build_attack(GF4, variant, m, model, game)
+        assert (_laid_out(strategy) == _laid_out(alone) == _laid_out(
+            build_attack_alone(GF4, variant, m, model, game)))
+        method = "exact" if row.mc is None else "mc"
+        assert row == evaluate(alone, method, 300, 5)
+
+
+def test_a_sweep_lays_its_longest_tower_out_once(monkeypatch):
+    # one layout per sweep, of the longest tower any row needs (standard
+    # m = 30 holds nine three-round steps), and one per build_attack
+    lay_out, layouts = adversary._tower_rounds, []
+
+    def counted(spec, steps, model, game_strategy):
+        layouts.append(steps)
+        return lay_out(spec, steps, model, game_strategy)
+
+    monkeypatch.setattr(adversary, "_tower_rounds", counted)
+    rows = trend_sweep(GF2, [9, 4, 30, 7, 30, 2], OPT2, exact_cap=100,
+                       samples=100)
+    assert len(rows) == 6 and layouts == [9]
+    layouts.clear()
+    build_attack(GF2, Variant.SYMMETRIZED, 30, BASE, OPT2)
+    assert layouts == [10]
 
 
 def test_empirical_upper_constant():

@@ -237,6 +237,23 @@ def test_greedy_best_holds_one_column_block():
     assert peak < 3 << 20
 
 
+def test_win_matrix_holds_itself_once():
+    # the rows go into one growing buffer, so building GF(1024)'s 1 MB
+    # matrix peaks near the matrix alone (b"".join of the rows peaked at
+    # ~2.1x: every row and the joined copy at once)
+    spec = FieldSpec(2, 10)
+    strategy = DetStrategy.random(spec, random.Random("wins-memory"))
+    spec.mul(2, 3)  # the field's tables are built before the trace
+    tracemalloc.start()
+    try:
+        wins = strategy.wins
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(wins) == spec.q ** 2
+    assert peak <= 1.3 * spec.q ** 2
+
+
 def reference_brute_force(dist: GameDist):
     """The original brute-force loop, verbatim: all Q^Q tables in product order.
 
@@ -585,6 +602,23 @@ def test_table_wins_all_win_and_all_loss(space):
        st.integers(0, 2 ** 32), st.integers(100, 3000))
 def test_table_wins_match_randrange_loop_on_random_tables(table, seed, samples):
     _same_wins(bytes(table), samples, seed)
+
+
+@pytest.mark.parametrize("space", [2, 3, 128, 162, 256])
+def test_table_wins_look_tries_up_as_they_read_them(space):
+    # the stream's top-bits table composed with the verdict table is one
+    # translate a block (after the rejected bytes are deleted at 3 and
+    # 162), and gives the per-try reference's count and the tries of the
+    # plain stream, looked up one at a time
+    rng = random.Random(f"composed:{space}")
+    table = bytes(rng.randrange(2) for _ in range(space))
+    for seed in range(3):
+        _same_wins(table, 3000, seed)
+        code = table.ljust(256, b"\0")
+        looked_up = protocol._ByteStream(random.Random(seed)).tries(
+            space, 3000, code)
+        tries = protocol._ByteStream(random.Random(seed)).tries(space, 3000)
+        assert looked_up == bytes(map(table.__getitem__, tries))
 
 
 class _CountingRandom(random.Random):
