@@ -376,7 +376,8 @@ def _product_columns(q: int, n: int) -> Iterator[list]:
     order, a chunk at a time: each chunk runs through the last L
     challenges, L the most with Q^L <= _CHUNK_ROWS, and holds the leading
     n - L constant.  The columns are bytes at Q <= 256 and arrays of ints
-    beyond, as _drawn_columns gives them."""
+    beyond, as _drawn_columns gives them (whose arrays at Q <= 2^16 hold
+    2-byte ints)."""
     tail = 0
     while tail < n and q ** (tail + 1) <= _CHUNK_ROWS:
         tail += 1
@@ -402,7 +403,8 @@ def _drawn_columns(rng: random.Random, q: int, n: int, samples: int
     its bits, then R*n tries below q for its challenges, row r's being
     tries r*n .. r*n + n - 1, so that challenge j's column is the strided
     slice tries[j::n].  The columns are bytes at Q <= 256 (byte tries) and
-    arrays of ints beyond (word tries).
+    arrays of ints beyond (2-byte lanes up to Q = 2^16, 4-byte ones past
+    it).
     """
     stream = _ByteStream(rng)
     while samples:

@@ -248,10 +248,9 @@ def _table_wins(table: bytes, samples: int, rng: random.Random) -> int:
     """Wins among `samples` uniform draws of an entry of a table of 0/1
     bytes: the table indexed by the first `samples` kept tries of rng's
     _ByteStream, read at most _CHUNK_ROWS at a time.  Beyond 256 entries
-    the tries are word tries, which on the fresh stream are
-    rng.randrange(len(table)) draws.  Up to 256 entries the stream looks
-    each try up in the table as it reads it (tries' code), so a block is
-    one translate and one count, ~40x faster than sum(map)."""
+    each try is the top bits of a 2-byte lane.  Up to 256 entries the
+    stream looks each try up in the table as it reads it (tries' code), so
+    a block is one translate and one count, ~40x faster than sum(map)."""
     space, wins = len(table), 0
     stream, code = _ByteStream(rng), table.ljust(256, b"\0")
     while samples:
@@ -283,13 +282,15 @@ def mc_cheat_probability(strategy: CheatStrategy,
     rejected_rows.  The draws read relbc's own byte stream (_ByteStream):
     the little-endian bytes of the successive 32-bit outputs of an rng keyed
     by the seed and the protocol length, f"{seed}:mc:{m}", so that two
-    estimates share a stream only when they share both.  An index below a
-    table of at most 256 entries and a challenge over Q <= 256 take one
-    byte a try, the top bits of it, and a bit d takes one byte's top bit;
-    a challenge over Q > 256 takes a 32-bit word a try, and so does an
-    index below a table of 257 to 4096 entries, which on the fresh stream
-    is rng.randrange(size).  Transcripts come in chunks of _CHUNK_ROWS
-    rows, every bit of a chunk before its challenges (_drawn_columns).
+    estimates share a stream only when they share both.  Every draw below
+    a space is _ByteStream.tries' one rule: the top bits of a lane of 1, 2
+    or 4 bytes, kept when below the space.  A bit d and an index below a
+    table of at most 256 entries or a challenge over Q <= 256 take one
+    byte a try; an index below a table of 257 to 4096 entries and a
+    challenge over 256 < Q <= 2^16 take a 2-byte lane, and a challenge
+    over a larger Q a 4-byte one.  Transcripts come in chunks of
+    _CHUNK_ROWS rows, every bit of a chunk before its challenges
+    (_drawn_columns).
     """
     if samples < 100:
         raise ValueError("samples must be >= 100")

@@ -36,9 +36,10 @@ _TOP_BITS = [bytes(t >> (8 - k) for t in range(256)) for k in range(9)]
 
 class _ByteStream:
     """relbc's one random stream: the little-endian bytes of rng's
-    successive 32-bit outputs, and the tries below a space read off them.
-    Monte Carlo draws, honest shares and search starts all read it, each
-    from its own seeded rng.
+    successive 32-bit outputs, and the tries below a space read off them,
+    each the top bits of a lane of 1, 2 or 4 bytes (tries).  Monte Carlo
+    draws, honest shares and search starts all read it, each from its own
+    seeded rng.
 
     rng.getrandbits(32*n) returns n successive outputs, least significant
     first, so its little-endian bytes are the bytes of n getrandbits(32)
@@ -73,18 +74,18 @@ class _ByteStream:
         table `code` may be given: each kept try t then comes out as
         code[t], from the same one translate.
 
-        At space <= 256 a try reads one byte t and keeps its top
-        k = (space - 1).bit_length() bits, t >> (8 - k), when they are below
-        space.  A power-of-two space keeps every try, so its tries are one
-        translate of `count` bytes; any other keeps more than half of them,
-        and the same translate deletes the rest.  Beyond 256 a try reads
-        four bytes as a little-endian word w and keeps w >> (32 - k),
-        k = space.bit_length(), when it is below space: randrange's rule on
-        one word.  Each round asks for exactly the tries still missing, so
-        no byte past the last kept try is read.
+        Every space has one rule.  With k = (space - 1).bit_length(), a try
+        reads the next lane of w bytes, w = 1 for k <= 8, 2 for k <= 16 and
+        4 beyond, as a little-endian unsigned v, and keeps its top k bits,
+        v >> (8w - k), when they are below space.  A power-of-two space
+        keeps every try; any other keeps more than half of them.  At
+        space <= 256 the tries are one translate of the bytes, which
+        deletes the rejected ones; at 2^16 they are the lanes themselves.
+        Each round asks for exactly the tries still missing, so no byte
+        past the last kept try's lane is read.
         """
-        if space <= 256:
-            k = (space - 1).bit_length()
+        k = (space - 1).bit_length()
+        if k <= 8:
             top = _TOP_BITS[k]
             if code is not None:
                 top = top.translate(code)
@@ -96,15 +97,24 @@ class _ByteStream:
                 kept.append(self.take(count).translate(top, rejected))
                 count -= len(kept[-1])
             return b"".join(kept)
-        shift = 32 - space.bit_length()
+        width, typecode = (2, "H") if k <= 16 else (4, "I")
+        if space == 1 << 8 * width:
+            return self._lanes(typecode, width * count)
+        shift = 8 * width - k
         limit = space << shift
-        out = array("I")
+        out = array(typecode)
         while short := count - len(out):
-            words = array("I", self.take(4 * min(short, _DRAW_BLOCK_WORDS)))
-            if sys.byteorder == "big":
-                words.byteswap()
-            out.extend([w >> shift for w in words if w < limit])
+            lanes = self._lanes(typecode,
+                                width * min(short, _DRAW_BLOCK_WORDS))
+            out.extend([v >> shift for v in lanes if v < limit])
         return out
+
+    def _lanes(self, typecode: str, size: int) -> array:
+        """The next `size` bytes as little-endian lanes of `typecode`."""
+        lanes = array(typecode, self.take(size))
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        return lanes
 
 
 class Variant(str, enum.Enum):

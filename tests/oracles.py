@@ -220,27 +220,22 @@ class WordStream:
 
     def below(self, space: int) -> int:
         """The next kept try below space: the top k = (space - 1).bit_length()
-        bits of one byte up to space 256, else the top k = space.bit_length()
-        bits of four bytes read as a little-endian word."""
-        if space <= 256:
-            k, width = (space - 1).bit_length(), 8
-        else:
-            k, width = space.bit_length(), 32
+        bits of one lane of w bytes read as a little-endian unsigned, w = 1
+        for k <= 8, 2 for k <= 16 and 4 beyond."""
+        k = (space - 1).bit_length()
+        width = 1 if k <= 8 else 2 if k <= 16 else 4
         while True:
-            word = int.from_bytes(bytes(self.byte() for _ in range(width // 8)),
+            lane = int.from_bytes(bytes(self.byte() for _ in range(width)),
                                   "little")
-            if word >> (width - k) < space:
-                return word >> (width - k)
+            if lane >> (8 * width - k) < space:
+                return lane >> (8 * width - k)
 
 
 def reference_table_wins(verdicts, samples: int, rng: random.Random) -> int:
-    """Wins among `samples` draws of a verdict table's entries: byte tries
-    up to 256 entries, rng.randrange(len(verdicts)) beyond."""
-    space = len(verdicts)
-    if space <= 256:
-        stream = WordStream(rng)
-        return sum(verdicts[stream.below(space)] for _ in range(samples))
-    return sum(verdicts[rng.randrange(space)] for _ in range(samples))
+    """Wins among `samples` draws of a verdict table's entries, each the
+    next try below len(verdicts)."""
+    stream = WordStream(rng)
+    return sum(verdicts[stream.below(len(verdicts))] for _ in range(samples))
 
 
 def reference_transcripts(rng: random.Random, q: int, n_ch: int,

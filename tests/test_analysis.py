@@ -228,8 +228,8 @@ def _echo_strategy(spec, m):
 @pytest.mark.parametrize("strategy, wins", [
     # space 128: one byte try a draw, every try kept
     (attack_base(GF2, 6, OPT2), (9923, 9919, 9918)),
-    # space 1458: randrange draws, word by word
-    (build_attack(GF3, Variant.SYMMETRIZED, 6, BASE, OPT3), (9784, 9736, 9749)),
+    # space 1458: one 2-byte lane a try, its top 11 bits kept below 1458
+    (build_attack(GF3, Variant.SYMMETRIZED, 6, BASE, OPT3), (9769, 9738, 9757)),
     # space 4374: beyond the table cap, transcripts whose byte tries at
     # Q = 3 reject a quarter of the bytes
     (build_attack(GF3, Variant.SYMMETRIZED, 7, BASE, OPT3), (9842, 9824, 9845)),
@@ -291,6 +291,9 @@ def _miss_bound(trials: int, rate: float) -> int:
         k += 1
 
 
+GF65536 = FieldSpec(2, 16)
+
+
 @pytest.mark.parametrize("strategy, value", [
     # a 162-entry verdict table: byte tries that reject 94 of 256 bytes
     (build_attack(GF3, Variant.SYMMETRIZED, 4, BASE, OPT3), None),
@@ -298,11 +301,15 @@ def _miss_bound(trials: int, rate: float) -> int:
     (build_attack(FieldSpec(5), Variant.SYMMETRIZED, 6, BASE,
                   DetStrategy.random(FieldSpec(5), random.Random(5))),
      "closed"),
-    # Q = 512 plays each transcript through accepts, on word tries
+    # Q = 512 plays each transcript through accepts, on 2-byte lanes that
+    # keep their top 9 bits
     (build_attack(FieldSpec(2, 9), Variant.SYMMETRIZED, 3, BASE,
                   DetStrategy.random(FieldSpec(2, 9), random.Random(9))),
      "closed"),
-], ids=["table-q3", "columns-q5", "accepts-q512"])
+    # Q = 2^16: every 2-byte lane is a challenge, with no try rejected
+    (build_attack(GF65536, Variant.SYMMETRIZED, 3, BASE,
+                  DetStrategy.zeros(GF65536)), "zeros"),
+], ids=["table-q3", "columns-q5", "accepts-q512", "accepts-q65536"])
 def test_mc_intervals_cover_at_their_rate_over_300_seeds(strategy, value):
     # each 99% interval misses the exact value with probability at most
     # 1%, so over seeds 0..299 the misses stay within the binomial bound
@@ -310,6 +317,12 @@ def test_mc_intervals_cover_at_their_rate_over_300_seeds(strategy, value):
     if value is None:
         assert len(strategy.verdict_table) == 162
         exact = exact_cheat_probability(strategy)
+    elif value == "zeros":
+        # the all-zeros pair wins exactly when x*y = 0, w = (2Q - 1)/Q^2,
+        # and m = 3 is one tower step: 1 - (1/2)(1 - 1/Q)(1 - w)
+        q = params.field.q
+        w = Fraction(2 * q - 1, q * q)
+        exact = 1 - (1 - Fraction(1, q)) * (1 - w) / 2
     else:
         assert strategy.verdict_table is None
         exact = predicted_attack_probability(

@@ -253,6 +253,7 @@ def test_attack_transcripts_follow_per_call_randrange(tmp_path, q, args):
     # the written (d, challenges) rows are the per-word reference's rows
     # on the command's seeded transcript rng: twelve bits, then the
     # challenges row by row
+    # (the name dates from when the rows were randrange draws)
     tpath = tmp_path / "transcripts.json"
     result = invoke("attack", *args, "--seed", "5",
                     "--transcript-out", str(tpath), "--transcript-count", "12")

@@ -19,7 +19,7 @@ shifts and rescores each translate; on the same random.Random stream, the
 bulk verdict-table draws must count the same wins, and the bulk transcript
 draws give the same transcripts, as the per-word reference
 (oracles.WordStream, one getrandbits(32) call per four bytes, one try at a
-time; randrange calls for tables of more than 256 entries), whatever the
+time on lanes of 1, 2 or 4 bytes read one byte at a time), whatever the
 draw block size; run_honest, which draws its
 shares from the byte stream in bulk and computes its responses in one pass,
 must give the same Transcript as the per-word stream's shares and the
@@ -554,8 +554,9 @@ class _WordTries:
                                             (2, 5, 3), (2, 10, 1)],
                          ids=["q5", "q16", "q27", "q32", "q1024"])
 def test_search_starts_match_per_call_randrange(p, n, restarts, monkeypatch):
-    # the reference starts are the per-word stream's tries below Q (at
-    # Q = 1024, word tries: on the fresh stream, per-call randrange draws)
+    # the reference starts are the per-word stream's tries below Q, one at
+    # a time (at Q = 1024, the top 10 bits of 2-byte lanes); the name
+    # dates from when the starts were randrange draws
     spec = FieldSpec(p, n)
     count = 2 * spec.q * restarts
     assert (list(protocol._ByteStream(random.Random("starts")).tries(
@@ -585,6 +586,8 @@ DRAW_SPACES = sorted({n for j in range(1, 14) for n in (2 ** j - 1, 2 ** j,
 
 @pytest.mark.parametrize("space", DRAW_SPACES)
 def test_table_wins_match_randrange_loop(space):
+    # the per-try reference's draws: bytes up to 256 entries, 2-byte lanes
+    # beyond (the name dates from randrange draws beyond 256)
     rng = random.Random(f"table:{space}")
     table = bytes(rng.randrange(2) for _ in range(space))
     for seed in range(3):
@@ -634,9 +637,9 @@ def test_table_wins_refill_when_first_block_is_short(space, seed,
                                                      monkeypatch):
     # 17, 129 and 257 entries reject a try with probability 15/32,
     # 127/256 and 255/512, so the first 100 tries fall short and the
-    # stream reads on (257 entries read a word a try); in 3-word blocks
-    # every read also spans blocks and carries leftover bytes, and the 100
-    # kept tries take at least 100 bytes
+    # stream reads on (257 entries read a 2-byte lane a try); in 3-word
+    # blocks every read also spans blocks and carries leftover bytes, and
+    # the 100 kept tries take at least 100 bytes
     table = bytes(i % 2 for i in range(space))
     want = reference_table_wins(table, 100, random.Random(f"{seed}:mc"))
     rng = _CountingRandom(f"{seed}:mc")
@@ -658,9 +661,10 @@ def test_table_wins_refill_when_first_block_is_short(space, seed,
 def test_bulk_transcripts_match_randrange_loop(q, n_ch, monkeypatch):
     # small blocks and 128-row chunks, so every estimate spans many
     # getrandbits blocks, reads cross block boundaries and the bits of a
-    # chunk are followed by its challenges; q <= 256 reads one byte a try
-    # and larger q a word, and only q other than 2^j rejects tries (131 and
-    # 243 at the full byte width k = 8)
+    # chunk are followed by its challenges; q <= 256 reads one byte a try,
+    # q <= 2^16 a 2-byte lane and 2^20 a 4-byte one, and only q other than
+    # 2^j rejects tries (131 and 243 at the full byte width k = 8); the
+    # name dates from randrange draws
     monkeypatch.setattr(protocol, "_DRAW_BLOCK_WORDS", 61)
     monkeypatch.setattr(adversary, "_CHUNK_ROWS", 128)
     rng = _CountingRandom(f"{q}:{n_ch}:mc")
@@ -745,7 +749,7 @@ def test_run_honest_matches_per_call_reference(spec, variant, block_words,
                                                monkeypatch):
     # the shares are the per-word stream's tries below Q; 3-word blocks
     # make every longer honest run read several blocks, carrying leftover
-    # bytes; GF(256) reads one byte a try and GF(2^16) a word
+    # bytes; GF(256) reads one byte a try and GF(2^16) a 2-byte lane
     if block_words:
         monkeypatch.setattr(protocol, "_DRAW_BLOCK_WORDS", block_words)
     for m in (1, 2, 7, 31):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -252,17 +253,15 @@ def _chi_square_bound(df: int) -> float:
 
 def test_byte_tries_are_uniform_below_every_space():
     # one seeded stream, 40 tries a value below every space from 2 to 256
-    # (byte tries) and at 257 and 1000 (word tries): Pearson's statistic
-    # stays below its 1 - 1e-6 quantile
+    # (byte tries) and at 257 to 2^16 (2-byte lanes, 2^16 keeping every
+    # lane): Pearson's statistic stays below its 1 - 1e-6 quantile
     stream = _ByteStream(random.Random("uniform"))
-    for space in [*range(2, 257), 257, 1000]:
+    for space in [*range(2, 257), 257, 512, 729, 1000, 4097, 59049, 2 ** 16]:
         count = 40 * space
         tries = stream.tries(space, count)
         assert len(tries) == count and max(tries) < space
-        counts = [0] * space
-        for t in tries:
-            counts[t] += 1
-        stat = sum((n - 40) ** 2 for n in counts) / 40
+        counts = Counter(tries)
+        stat = sum((counts[t] - 40) ** 2 for t in range(space)) / 40
         assert stat < _chi_square_bound(space - 1), space
 
 
@@ -270,8 +269,8 @@ def test_byte_tries_are_uniform_below_every_space():
 def test_byte_stream_reads_the_words_in_turn(block_words, monkeypatch):
     # reads of every size, in blocks of any size, give the bytes and tries
     # of one getrandbits(32) call per four bytes: leftover bytes carry;
-    # the spaces run to the field cap 2^20, whose honest shares are word
-    # tries with k = 21
+    # the spaces run over 1-, 2- and 4-byte lanes to the field cap 2^20,
+    # and 2^17, 3^12 and 2^20 keep the top 17, 19 and 20 bits of 4 bytes
     if block_words:
         monkeypatch.setattr(protocol, "_DRAW_BLOCK_WORDS", block_words)
     stream = _ByteStream(random.Random("stream"))
@@ -279,7 +278,31 @@ def test_byte_stream_reads_the_words_in_turn(block_words, monkeypatch):
     for size in [0, 1, 2, 3, 5, 4, 7, 100, 1, 12, 4099]:
         assert stream.take(size) == bytes(reference.byte()
                                           for _ in range(size))
-        for space in (2, 3, 128, 129, 256, 257, 4096, 4097, 2 ** 16,
-                      2 ** 20):
+        for space in (2, 3, 128, 129, 256, 257, 512, 729, 4096, 4097, 59049,
+                      65521, 2 ** 16, 2 ** 17, 3 ** 12, 2 ** 20):
             assert list(stream.tries(space, size)) == [
                 reference.below(space) for _ in range(size)]
+
+
+class _TakeLog(_ByteStream):
+    """A _ByteStream that records the size of every take."""
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.sizes = []
+
+    def take(self, count):
+        self.sizes.append(count)
+        return super().take(count)
+
+
+@pytest.mark.parametrize("count", [1, 62, 70000])
+def test_whole_lane_space_reads_its_tries_in_one_take(count):
+    # at 2^16 every 2-byte lane is a try: one take of 2 * count bytes,
+    # after which the stream reads on where the reference does
+    stream = _TakeLog(random.Random("lanes"))
+    reference = WordStream(random.Random("lanes"))
+    tries = stream.tries(2 ** 16, count)
+    assert stream.sizes == [2 * count]
+    assert list(tries) == [reference.below(2 ** 16) for _ in range(count)]
+    assert stream.take(7) == bytes(reference.byte() for _ in range(7))
