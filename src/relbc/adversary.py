@@ -217,15 +217,10 @@ class CheatStrategy:
     @cached_property
     def _product_table(self) -> bytes:
         """The table that maps x*Q + y to x*y, through which rejected_rows
-        folds a window of several challenges (rho >= 4): Q^2 bytes, padded
-        to the 256 of a translate table at Q <= 16.  Row x is x*y =
-        exp[log x + log y] over y, one C-level gather from the field's exp
-        table sliced at log x (log 0 points into its zero tail), so the
-        table costs Q gathers and no field call."""
-        spec = self.field
-        products = itemgetter(*spec._log)
-        return b"".join(bytes(products(spec._exp[lx:]))
-                        for lx in spec._log).ljust(256, b"\0")
+        folds a window of several challenges (rho >= 4): the field's
+        product_rows joined, Q^2 bytes, padded to the 256 of a translate
+        table at Q <= 16."""
+        return b"".join(map(bytes, self.field.product_rows())).ljust(256, b"\0")
 
     def rejected_rows(self, d: bytes, xs: Sequence) -> int:
         """The rows of a batch that accepts rejects.  Row r is (d[r],

@@ -17,6 +17,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -377,8 +378,7 @@ def predicted_attack_probability(spec: FieldSpec, variant: Variant, m: int,
     by (1-1/Q) per padding round.  Matches enumeration wherever the latter
     is feasible.
     """
-    w_gamma = None if game_strategy is None else win_probability(
-        game_strategy, GameDist(spec, tower_gamma(spec, model)))
+    _, w_gamma = _plugged_values(spec, model, game_strategy)
     return _closed_form(spec.q, variant, m, model, w_gamma)
 
 
@@ -399,7 +399,8 @@ def _plugged_values(spec: FieldSpec, model: CausalModel,
 
 
 def _ratio(x: Optional[Fraction]) -> Optional[str]:
-    return None if x is None else f"{x.numerator}/{x.denominator}"
+    """x as "n/d" in full: Decimal writes ints past str()'s 4300 digits."""
+    return None if x is None else f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ primitive element in index order (not necessarily t; read-only as
   ch. 2); for p = 2, addition is XOR of the indices.
 
 For odd p, negation is multiplication by -1 = g^((Q-1)/2); for p = 2 it is
-the identity.  Inverse and power read the logarithm directly.
+the identity.  Inverse and power read the logarithm directly.  Whole rows
+of products and sums are C-level gathers on the same tables.
 """
 
 from __future__ import annotations
@@ -328,3 +329,35 @@ class FieldSpec:
         if not i:
             return 0 if k else 1
         return self._exp[self._log[i] * k % (self.q - 1)]
+
+    def product_rows(self) -> Iterator[tuple[int, ...]]:
+        """Row x*y over y for each x in index order: log y gathered from the
+        period of exp at log x, with one slot past it set to 0 for y = 0
+        (log 0 starts x = 0 in exp's zero tail).  The rows share one int
+        object per value: exp's own."""
+        order, log = self.q - 1, self._log
+        exp = self._exp[:order].tolist() * 2 + [0] * (order + 1)
+        products = operator.itemgetter(order, *map(  # k = exp[log k], k != 0
+            exp.__getitem__, map(log.__getitem__, log[1:])))
+        for lx in log:
+            window = exp[lx:lx + order + 1]
+            window[order] = 0
+            yield products(window)
+
+    def sum_rows(self, cs: Sequence[int], ys: Sequence[int]
+                 ) -> Iterator[tuple[int, ...]]:
+        """Row c + y over ys (two entries or more) for each c in cs: ys at
+        c = 0, else g^a + g^b = g^(a + Z(b - a)), Z the Zech table (built
+        per call for p = 2).  log y gathers Z(b - a) from Z doubled and
+        sliced at -a (y = 0 lands on the zeros after it), and those gather
+        the sums from exp's ints sliced at a (a zero sum lands in its tail)."""
+        order, log = self.q - 1, self._log
+        exp = self._exp[:order].tolist() * 2 + [0] * (order + 1)
+        log = [2 * order, *map(exp.__getitem__, map(log.__getitem__, log[1:]))]
+        zech = list(self._zech or map(log.__getitem__, map(
+            operator.xor, exp[:order], itertools.repeat(1))))
+        zech += zech + [0] * (order + 1)
+        zech_of_ys = operator.itemgetter(*operator.itemgetter(*ys)(log))
+        for c in cs:
+            yield (operator.itemgetter(*zech_of_ys(zech[order - log[c]:]))(
+                exp[log[c]:]) if c else tuple(ys))

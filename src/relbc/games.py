@@ -28,11 +28,10 @@ from .protocol import _ByteStream
 # take ~4 s (2-CPU Xeon VM, Python 3.11).  Larger fields are refused.
 BRUTE_FORCE_MAX_Q = 9
 BRUTE_FORCE_MAX_Q_BIASED = 7
-# Best responses read two Q x Q tables of rows over shared int objects
-# (2 x 134 MB at Q = 4096, 2 x 34 GB at Q = 2^16), and a response gathers
-# its rows Q x _GATHER_COLUMNS at a time.  At GF(4096) the tables take
-# ~1.3 s, one response ~3 s, and the two peak at ~280 MB (GF(1024):
-# 0.09 s, 0.15 s, 34 MB).  Larger searches are refused.
+# Best responses read the _game_tables, two Q x Q tables of rows (2 x 134
+# MB at Q = 4096, 2 x 34 GB at Q = 2^16), Q x _GATHER_COLUMNS at a time.
+# At GF(4096) the tables take ~1.1 s, one response ~3 s, and the two peak
+# at ~280 MB (GF(1024): 0.09 s, 0.15 s, 34 MB).  Larger Q is refused.
 SEARCH_MAX_Q = 4096
 # Most columns of gathered bucket rows _greedy_best holds at once: up to
 # this many, a response gathers its rows whole in one pass, and beyond, a
@@ -96,11 +95,11 @@ class DetStrategy:
     def wins(self) -> bytes:
         """The win matrix, row-major: wins[a*Q + b] is 1 when the pair wins
         on (a, b), s1[a] + s2[b] = a*b, and 0 otherwise: the _win_rows in
-        order, kept with the strategy (16 MB at Q = 4096).  Each row goes
-        into one growing buffer as it comes, so the build peaks at ~1.2x
-        the matrix; b"".join would hold every row and the joined copy at
-        once (~2.1x)."""
-        buffer = io.BytesIO()
+        order, kept with the strategy (16 MB at Q = 4096).  Each row is
+        written as it comes over Q^2 zero bytes, which the result keeps
+        without a copy, so the build peaks at ~1.2x the matrix; b"".join
+        would hold every row and the joined copy at once (~2.1x)."""
+        buffer = io.BytesIO(bytes(self.field.q ** 2))
         buffer.writelines(_win_rows(self))
         return buffer.getvalue()
 
@@ -159,27 +158,11 @@ def _check_same_field(a: FieldSpec, b: FieldSpec) -> None:
 
 def _win_rows(strategy: DetStrategy) -> Iterator[bytes]:
     """Row x of the win set, x in index order: the bytes over y of
-    [s1(x) + s2(y) = x*y], from O(Q) C-level gathers a row on the field's
-    exp/log tables, with no Q^2 table.
-
-    x*y = exp[log x + log y] is log gathered from exp sliced at log x (log 0
-    points into exp's zero tail).  s1(x) = g^a and s2(y) = g^b sum to
-    g^(a + Z(b - a)), Z(k) = log(1 + g^k) the Zech logarithm: log s2
-    gathers Z(b - a) from Z doubled and sliced at -a, and those gather the
-    sums from exp sliced at a.  s2(y) = 0 (log 0) lands on the zeros after
-    the doubled Z, giving g^a, and a zero sum lands in exp's zero tail.
-    """
-    spec, s2 = strategy.field, strategy.s2
-    order = spec.q - 1
-    exp, log = list(spec._exp), list(spec._log)
-    zech = list(spec._zech or map(log.__getitem__,
-                                  map(operator.xor, exp[:order], repeat(1))))
-    zech += zech + [0] * (order + 1)
-    products, zech_of_s2 = itemgetter(*log), itemgetter(*itemgetter(*s2)(log))
-    for lx, c in zip(log, strategy.s1):
-        sums = (itemgetter(*zech_of_s2(zech[order - log[c]:]))(exp[log[c]:])
-                if c else s2)
-        yield bytes(map(operator.eq, products(exp[lx:]), sums))
+    [s1(x) + s2(y) = x*y], the field's product row x compared with its sum
+    row of s1(x) over s2, with no Q^2 table."""
+    spec = strategy.field
+    return map(bytes, map(map, repeat(operator.eq), spec.product_rows(),
+                          spec.sum_rows(strategy.s1, strategy.s2)))
 
 
 def win_probability(strategy: DetStrategy, dist: GameDist) -> Fraction:
@@ -195,30 +178,17 @@ def win_probability(strategy: DetStrategy, dist: GameDist) -> Fraction:
 
 def _game_tables(spec: FieldSpec) -> tuple[list[tuple[int, ...]],
                                            list[tuple[int, ...]]]:
-    """Product and difference tables: prod[y][x] = x*y, minus[o][c] = c - o.
-
-    Built once per solve from O(Q) field calls, so the solvers below read
-    rows instead of calling field methods.  The row of g^(k+1), g the
-    field's primitive element, is the row of g composed with the row of
-    g^k, and for o != 0 the row of c - o is k*(1 + c*k^-1) with k = -o: the
-    row of k composed with the successor row c -> 1 + c and the row of
-    k^-1.  Every composition is one C-level itemgetter gather, and the rows
-    are tuples over one shared set of int objects: 2 x 134 MB at Q = 4096.
-    """
-    q = spec.q
-    ints = tuple(range(q))
-    times_g = tuple(spec.mul(spec.g, x) for x in ints)
-    prod = [(0,) * q] * q
-    row, y = ints, 1
-    for _ in range(q - 1):
-        prod[y] = row
-        row, y = itemgetter(*row)(times_g), times_g[y]
-    succ = tuple(spec.add(c, 1) for c in ints)
-    minus = [ints]
-    for o in ints[1:]:
-        k = spec.neg(o)
-        minus.append(itemgetter(*itemgetter(*prod[spec.inv(k)])(succ))(prod[k]))
-    return prod, minus
+    """Product and difference tables, prod[y][x] = x*y and minus[o][c] =
+    c - o, built once per solve so the solvers below read rows instead of
+    calling field methods: prod is the field's product_rows, and for o != 0
+    the row of c - o is k*(1 + c*k^-1), k = -o, the row of k composed with
+    the successor row c -> 1 + c and the row of k^-1 (two C-level gathers:
+    0.54 s at Q = 4096, against 0.70 s for sum_rows).  The rows are tuples
+    over one shared set of int objects: 2 x 134 MB at Q = 4096."""
+    prod = list(spec.product_rows())
+    succ, = spec.sum_rows((1,), range(spec.q))
+    return prod, [prod[1]] + [itemgetter(*itemgetter(*prod[spec.inv(k)])(succ))(prod[k])
+                              for k in map(spec.neg, range(1, spec.q))]
 
 
 def _greedy_best(tables, other, w) -> tuple[tuple[int, ...], int]:

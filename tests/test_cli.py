@@ -4,6 +4,7 @@ import csv
 import json
 import random
 import time
+from decimal import Decimal
 
 import pytest
 from click.testing import CliRunner
@@ -595,6 +596,23 @@ def test_sweep_from_below_the_bound_domain(tmp_path):
     for row in rows:
         assert row["exact"] == _predicted(2, row["m"], "standard", 2, 0)
     assert rows[0]["lower_bound"] == "1/2"
+
+
+def test_sweep_writes_ratios_past_the_int_digit_limit(tmp_path):
+    # at m = 15000 the closed form has ~4500-digit terms, past the 4300
+    # digits that str() writes; every digit is written, and exit 0
+    out = tmp_path / "sweep.json"
+    result = invoke("sweep", "--p", "2", "--m-list", "15000", "--samples",
+                    "100", "--format", "json", "--out", str(out))
+    assert result.exit_code == 0, result.stderr
+    [row] = json.loads(out.read_text())["rows"]
+    spec, model = FieldSpec(2), CausalModel()
+    game = brute_force_value(GameDist(spec, tower_gamma(spec, model)))
+    want = predicted_attack_probability(spec, Variant.STANDARD, 15000, model,
+                                        game.strategy)
+    assert want.denominator.bit_length() > 4300 * 3.33
+    num, den = map(Decimal, row["closed_form"].split("/"))
+    assert (num, den) == (want.numerator, want.denominator)
 
 
 def test_hiding_ok():

@@ -209,6 +209,43 @@ def test_field_axioms(p, n):
                                                        spec.pow(b, p))
 
 
+ROW_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (3, 3), (2, 5), (2, 8),
+              (3, 5)]
+
+
+@pytest.mark.parametrize("p,n", ROW_FIELDS)
+def test_product_rows_match_mul(p, n):
+    spec = FieldSpec(p, n)
+    q = spec.q
+    assert list(spec.product_rows()) == [
+        tuple(spec.mul(x, y) for y in range(q)) for x in range(q)]
+
+
+@pytest.mark.parametrize("p,n", ROW_FIELDS)
+def test_sum_rows_match_add(p, n):
+    spec = FieldSpec(p, n)
+    q = spec.q
+    rng = random.Random(f"sum-rows:{p}:{n}")
+    drawn = [rng.randrange(q) for _ in range(2 * q)]
+    for cs, ys in [
+        (range(q), range(q)),                         # every sum, 0 included
+        ([0, 1, q - 1, 0, q - 1, 1], [0, q - 1, 1, 0, 1, 0]),  # repeats
+        (drawn[:q], drawn[q:]),
+        ([q - 1, 0, 1], [0, 0]),
+        ([], [0, 1]),
+    ]:
+        assert list(spec.sum_rows(cs, ys)) == [
+            tuple(spec.add(c, y) for y in ys) for c in cs]
+
+
+def test_product_rows_share_one_int_per_value():
+    # beyond 256, ints are objects of their own: the rows hold Q of them,
+    # not one per entry
+    spec = FieldSpec(2, 9)
+    rows = list(spec.product_rows())
+    assert len({id(v) for row in rows for v in row}) == spec.q
+
+
 def test_pow_negative_exponent():
     gf5 = FieldSpec(5)
     assert gf5.pow(2, -1) == gf5.inv(2) == 3
