@@ -31,9 +31,9 @@ plugged strategy's CHSH_Q win on (A, B).  A tower transcript therefore
 ends at eta_n = d * prod(silent challenges) * prod(step factors), the
 silent challenges being those of the k0 quiet prefix and of the padding
 rounds, and its verdict is the game's own win test, step by step, up to
-the first collapsing step.  The builders that lay a tower out
-(attack_general, desymmetrize, extend_symmetrized, zeros_strategy) hand
-their strategy that step plan; no other strategy carries one.
+the first collapsing step.  Every tower builder (build_attack,
+attack_general, desymmetrize, extend_symmetrized, zeros_strategy) hands
+its strategy that step plan; no other strategy carries one.
 
 Strategies are built in sign-flipped response space (see
 protocol.tilde_transform) and converted back at the boundary.
@@ -474,7 +474,9 @@ def _tower_rounds(spec: FieldSpec, steps: int, model: CausalModel,
     position, so they are checked against the model once, here, rather
     than on every call.  Nothing in a step depends on the steps after it,
     so the tower of s <= steps steps is the first k0 + s*(rho+1) rounds
-    and the first s steps of this one (_cut_tower)."""
+    and the first s steps of this one (_attack)."""
+    if game_strategy.field != spec:
+        raise ValueError("game strategy is over a different field")
     rho, k0 = model.rho, model.k0
     n = k0 + steps * (rho + 1)
     s1, s2 = game_strategy.s1, game_strategy.s2
@@ -493,19 +495,34 @@ def _tower_rounds(spec: FieldSpec, steps: int, model: CausalModel,
     return tuple(rounds), tuple(plan)
 
 
-def _cut_tower(spec: FieldSpec, model: CausalModel,
-               game_strategy: DetStrategy,
-               layout: tuple[tuple[RoundFn, ...], tuple[Step, ...]],
-               steps: int, lineage: str) -> CheatStrategy:
-    """The symmetrized tower of `steps` steps, cut from the layout
-    (_tower_rounds) of a tower of at least as many: its first
-    k0 + steps*(rho+1) rounds and its first `steps` steps."""
-    rounds, plan = layout
-    m = model.k0 + steps * (model.rho + 1)
+def _attack(spec: FieldSpec, variant: Variant, m: int, model: CausalModel,
+            game_strategy: DetStrategy, rounds: tuple[RoundFn, ...],
+            plan: tuple[Step, ...], lineage: str) -> CheatStrategy:
+    """build_attack's strategy at length m, in one CheatStrategy, cut from
+    the rounds and plan (_tower_rounds) of a tower of at least as many
+    steps: the s steps that fit its symmetrized length n (m, or m - 1 when
+    standard), then zero rounds up to m, with the k0 prefix and the
+    padding silent; with s = 0, zeros, every challenge silent.  Its lineage
+    wraps the tower's as extend_symmetrized and desymmetrize would; below
+    three rounds a standard protocol is zeros_strategy's."""
+    standard = variant is Variant.STANDARD
+    if standard and m < 3:
+        return zeros_strategy(spec, variant, m, model)
+    n = m - standard
+    s = max(0, (n - model.k0) // (model.rho + 1))
+    if s:
+        tower = model.k0 + s * (model.rho + 1)
+        silent = (*range(model.k0), *range(tower, n))
+        lineage = lineage if n == tower else f"pad+{n - tower}({lineage})"
+    else:
+        tower, silent, lineage, game_strategy = 0, range(n), "zeros", None
+    if standard:
+        lineage = f"desymmetrize({lineage})"
     return _planned(
-        CheatStrategy(spec, Variant.SYMMETRIZED, m, model, rounds[:m],
-                      lineage=lineage, game_strategy=game_strategy),
-        range(model.k0), plan[:steps])
+        CheatStrategy(spec, variant, m, model,
+                      rounds[:tower] + (_zero_round,) * (m - tower),
+                      lineage, game_strategy),
+        silent, plan[:s])
 
 
 def _planned(strategy: CheatStrategy, silent: Iterable[int],
@@ -542,17 +559,14 @@ def attack_general(spec: FieldSpec, m: int, model: CausalModel,
     gamma = 1 - (1 - 1/Q)^(rho/2); the strategy should be chosen for that
     biased input distribution.
     """
-    if game_strategy.field != spec:
-        raise ValueError("game strategy is over a different field")
     steps, rem = divmod(m - model.k0, model.rho + 1)
     if steps < 1 or rem != 0:
         nearest = model.k0 + max(1, steps) * (model.rho + 1)
         raise ValueError(
             f"m = {m} is not of tower form k0 + k*(rho+1) with k >= 1 for"
             f" {model}; nearest valid tower is m = {nearest}")
-    return _cut_tower(spec, model, game_strategy,
-                      _tower_rounds(spec, steps, model, game_strategy),
-                      steps, lineage)
+    return _attack(spec, Variant.SYMMETRIZED, m, model, game_strategy,
+                   *_tower_rounds(spec, steps, model, game_strategy), lineage)
 
 
 def tower_gamma(spec: FieldSpec, model: CausalModel) -> Fraction:
@@ -626,32 +640,15 @@ def build_attack(spec: FieldSpec, variant: Variant, m: int,
 def _build_attacks(spec: FieldSpec, variant: Variant, lengths: Iterable[int],
                   model: CausalModel, game_strategy: DetStrategy
                   ) -> Iterator[CheatStrategy]:
-    """build_attack at each of `lengths`, in their order.
-
-    The longest tower any length needs is laid out once (_tower_rounds),
-    and each length's tower is cut from it, so a sweep does O(max m)
-    layout work rather than O(m) per length.  A length pads its tower as
-    build_attack does: a standard strategy is the desymmetrized one of
-    length m - 1, and a symmetrized one below one tower step is
-    zeros_strategy, as is a standard one below two rounds.
-    """
-    if game_strategy.field != spec:
-        raise ValueError("game strategy is over a different field")
+    """build_attack at each of `lengths`, in their order, each cut in one
+    CheatStrategy (_attack) from the longest tower any length needs, which
+    is laid out once (_tower_rounds): a sweep does O(max m) layout work
+    rather than O(m) per length."""
     variant = Variant(variant)
     lengths = list(lengths)
-    # the symmetrized length of each strategy and the tower steps it holds
-    inner = [m - 1 if variant is Variant.STANDARD else m for m in lengths]
-    steps = [(n - model.k0) // (model.rho + 1) for n in inner]
-    layout = _tower_rounds(spec, max(steps, default=0), model, game_strategy)
-    for m, n, s in zip(lengths, inner, steps):
-        if variant is Variant.STANDARD and n < 2:
-            yield zeros_strategy(spec, variant, m, model)
-            continue
-        if s < 1:
-            strategy = zeros_strategy(spec, Variant.SYMMETRIZED, n, model)
-        else:
-            tower = _cut_tower(spec, model, game_strategy, layout, s,
-                               "general")
-            strategy = extend_symmetrized(tower, n - tower.m)
-        yield strategy if variant is Variant.SYMMETRIZED else desymmetrize(
-            strategy)
+    longest = max(lengths, default=0) - (variant is Variant.STANDARD)
+    layout = _tower_rounds(spec, (longest - model.k0) // (model.rho + 1),
+                           model, game_strategy)
+    for m in lengths:
+        yield _attack(spec, variant, m, model, game_strategy, *layout,
+                      "general")

@@ -632,6 +632,28 @@ def test_a_sweep_lays_its_longest_tower_out_once(monkeypatch):
     assert layouts == [10]
 
 
+def test_every_attack_is_one_strategy_object(monkeypatch):
+    # a sweep row, build_attack, attack_general and attack_base each make
+    # one CheatStrategy, a padded standard row too (standard m = 8 holds
+    # two steps, one padding round and the silent final round)
+    init, built = CheatStrategy.__post_init__, []
+
+    def counted(self):
+        built.append(self.m)
+        init(self)
+
+    monkeypatch.setattr(CheatStrategy, "__post_init__", counted)
+    lengths = [2, 3, 5, 8, 9, 30, 8]
+    rows = trend_sweep(GF2, lengths, OPT2, exact_cap=100, samples=100)
+    assert [row.m for row in rows] == built == lengths
+    built.clear()
+    build_attack(GF2, Variant.STANDARD, 30, BASE, OPT2)
+    build_attack(GF2, Variant.SYMMETRIZED, 10, BASE, OPT2)
+    adversary.attack_general(GF2, 8, CausalModel(rho=2, k0=2), OPT2)
+    attack_base(GF2, 9, OPT2)
+    assert built == [30, 10, 8, 9]
+
+
 def test_empirical_upper_constant():
     rows = trend_sweep(GF2, [4, 5, 6], OPT2, seed=0)
     c = empirical_upper_constant(rows)

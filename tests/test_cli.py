@@ -116,8 +116,14 @@ def test_field_check_prints_violations_and_exits_property(monkeypatch):
     result = invoke("field-check", "--p", "3", "--triples", "40")
     assert result.exit_code == cli.EXIT_PROPERTY
     data = json.loads(result.output)
+    # the triples are the first 120 tries below 3 of the seed's byte
+    # stream: each byte's top two bits, kept when below 3, the bytes being
+    # those of the rng's 32-bit outputs, little-endian
     rng = random.Random("0:field-check")
-    triples = [[rng.randrange(3) for _ in range(3)] for _ in range(40)]
+    stream = b"".join(rng.getrandbits(32).to_bytes(4, "little")
+                      for _ in range(60))
+    tries = [t >> 6 for t in stream if t >> 6 < 3][:120]
+    triples = [tries[i:i + 3] for i in range(0, 120, 3)]
     assert data["ok"] is False
     assert data["violations"] == [["add_inverse", *abc] for abc in triples
                                   if abc[0]][:10]
@@ -179,6 +185,25 @@ def test_attack_exact():
     data = json.loads(result.output)
     assert data["report"]["exact"] == "127/128"
     assert data["config"]["lineage"] == "general"
+
+
+@pytest.mark.parametrize("args, lineage, exact", [
+    (("standard", "--m", "2"), "zeros", "2/3"),
+    (("standard", "--m", "3"), "desymmetrize(zeros)", "7/9"),
+    (("standard", "--m", "5"), "desymmetrize(pad+1(general))", "25/27"),
+    (("symmetrized", "--m", "2"), "zeros", "7/9"),
+    (("symmetrized", "--m", "4"), "pad+1(general)", "25/27"),
+    (("standard", "--m", "6", "--rho", "4", "--k0", "1"),
+     "desymmetrize(zeros)", "227/243"),
+])
+def test_attack_lineage_at_the_zero_step_edges(args, lineage, exact):
+    # the rows below one tower step, and one step padded by a round
+    result = invoke("attack", "--p", "3", "--method", "exact", "--variant",
+                    *args)
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert (data["config"]["lineage"], data["report"]["exact"]) == (
+        lineage, exact)
 
 
 def test_attack_from_strategy_file(tmp_path):
