@@ -56,8 +56,10 @@ from .games import DetStrategy
 from .protocol import (ProtocolParams, Variant, _ByteStream, tilde,
                        tilde_transform)
 
-# Largest input space 2*Q^n whose verdicts a strategy keeps as a table.
-MC_TABLE_CAP = 4096
+# Largest input space 2*Q^n whose verdicts a strategy keeps as a table:
+# up to 256 entries one byte try indexes the table (a translate a block);
+# beyond, rejected_rows on drawn columns beats looking tries up one by one.
+MC_TABLE_CAP = 256
 # Most rows in one chunk of _product_columns and _drawn_columns.
 _CHUNK_ROWS = 1 << 16
 # Byte translate tables: x -> [x != 0], and a 0/1 win byte -> its loss.
@@ -187,7 +189,8 @@ class CheatStrategy:
         """The verdict of every input (d, challenges), d-major in product
         order, as one 0/1 byte each (1 = accepted): the enumeration that
         exact_cheat_probability counts, built once per strategy, or None
-        when the input space exceeds MC_TABLE_CAP."""
+        when the input space exceeds MC_TABLE_CAP, the most entries one
+        byte try can index."""
         if 2 * self.field.q ** self.n_challenges > MC_TABLE_CAP:
             return None
         return b"".join(chunk.translate(_LOST) for chunk in self._rejections())

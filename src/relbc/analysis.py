@@ -246,20 +246,17 @@ class McEstimate:
 
 
 def _table_wins(table: bytes, samples: int, rng: random.Random) -> int:
-    """Wins among `samples` uniform draws of an entry of a table of 0/1
-    bytes: the table indexed by the first `samples` kept tries of rng's
-    _ByteStream, read at most _CHUNK_ROWS at a time.  Beyond 256 entries
-    each try is the top bits of a 2-byte lane.  Up to 256 entries the
+    """Wins among `samples` uniform draws of an entry of a table of at
+    most 256 0/1 bytes: the table indexed by the first `samples` kept byte
+    tries of rng's _ByteStream, read at most _CHUNK_ROWS at a time.  The
     stream looks each try up in the table as it reads it (tries' code), so
-    a block is one translate and one count, ~40x faster than sum(map)."""
-    space, wins = len(table), 0
-    stream, code = _ByteStream(rng), table.ljust(256, b"\0")
+    a block is one translate and one count.  The table must fit
+    MC_TABLE_CAP: beyond 256 entries tries ignores code, and the count
+    would count draws of index 1."""
+    wins, stream, code = 0, _ByteStream(rng), table.ljust(256, b"\0")
     while samples:
         block = min(samples, _CHUNK_ROWS)
-        if space <= 256:
-            wins += stream.tries(space, block, code).count(1)
-        else:
-            wins += sum(map(table.__getitem__, stream.tries(space, block)))
+        wins += stream.tries(len(table), block, code).count(1)
         samples -= block
     return wins
 
@@ -277,18 +274,17 @@ def mc_cheat_probability(strategy: CheatStrategy,
                          samples: int = 10000, seed: int = 0) -> McEstimate:
     """Monte Carlo acceptance estimate over i.i.d. uniform (d, challenges).
 
-    For input spaces of at most MC_TABLE_CAP the trials are index draws
-    from the strategy's verdict table, which is built once per strategy;
-    larger spaces draw transcripts, judged a chunk at a time by
+    For input spaces of at most MC_TABLE_CAP (256) the trials are index
+    draws from the strategy's verdict table, which is built once per
+    strategy; larger spaces draw transcripts, judged a chunk at a time by
     rejected_rows.  The draws read relbc's own byte stream (_ByteStream):
     the little-endian bytes of the successive 32-bit outputs of an rng keyed
     by the seed and the protocol length, f"{seed}:mc:{m}", so that two
     estimates share a stream only when they share both.  Every draw below
     a space is _ByteStream.tries' one rule: the top bits of a lane of 1, 2
-    or 4 bytes, kept when below the space.  A bit d and an index below a
-    table of at most 256 entries or a challenge over Q <= 256 take one
-    byte a try; an index below a table of 257 to 4096 entries and a
-    challenge over 256 < Q <= 2^16 take a 2-byte lane, and a challenge
+    or 4 bytes, kept when below the space.  A bit d, an index below a
+    verdict table and a challenge over Q <= 256 take one byte a try; a
+    challenge over 256 < Q <= 2^16 takes a 2-byte lane, and a challenge
     over a larger Q a 4-byte one.  Transcripts come in chunks of
     _CHUNK_ROWS rows, every bit of a chunk before its challenges
     (_drawn_columns).

@@ -118,10 +118,10 @@ class DetStrategy:
 
     @classmethod
     def random(cls, field: FieldSpec, rng: random.Random) -> "DetStrategy":
+        """s1, then s2: the first 2Q tries below Q of rng's _ByteStream."""
         q = field.q
-        return cls(field,
-                   tuple(rng.randrange(q) for _ in range(q)),
-                   tuple(rng.randrange(q) for _ in range(q)))
+        tries = _ByteStream(rng).tries(q, 2 * q)
+        return cls(field, tuple(tries[:q]), tuple(tries[q:]))
 
     def to_dict(self) -> dict:
         return {"field": self.field.describe(), "s1": list(self.s1), "s2": list(self.s2)}

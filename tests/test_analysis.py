@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import json
 import math
 import os
 import random
@@ -10,6 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 import relbc
 from relbc import (
@@ -21,6 +23,7 @@ from relbc import (
     ProtocolParams,
     Variant,
     attack_base,
+    best_response_search,
     brute_force_value,
     build_attack,
     clopper_pearson,
@@ -39,7 +42,8 @@ from relbc import (
 )
 from relbc import adversary, protocol
 from relbc.adversary import _GameRound
-from relbc.analysis import _closed_form
+from relbc.analysis import _closed_form, _column_rejections
+from relbc.cli import main
 from relbc.errors import CapabilityError
 
 from oracles import (build_attack_alone, closed_form_fractions,
@@ -228,56 +232,60 @@ def _echo_strategy(spec, m):
 @pytest.mark.parametrize("strategy, wins", [
     # space 128: one byte try a draw, every try kept
     (attack_base(GF2, 6, OPT2), (9923, 9919, 9918)),
-    # space 1458: one 2-byte lane a try, its top 11 bits kept below 1458
-    (build_attack(GF3, Variant.SYMMETRIZED, 6, BASE, OPT3), (9769, 9738, 9757)),
-    # space 4374: beyond the table cap, transcripts whose byte tries at
-    # Q = 3 reject a quarter of the bytes
+    # spaces 1458 and 4374: beyond the table cap, transcripts whose byte
+    # tries at Q = 3 reject a quarter of the bytes
+    (build_attack(GF3, Variant.SYMMETRIZED, 6, BASE, OPT3), (9773, 9789, 9761)),
     (build_attack(GF3, Variant.SYMMETRIZED, 7, BASE, OPT3), (9842, 9824, 9845)),
     # beyond the table cap at Q = 16 and Q = 2: transcripts in bulk
     (build_attack(GF16, Variant.STANDARD, 9, BASE,
                   DetStrategy.random(GF16, random.Random(16))),
-     (6471, 6585, 6614)),
+     (6646, 6729, 6776)),
     (_echo_strategy(GF2, 12), (3367, 3432, 3275)),
     # Q = 256: one byte a challenge, judged in 16-bit lanes
     (build_attack(GF256, Variant.SYMMETRIZED, 31, BASE,
                   DetStrategy.random(GF256, random.Random(256))),
-     (5411, 5463, 5409)),
+     (5406, 5437, 5403)),
     # rho = 4 with a quiet prefix, in bulk
     (build_attack(GF4, Variant.STANDARD, 13, CausalModel(rho=4, k0=1),
                   DetStrategy.random(GF4, random.Random(4))),
-     (9063, 8971, 8962)),
-], ids=["q2-m6-table", "q3-m6-table", "q3-m7-direct", "q16-m9-bulk",
+     (9519, 9546, 9492)),
+], ids=["q2-m6-table", "q3-m6-columns", "q3-m7-direct", "q16-m9-bulk",
         "q2-m12-bulk", "q256-m31-direct", "q4-m13-rho4"])
 def test_mc_seeded_wins_are_pinned(strategy, wins):
     # the seeded streams are part of the output: a changed draw shows here.
     # The pins are the per-word reference's (oracles.reference_table_wins
     # and reference_transcripts on the "{seed}:mc:{m}" rng), computed one
-    # draw at a time and judged by verify_values on each row's responses
+    # draw at a time and judged by verify_values on each row's responses;
+    # a DetStrategy.random game's tables are its rng's first 2Q
+    # WordStream.below(Q) tries
     assert tuple(mc_cheat_probability(strategy, samples=10 ** 4, seed=seed).wins
                  for seed in (0, 1, 2)) == wins
 
 
 def test_mc_draws_never_call_randrange(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("relbc called randrange")
+
+    monkeypatch.setattr(random.Random, "randrange", refuse)
     strategies = [
         build_attack(GF3, Variant.SYMMETRIZED, 7, BASE, OPT3),   # transcripts
-        build_attack(GF3, Variant.SYMMETRIZED, 6, BASE, OPT3),   # 1458 entries
+        build_attack(GF3, Variant.SYMMETRIZED, 6, BASE, OPT3),   # 1458 inputs
         build_attack(GF2, Variant.SYMMETRIZED, 7, BASE, OPT2),   # 256 entries
         build_attack(GF256, Variant.SYMMETRIZED, 31, BASE,
                      DetStrategy.random(GF256, random.Random(256))),
     ]
     assert [s.verdict_table and len(s.verdict_table) for s in strategies] \
-        == [None, 1458, 256, None]
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a Monte Carlo draw called randrange")
-
-    monkeypatch.setattr(random.Random, "randrange", refuse)
+        == [None, None, 256, None]
     for s in strategies:
         assert mc_cheat_probability(s, samples=1000, seed=0).samples == 1000
-    # honest runs draw their shares the same way
+    # honest runs, search starts and field-check's triples draw the same way
     for spec in (GF2, GF3, GF256):
         for variant in Variant:
             assert run_honest(ProtocolParams(spec, 7, variant), 1).accepted
+    assert best_response_search(GameDist.uniform(GF16), 4, 3, seed=1).value
+    result = CliRunner().invoke(main, ["field-check", "--p", "3", "--n", "2",
+                                       "--triples", "100"])
+    assert result.exit_code == 0 and json.loads(result.output)["ok"] is True
 
 
 def _miss_bound(trials: int, rate: float) -> int:
@@ -352,10 +360,34 @@ def test_verdict_table_built_once_per_strategy():
 
 
 def test_no_verdict_table_beyond_the_cap():
-    within = build_attack(GF3, Variant.SYMMETRIZED, 6, BASE, OPT3)
-    beyond = build_attack(GF3, Variant.SYMMETRIZED, 7, BASE, OPT3)
-    assert len(within.verdict_table) == 2 * 3 ** 6
+    # a table only where one byte try indexes it: 256 inputs, not 486
+    within = build_attack(GF2, Variant.SYMMETRIZED, 7, BASE, OPT2)
+    beyond = build_attack(GF3, Variant.SYMMETRIZED, 5, BASE, OPT3)
+    assert len(within.verdict_table) == 2 * 2 ** 7 == adversary.MC_TABLE_CAP
     assert beyond.verdict_table is None
+
+
+@pytest.mark.parametrize("strategy", [
+    build_attack(GF3, Variant.SYMMETRIZED, 5, BASE, OPT3),
+    build_attack(GF3, Variant.SYMMETRIZED, 6, BASE, OPT3),
+    build_attack(GF4, Variant.SYMMETRIZED, 5, BASE,
+                 DetStrategy.random(GF4, random.Random(4))),
+    build_attack(GF2, Variant.SYMMETRIZED, 11, BASE, OPT2),
+    build_attack(GF2, Variant.SYMMETRIZED, 10, CausalModel(rho=4, k0=1),
+                 OPT2),
+    # not columnar: one challenge over GF(2^9), judged by accepts
+    build_attack(FieldSpec(2, 9), Variant.STANDARD, 2, BASE,
+                 DetStrategy.zeros(FieldSpec(2, 9))),
+], ids=["q3-m5", "q3-m6", "q4-m5", "q2-m11", "q2-rho4", "q512-zeros"])
+def test_mc_between_the_cap_and_4096_inputs_draws_columns(strategy):
+    # 257 to 4096 inputs: no verdict table, the estimate is the column
+    # route's on the same "{seed}:mc:{m}" rng
+    assert 256 < 2 * strategy.field.q ** strategy.n_challenges <= 4096
+    assert strategy.verdict_table is None
+    m = strategy.m
+    for seed in (0, 1):
+        assert mc_cheat_probability(strategy, 2000, seed).wins == 2000 - \
+            _column_rejections(strategy, random.Random(f"{seed}:mc:{m}"), 2000)
 
 
 def test_mc_estimate_covers_exact_value():
