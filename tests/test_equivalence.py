@@ -845,6 +845,12 @@ def _rejected_bytes(strategy, d, xs) -> bytes:
     return strategy.rejected_rows(d, xs).to_bytes(len(d), "big")
 
 
+def _verdicts(s) -> bytes:
+    """Every input's verdict, d-major in product order (1 = accepted): the
+    joined _rejections, the enumeration a verdict table is made from."""
+    return b"".join(s._rejections()).translate(adversary._LOST)
+
+
 def _towers(spec, rng):
     """A tower with a seeded random game at every m = 2..13 for each
     variant, rho in {2, 4} and k0 in {0, 1, 2} (the shortest lengths fit
@@ -861,22 +867,26 @@ def _towers(spec, rng):
 
 @pytest.mark.parametrize("spec", COLUMN_FIELDS, ids=lambda s: f"q{s.q}")
 def test_column_verdict_matches_accepts(spec):
-    # every input while 2*Q^n fits the verdict table, and 200 seeded rows
-    # with a random bit and mostly nonzero challenges (rows with a zero
-    # challenge are nearly always accepted) at every length
+    # every input while 2*Q^n <= 4096 (the verdict table where it fits),
+    # and 200 seeded rows with a random bit and mostly nonzero challenges
+    # (rows with a zero challenge are nearly always accepted) at every
+    # length
     q = spec.q
     rng = random.Random(f"columns:{q}")
     for s in _towers(spec, rng):
         assert s.columnar
         n = s.n_challenges
         size = q ** n
-        if 2 * size <= adversary.MC_TABLE_CAP:
+        if 2 * size <= 4096:
             inputs = list(itertools.product(range(q), repeat=n))
             (xs,) = _product_columns(q, n)
             assert _rejected_bytes(s, b"\1" * size, xs) == bytes(
                 not s.accepts(1, row) for row in inputs)
-            assert s.verdict_table == bytes(s.accepts(d, row) for d in (0, 1)
-                                            for row in inputs)
+            verdicts = _verdicts(s)
+            assert verdicts == bytes(s.accepts(d, row) for d in (0, 1)
+                                     for row in inputs)
+            assert s.verdict_table == (
+                verdicts if 2 * size <= adversary.MC_TABLE_CAP else None)
         rows = _random_rows(rng, q, n, 200)
         assert _rejected_bytes(s, *_rows_as_columns(rows, n)) == bytes(
             not s.accepts(*row) for row in rows)
@@ -890,17 +900,20 @@ WIDE_COLUMN_FIELDS = [FieldSpec(5, 2), FieldSpec(3, 3), FieldSpec(2, 5),
 def test_wide_column_verdict_matches_accepts(spec):
     # 16 < Q <= 256: pairs in 16-bit lanes, gathered from the win matrix;
     # batches of 0, 1 and 2 rows (itemgetter needs an index and gives a
-    # scalar for one), of 200, and of 1000 on the longest towers, and the
-    # verdict table where it fits
+    # scalar for one), of 200, and of 1000 on the longest towers, and
+    # every input while 2*Q^n <= 4096 (the verdict table where it fits)
     q = spec.q
     rng = random.Random(f"wide-columns:{q}")
     for s in _towers(spec, rng):
         assert s.columnar
         n = s.n_challenges
-        if 2 * q ** n <= adversary.MC_TABLE_CAP:
-            assert s.verdict_table == bytes(
+        if 2 * q ** n <= 4096:
+            verdicts = _verdicts(s)
+            assert verdicts == bytes(
                 s.accepts(d, row) for d in (0, 1)
                 for row in itertools.product(range(q), repeat=n))
+            assert s.verdict_table == (
+                verdicts if 2 * q ** n <= adversary.MC_TABLE_CAP else None)
         for size in (0, 1, 2, 1000 if s.m == 13 else 200):
             rows = _random_rows(rng, q, n, size)
             assert _rejected_bytes(s, *_rows_as_columns(rows, n)) == bytes(
@@ -1038,12 +1051,6 @@ def test_column_mc_spans_many_small_blocks(monkeypatch):
     assert 400 - rejected == _reference_mc_wins(s, 400, 7)
 
 
-def _verdicts(s) -> bytes:
-    """Every input's verdict, d-major in product order (1 = accepted): the
-    joined _rejections, the enumeration a verdict table is made from."""
-    return b"".join(s._rejections()).translate(adversary._LOST)
-
-
 def test_per_transcript_path_beyond_q256_and_without_a_step_plan(
         monkeypatch):
     calls = []
@@ -1124,7 +1131,8 @@ def test_rejected_rows_judges_a_strategy_that_is_not_columnar():
         assert _rejected_bytes(s, d, xs) == want
     assert tower.columnar
     assert copied._step_plan is None and off_game._step_plan is None
-    assert _verdicts(copied) == bytes(accepted_inputs(tower))
+    assert _verdicts(copied) == _verdicts(tower) == bytes(
+        accepted_inputs(tower))
     inputs = list(itertools.product(range(spec.q), repeat=6))
     assert _verdicts(off_game) == bytes(
         off_game._chain(d, xs, 6)[-1] == 0 for d in (0, 1) for xs in inputs)
@@ -1207,6 +1215,7 @@ def test_tower_off_its_game_strategy_takes_accepts(m):
               for xs in itertools.product(range(q), repeat=n)]
     chain = bytes(chain_accepts(d, xs) for d, xs in inputs)
     assert chain != bytes(tower.accepts(d, xs) for d, xs in inputs)
+    assert _verdicts(altered) == chain
     assert exact_cheat_probability(altered) == Fraction(chain.count(1),
                                                         len(chain))
     for seed in range(3):
