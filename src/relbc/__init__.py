@@ -40,7 +40,6 @@ from .games import (
     win_probability,
 )
 from .protocol import (
-    HonestSharedRandomness,
     ProtocolParams,
     Transcript,
     Variant,

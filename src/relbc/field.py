@@ -62,8 +62,6 @@ def _poly_trim(a: Sequence[int]) -> tuple[int, ...]:
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:

@@ -151,37 +151,12 @@ class ProtocolParams:
         return self.m
 
 
-@dataclass(frozen=True)
-class HonestSharedRandomness:
-    """Preparation-phase shares: committer values a_i and verifier challenges."""
-
-    a: tuple[int, ...]
-    challenges: tuple[int, ...]
-
-    @classmethod
-    def sample(cls, params: ProtocolParams, rng: random.Random
-               ) -> "HonestSharedRandomness":
-        """The n_rounds shares a_i, then the n_challenges challenges, as
-        successive tries below Q of rng's _ByteStream.
-
-        The rng ends just past the word that holds the last try, and the
-        rest of that word is dropped: give it an rng that makes no later
-        draws.
-        """
-        shares = _ByteStream(rng).tries(params.field.q,
-                                        params.n_rounds + params.n_challenges)
-        return cls(tuple(shares[:params.n_rounds]),
-                   tuple(shares[params.n_rounds:]))
-
-
-def honest_responses(params: ProtocolParams, d: int,
-                     randomness: HonestSharedRandomness) -> tuple[int, ...]:
-    """Honest committer's response indices for rounds 1..n_rounds, in one
-    pass along the chain."""
+def honest_responses(params: ProtocolParams, d: int, a: Sequence[int],
+                     xs: Sequence[int]) -> tuple[int, ...]:
+    """Honest committer's response indices for rounds 1..n_rounds, from
+    the shares a_i and the challenges xs, in one pass along the chain."""
     spec = params.field
     add, mul = spec.add, spec.mul
-    a = randomness.a
-    xs = randomness.challenges
     last = params.n_rounds
     final = (a[last - 2] if params.variant is Variant.STANDARD
              else mul(xs[last - 1], a[last - 2]))
@@ -260,11 +235,14 @@ def run_honest(params: ProtocolParams, d: int, seed: int = 0) -> Transcript:
     """Play all rounds honestly with seeded randomness; always accepted."""
     if d not in (0, 1):
         raise ValueError("committed bit must be 0 or 1")
-    rng = random.Random(f"{seed}:honest-run")
-    randomness = HonestSharedRandomness.sample(params, rng)
-    responses = honest_responses(params, d, randomness)
-    accepted = verify_values(params, d, randomness.challenges, responses)
-    return Transcript(params, d, randomness.challenges, responses, accepted)
+    # the n_rounds shares a_i, then the n_challenges challenges
+    last = params.n_rounds
+    draws = _ByteStream(random.Random(f"{seed}:honest-run")).tries(
+        params.field.q, last + params.n_challenges)
+    xs = tuple(draws[last:])
+    responses = honest_responses(params, d, draws[:last], xs)
+    accepted = verify_values(params, d, xs, responses)
+    return Transcript(params, d, xs, responses, accepted)
 
 
 def hiding_distributions(params: ProtocolParams, rounds: Sequence[int]
@@ -310,8 +288,7 @@ def hiding_distributions(params: ProtocolParams, rounds: Sequence[int]
             views = [(count, xs[:cut], r)
                      for count, cut, r in zip(counts, cuts, rounds)]
             for a in itertools.product(range(q), repeat=n_a):
-                rand = HonestSharedRandomness(a + pad_a, full_xs)
-                ys = honest_responses(params, d, rand)
+                ys = honest_responses(params, d, a + pad_a, full_xs)
                 for count, seen, r in views:
                     key = (seen, ys[:r])
                     count[key] = count.get(key, 0) + 1

@@ -129,6 +129,43 @@ def test_field_check_prints_violations_and_exits_property(monkeypatch):
                                   if abc[0]][:10]
 
 
+_ADD, _MUL = FieldSpec.add, FieldSpec.mul
+# (label, the FieldSpec method patched, its replacement, --triples): each
+# replacement breaks the axiom its label names
+_VIOLATIONS = [
+    # a - b: unequal operands do not commute
+    ("add_commutes", "add", lambda self, a, b: _ADD(self, a, self.neg(b)),
+     "40"),
+    # -(a + b) commutes, but (a + b) - c differs from b + c - a
+    ("add_assoc", "add", lambda self, a, b: self.neg(_ADD(self, a, b)), "40"),
+    # the left operand
+    ("mul_commutes", "mul", lambda self, a, b: a, "40"),
+    # ab + 1 commutes, but (ab + 1)c + 1 differs from a(bc + 1) + 1
+    ("mul_assoc", "mul", lambda self, a, b: _ADD(self, _MUL(self, a, b), 1),
+     "40"),
+    # (ab)^2 commutes and, as x^4 = x^2 over GF(3), associates; it
+    # distributes only when 2abc = 0
+    ("distributes", "mul",
+     lambda self, a, b: _MUL(self, _MUL(self, a, b), _MUL(self, a, b)), "40"),
+    # a*1 = a is not 1 at a = 2
+    ("mul_inverse", "inv", lambda self, a: 1, "40"),
+    # pow(a, Q) = 0 is not a at a != 0; no triples, so the Frobenius failure is not crowded out of the ten
+    ("frobenius_fixed_point", "pow", lambda self, a, k: 0, "0"),
+]
+
+
+@pytest.mark.parametrize("label, method, patch, triples", _VIOLATIONS,
+                         ids=[v[0] for v in _VIOLATIONS])
+def test_field_check_reports_each_violation_label(monkeypatch, label, method,
+                                                  patch, triples):
+    monkeypatch.setattr(FieldSpec, method, patch)
+    result = invoke("field-check", "--p", "3", "--triples", triples)
+    assert result.exit_code == cli.EXIT_PROPERTY
+    data = json.loads(result.output)
+    assert data["ok"] is False
+    assert label in {v[0] for v in data["violations"]}
+
+
 def test_game_value_brute():
     result = invoke("game-value", "--p", "2", "--method", "brute")
     assert result.exit_code == 0

@@ -21,9 +21,9 @@ draws give the same transcripts, as the per-word reference
 (oracles.WordStream, one getrandbits(32) call per four bytes, one try at a
 time on lanes of 1, 2 or 4 bytes read one byte at a time), whatever the
 draw block size; run_honest, which draws its
-shares from the byte stream in bulk and computes its responses in one pass,
-must give the same Transcript as the per-word stream's shares and the
-original per-round responses; and
+shares and then its challenges from the byte stream in bulk and computes
+its responses in one pass, must give the same Transcript as the per-word
+stream's shares and challenges and the original per-round responses; and
 the batch verdict (rejected_rows) must reject exactly the inputs accepts
 rejects, in exact enumeration, the verdict table and Monte Carlo: by
 columns on a tower over Q <= 256, in byte lanes up to Q = 16 and 16-bit
@@ -51,7 +51,6 @@ from relbc import (
     FieldSpec,
     GameDist,
     CapabilityError,
-    HonestSharedRandomness,
     ProtocolParams,
     Transcript,
     Variant,
@@ -704,21 +703,19 @@ def test_bulk_transcripts_span_full_size_blocks():
 # --- reference: per-word shares and the original per-round responses --------
 
 def word_stream_sample(params: ProtocolParams, rng: random.Random
-                       ) -> HonestSharedRandomness:
+                       ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The shares a_i, then the challenges, one per-word try at a time."""
     stream, q, rounds = WordStream(rng), params.field.q, params.n_rounds
     shares = [stream.below(q) for _ in range(rounds + params.n_challenges)]
-    return HonestSharedRandomness(tuple(shares[:rounds]),
-                                  tuple(shares[rounds:]))
+    return tuple(shares[:rounds]), tuple(shares[rounds:])
 
 
 def reference_honest_response(params: ProtocolParams, k: int, d: int,
-                              randomness: HonestSharedRandomness) -> int:
+                              a: tuple[int, ...], xs: tuple[int, ...]) -> int:
     last = params.n_rounds
     if not 1 <= k <= last:
         raise ValueError(f"round index {k} out of range 1..{last}")
     spec = params.field
-    a = randomness.a
-    xs = randomness.challenges
     if k == 1:
         return spec.add(spec.mul(d, xs[0]), a[0])
     if k < last:
@@ -731,11 +728,11 @@ def reference_honest_response(params: ProtocolParams, k: int, d: int,
 def reference_run_honest(params: ProtocolParams, d: int, seed: int = 0
                          ) -> Transcript:
     rng = random.Random(f"{seed}:honest-run")
-    randomness = word_stream_sample(params, rng)
-    responses = tuple(reference_honest_response(params, k, d, randomness)
+    a, xs = word_stream_sample(params, rng)
+    responses = tuple(reference_honest_response(params, k, d, a, xs)
                       for k in range(1, params.n_rounds + 1))
-    accepted = verify_values(params, d, randomness.challenges, responses)
-    return Transcript(params, d, randomness.challenges, responses, accepted)
+    accepted = verify_values(params, d, xs, responses)
+    return Transcript(params, d, xs, responses, accepted)
 
 
 HONEST_FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(3, 2), FieldSpec(2, 4),
@@ -761,10 +758,10 @@ def test_run_honest_matches_per_call_reference(spec, variant, block_words,
                 got = run_honest(params, d, seed=seed)
                 assert got == reference_run_honest(params, d, seed=seed)
                 assert got.accepted
-        rand = word_stream_sample(params, random.Random(f"{m}:shares"))
+        a, xs = word_stream_sample(params, random.Random(f"{m}:shares"))
         for d in (0, 1):
-            assert honest_responses(params, d, rand) \
-                == tuple(reference_honest_response(params, k, d, rand)
+            assert honest_responses(params, d, a, xs) \
+                == tuple(reference_honest_response(params, k, d, a, xs)
                          for k in range(1, params.n_rounds + 1))
 
 
@@ -783,8 +780,8 @@ def reference_hiding_distribution(params: ProtocolParams, upto_round: int):
         dist = {}
         for xs in itertools.product(range(q), repeat=n_x):
             for a in itertools.product(range(q), repeat=n_a):
-                rand = HonestSharedRandomness(a + pad_a, xs + pad_x)
-                ys = tuple(reference_honest_response(params, k, d, rand)
+                ys = tuple(reference_honest_response(params, k, d, a + pad_a,
+                                                     xs + pad_x)
                            for k in range(1, upto_round + 1))
                 key = (xs, ys)
                 dist[key] = dist.get(key, 0) + Fraction(1, states)

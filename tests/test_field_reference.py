@@ -15,6 +15,7 @@ import random
 import pytest
 
 from relbc import FieldSpec
+from relbc import field
 from relbc.field import is_prime
 
 
@@ -197,3 +198,14 @@ def test_ops_match_digit_reference_on_samples(p, n):
                 ref.pow(a, k)
         else:
             assert spec.pow(a, k) == ref.pow(a, k), (a, k)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_poly_mul_matches_reference_on_empty_zero_and_mixed_operands(p):
+    # an empty operand leaves no product term: () or all zeros, trimmed
+    operands = [(), (0,), (0, 0), (1,), (p - 1, 0, 1), (0, 1, 0), (1, 1)]
+    for a, b in itertools.product(operands, repeat=2):
+        got = field._poly_mul(a, b, p)
+        assert got == _poly_mul(a, b, p), (a, b)
+        if not a or not b:
+            assert got == ()

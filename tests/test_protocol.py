@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from relbc import (
     FieldSpec,
-    HonestSharedRandomness,
     ProtocolParams,
     Transcript,
     Variant,
@@ -82,17 +81,16 @@ def test_honest_completeness_enumerated():
             for d in (0, 1):
                 for a in itertools.product(range(2), repeat=n_r):
                     for xs in itertools.product(range(2), repeat=n_c):
-                        rand = HonestSharedRandomness(a, xs)
-                        ys = honest_responses(params, d, rand)
+                        ys = honest_responses(params, d, a, xs)
                         assert verify_values(params, d, xs, ys)
 
 
 def test_first_response_masks_bit():
     # y_1 = d*x_1 + a_1 with uniform a_1 is uniform regardless of d
     params = ProtocolParams(GF3, 3)
-    rand = HonestSharedRandomness((2, 1, 0), (1, 2))
-    assert honest_responses(params, 1, rand)[0] == GF3.add(GF3.mul(1, 1), 2)
-    assert honest_responses(params, 0, rand)[0] == 2
+    a, xs = (2, 1, 0), (1, 2)
+    assert honest_responses(params, 1, a, xs)[0] == GF3.add(GF3.mul(1, 1), 2)
+    assert honest_responses(params, 0, a, xs)[0] == 2
 
 
 def test_verify_rejects_tampered_response():
@@ -148,8 +146,7 @@ def transcripts(draw):
     xs = elements(params.n_challenges)
     honest = draw(st.booleans())
     if honest:
-        rand = HonestSharedRandomness(elements(params.n_rounds), xs)
-        ys = honest_responses(params, d, rand)
+        ys = honest_responses(params, d, elements(params.n_rounds), xs)
     else:
         ys = elements(params.n_rounds)
     return params, d, xs, ys, honest
