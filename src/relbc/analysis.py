@@ -3,11 +3,13 @@
 Exact probabilities are uniform averages over the committed bit and all
 challenge vectors, computed as rationals.  Monte Carlo estimates come with
 exact binomial (Clopper-Pearson) confidence intervals, whose endpoints are
-beta quantiles found by inverting the regularized incomplete beta function
-I_x(a, b): a Lentz continued fraction evaluates the tail and safeguarded
-quartic (third-order Householder) steps solve for x.  The bound formulas
-are the tower lower bound 1 - (1/2)*((1-1/Q)(1-w))^floor((m-k0-1)/(rho+1))
-and the heuristic upper comparison 1/2 + c*m/sqrt(Q).
+beta quantiles: closed forms where the beta has a = 1 or b = 1, elsewhere
+found by inverting the regularized incomplete beta function I_x(a, b): a
+Lentz continued fraction, contracted to one step a pair of terms, evaluates
+the tail, and safeguarded quartic (third-order Householder) steps solve for
+x.  The bound formulas are the tower lower bound
+1 - (1/2)*((1-1/Q)(1-w))^floor((m-k0-1)/(rho+1)) and the heuristic upper
+comparison 1/2 + c*m/sqrt(Q).
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ def exact_cheat_probability(strategy: CheatStrategy) -> Fraction:
 
 
 _TINY = 1e-300
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _CF_EPS = 1e-15
 _CF_MAX_TERMS = 100000
@@ -55,69 +58,60 @@ _STEP_RTOL = 1e-3
 _QUANTILE_MAX_STEPS = 200
 
 
-def _log_beta(a: float, b: float) -> float:
-    """log B(a, b).
+def _stirling_rest(z: float) -> float:
+    """lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2), which is below
+    1/(12 z); from Stirling's series (truncation error < 1e-18) for z >= 50."""
+    if z < 50.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _HALF_LOG_2PI
+    r = 1.0 / (z * z)
+    return (1.0 / 12 - r * (1.0 / 360 - r * (1.0 / 1260 - r / 1680))) / z
 
-    For b >= 50, lgamma(b) - lgamma(a + b) comes from Stirling's series
-    (truncation error < 1e-18), so it does not lose the ~1e-16 * lgamma(b)
-    that subtracting two large lgamma values would.
+
+def _beta_cf(a: float, b: float, x: float, y: float, lam: float) -> float:
+    """h with I_x(a, b) = x^a y^b / (a B(a, b)) * h, where y = 1 - x and
+    lam = a - (a + b) x are each formed from whichever of x and y is exact.
+
+    h = 1 / (1 + d1 / (1 + d2 / ...)) is Numerical Recipes' betacf fraction,
+    which converges quickly for x < (a+1)/(a+b+2).  Modified Lentz runs on
+    its even contraction h = 1 - d1 / (B1 + A2 / (B2 + ...)), one step a
+    pair of terms, with B_k = 1 + d_{2k-1} + d_{2k} = (u_k (1 + y) + a lam)
+    / ((a + 2k - 2)(a + 2k)), u_k = 2k (a + k - 1) - a, and A_k = -d_{2k-2}
+    d_{2k-1}, scaled to polynomials in k.  Built on lam (TOMS 708's lambda),
+    no coefficient is a difference of rounded numbers near 1; where the
+    fraction is used every B_k is positive, and so is every A_k up to the
+    integral b that ends it.
     """
-    if a > b:
-        a, b = b, a
-    if b < 50.0:
-        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-    def corr(z):  # lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2)
-        r = 1.0 / (z * z)
-        return (1.0 / 12 - r * (1.0 / 360 - r * (1.0 / 1260 - r / 1680))) / z
-
-    return (math.lgamma(a) - (b - 0.5) * math.log1p(a / b) - a * math.log(a + b)
-            + a + corr(b) - corr(a + b))
-
-
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """h with I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * h: the continued
-    fraction, by the modified Lentz method.
-
-    Converges quickly for x < (a+1)/(a+b+2) (Numerical Recipes, betacf).
-    """
-    apb, ap1, am1 = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - apb * x / ap1
-    d = 1.0 / (d if abs(d) > _TINY else _TINY)
-    h = d
-    for m in range(1, _CF_MAX_TERMS):
-        m2 = m + m
-        num = m * (b - m) * x / ((am1 + m2) * (a + m2))
-        d = 1.0 + num * d
-        d = 1.0 / (d if abs(d) > _TINY else _TINY)
-        c = 1.0 + num / c
-        if abs(c) < _TINY:
-            c = _TINY
-        h *= d * c
-        num = -(a + m) * (apb + m) * x / ((a + m2) * (ap1 + m2))
-        d = 1.0 + num * d
-        d = 1.0 / (d if abs(d) > _TINY else _TINY)
-        c = 1.0 + num / c
-        if abs(c) < _TINY:
-            c = _TINY
-        delta = d * c
-        h *= delta
+    apb, lam_a, y1, xx = a + b, a * lam, 1.0 + y, x * x
+    f = c = a * (a + 1.0) * (y1 + lam)  # B_1 scaled by a (a + 1) (a + 2)
+    d = k = 0.0
+    for _ in range(_CF_MAX_TERMS):
+        k += 1.0
+        a2k = a + k + k
+        num = k * (b - k) * (a + k) * (apb + k) * (a2k - 2.0) * (a2k + 2.0) * xx
+        den = (((k + k + 2.0) * (a + k) - a) * y1 + lam_a) * (a2k + 1.0)
+        d = 1.0 / (den + num * d)
+        c = den + num / c
+        delta = c * d
+        f *= delta
         if abs(delta - 1.0) < _CF_EPS:
-            return h
+            return 1.0 + apb * x * a * (a + 2.0) / f
     raise ArithmeticError(f"incomplete beta continued fraction did not converge"
                           f" for a={a}, b={b}, x={x}")
 
 
 def _beta_quantile(p: float, a: float, b: float, upper: bool) -> float:
-    """x with I_x(a, b) = p, or with 1 - I_x(a, b) = p when upper; a, b >= 1.
+    """x with I_x(a, b) = p, or with 1 - I_x(a, b) = p when upper, for
+    integral a, b >= 1: closed forms at a = 1 or b = 1.
 
     The requested tail T is evaluated on the side of the continued
     fraction's split, so a small T is never the difference of two numbers
-    near 1.  Householder steps of the third order on log T - log p (log T
-    is concave: the beta density is log-concave for a, b >= 1) start from
-    the Numerical Recipes invbetai guess, or deep in a tail from the tail's
-    leading term (where that guess can be off by orders of magnitude), and
+    near 1, and lam = a - (a + b) x comes from whichever of x and 1 - x is
+    exact; log(x^a (1-x)^b / B(a, b)) comes from lam and Stirling's formula,
+    so no lgamma(a + b) cancels.  Householder steps of the third order on
+    log T - log p (log T is concave: the beta density is log-concave for
+    a, b >= 1) start from the Numerical Recipes invbetai guess, or deep in a
+    tail from the tail's leading term (where that guess can be off by orders
+    of magnitude), refined on a Gamma model where one of a, b is small, and
     stay inside a bracket updated from the sign of the residual; a step that
     leaves the bracket is replaced by bisection.  The second and third
     derivatives of log T follow from its first and the log-density, so a
@@ -125,7 +119,16 @@ def _beta_quantile(p: float, a: float, b: float, upper: bool) -> float:
     from a start whose Newton step is below _STEP_RTOL one step is taken
     and not checked by a second evaluation.
     """
-    log_beta = _log_beta(a, b)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    if b == 1.0:  # I_x(a, 1) = x^a
+        return math.exp((log_q if upper else log_p) / a)
+    if a == 1.0:  # 1 - I_x(1, b) = (1 - x)^b
+        return -math.expm1((log_p if upper else log_q) / b)
+    apb, rest = a + b, _stirling_rest
+    # log of x0^a y0^b / B(a, b) at the mean x0 = a / (a + b), y0 = 1 - x0
+    log_peak = (0.5 * math.log(a * b / apb) - _HALF_LOG_2PI - rest(a) - rest(b)
+                + rest(apb))
+    log_beta = a * math.log(a / apb) + b * math.log(b / apb) - log_peak
     # Deep in a tail, T ~ x^a / (a B(a, b)) (lower) or (1-x)^b / (b B(a, b))
     # (upper); trust that form while the first neglected term is small.
     if upper:
@@ -148,25 +151,47 @@ def _beta_quantile(p: float, a: float, b: float, upper: bool) -> float:
              * (al + 5.0 / 6.0 - 2.0 / (3.0 * h)))
         x = a / (a + b * math.exp(min(2.0 * w, 700.0)))
     x = min(max(x, _TINY), _BELOW_ONE)
+    k = min(a, b)
+    if k < 20.0 and apb >= 4.0 * k and p > 1e-12:
+        # Beta(k, m), m large, is nearly Gamma(k) / nu, nu = m + (k - 1) / 2
+        # (TOMS 708's bgrat); the next factor 1 + (k - 1) t^2 / (24 nu^2) adds
+        # weight (P(k, t) - P(k + 2, t)) to Q(k, t), a finite sum whose 1 - Q
+        # keeps 4 digits to p = 1e-12.  Two Newton steps in log t refine x.
+        nu, small_a = apb - 0.5 * (k + 1.0), a == k
+        weight = 1.0 / (1.0 + 24.0 * nu * nu / ((k - 1.0) * k * (k + 1.0)))
+        u = math.log(-nu * (math.log1p(-x) if small_a else math.log(x)))
+        for _ in range(2):
+            t = math.exp(u)
+            terms = [t ** j / math.factorial(j) for j in range(int(k) + 2)]
+            q = math.exp(-t) * (sum(terms[:-2]) + weight * (terms[-2] + terms[-1]))
+            tail = max(q if small_a == upper else 1.0 - q, _TINY)
+            rate = math.exp(k * u - t - math.lgamma(k)) / tail  # |d log T / d log t|
+            u -= (math.log(tail) - log_p) / (-rate if small_a == upper else rate)
+        x = math.exp(u) / nu
+        x = min(max(-math.expm1(-x) if small_a else math.exp(-x), _TINY), _BELOW_ONE)
 
-    log_p = math.log(p)
     split = (a + 1.0) / (a + b + 2.0)
     lo, hi = 0.0, 1.0
     for _ in range(_QUANTILE_MAX_STEPS):
-        # front = x^a (1-x)^b / B(a, b); the density is front / (x (1-x))
-        log_front = a * math.log(x) + b * math.log1p(-x) - log_beta
+        # front = x^a y^b / B(a, b); the density is front / (x y)
+        y = 1.0 - x  # exact for x >= 1/2, where x is not
+        lam = a - apb * x if x < 0.5 else apb * y - b
+        t, s = -lam / a, lam / b  # x / x0 - 1 and y / y0 - 1
+        log_front = (log_peak
+                     + a * (math.log1p(t) if t > -0.5 else math.log(x * apb / a))
+                     + b * (math.log1p(s) if s > -0.5 else math.log(y * apb / b)))
         if x < split:
-            near, cf = not upper, _beta_cf(a, b, x) / a
+            near, cf = not upper, _beta_cf(a, b, x, y, lam) / a
         else:
-            near, cf = upper, _beta_cf(b, a, 1.0 - x) / b
+            near, cf = upper, _beta_cf(b, a, y, x, -lam) / b
         if near:  # T = front * cf
             log_tail = log_front + math.log(cf)
-            slope = 1.0 / (x * (1.0 - x) * cf)
+            slope = 1.0 / (x * y * cf)
         else:  # T = 1 - front * cf
             front = math.exp(log_front)
             tail = 1.0 - front * cf
             log_tail = math.log(tail)
-            slope = front / (x * (1.0 - x) * tail)
+            slope = front / (x * y * tail)
         if upper:
             slope = -slope  # d log T / dx
         residual = log_tail - log_p
@@ -180,13 +205,13 @@ def _beta_quantile(p: float, a: float, b: float, upper: bool) -> float:
             step = residual / slope  # Newton's step
             # L'' / L' and L''' / L' for L = log T and the log-density l:
             # L'' = L' (l' - L') and L''' = L'' (l' - L') + L' (l'' - L'')
-            bend = (a - 1.0) / x - (b - 1.0) / (1.0 - x) - slope
+            bend = (a - 1.0) / x - (b - 1.0) / y - slope
             twist = (bend * (bend - slope) - (a - 1.0) / (x * x)
-                     - (b - 1.0) / ((1.0 - x) * (1.0 - x)))
+                     - (b - 1.0) / (y * y))
             lean = step * bend
             quartic = x - step * (1.0 - 0.5 * lean) / (
                 1.0 - lean + step * step * twist / 6.0)  # Householder's step
-            if abs(step) <= max(_STEP_RTOL * min(x, 1.0 - x), math.ulp(x)):
+            if abs(step) <= max(_STEP_RTOL * min(x, y), math.ulp(x)):
                 return min(max(quartic, lo), hi)
             if lo < quartic < hi:
                 x = quartic
@@ -216,9 +241,9 @@ def clopper_pearson(wins: int, samples: int, confidence: float = 0.99
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     tail = (1.0 - confidence) / 2
     lo = 0.0 if wins == 0 else _beta_quantile(
-        tail, wins, samples - wins + 1, upper=False)
+        tail, float(wins), float(samples - wins + 1), upper=False)
     hi = 1.0 if wins == samples else _beta_quantile(
-        tail, wins + 1, samples - wins, upper=True)
+        tail, float(wins + 1), float(samples - wins), upper=True)
     return lo, hi
 
 

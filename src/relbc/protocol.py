@@ -22,7 +22,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapabilityError
 from .field import FieldSpec
@@ -245,7 +245,7 @@ def run_honest(params: ProtocolParams, d: int, seed: int = 0) -> Transcript:
     return Transcript(params, d, xs, responses, accepted)
 
 
-def hiding_distributions(params: ProtocolParams, rounds: Sequence[int]
+def hiding_distributions(params: ProtocolParams, rounds: Iterable[int]
                          ) -> list[dict[int, dict[tuple, Fraction]]]:
     """Exact distribution of the verifier's view through each of `rounds`,
     per bit, from one enumeration of the states of the last round
@@ -260,8 +260,12 @@ def hiding_distributions(params: ProtocolParams, rounds: Sequence[int]
     challenges and the first r responses, and every state of round r
     extends to the same number of states of round R, so counting the
     truncated views over R's states gives r's masses exactly.  The cap is
-    checked for each round, smallest first.
+    checked for each round, smallest first.  `rounds` may be any iterable
+    of round numbers; an empty one is rejected.
     """
+    rounds = tuple(rounds)
+    if not rounds:
+        raise ValueError("rounds must name at least one round")
     last = params.n_rounds
     for r in sorted(rounds):
         if not 1 <= r <= last:

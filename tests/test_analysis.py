@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -164,40 +165,109 @@ def test_clopper_pearson_against_exact_binomial_tail_at_10_4(wins):
                         hi, 0), (wins, confidence)
 
 
-@pytest.mark.parametrize("n", [100, 200, 10 ** 4, 10 ** 5, 10 ** 6])
+@pytest.mark.parametrize("n", [200] + [10 ** k for k in range(2, 10)])
 def test_clopper_pearson_matches_scipy(n):
-    """The upper endpoint is scipy's isf of the tail: ppf of 1 - alpha/2
-    can round the tail to a multiple of 2**-53 before inverting it."""
+    """Every endpoint lies within 1e-12 relative of scipy's beta.ppf (lower)
+    and beta.isf (upper; ppf of 1 - alpha/2 can round the tail to a
+    multiple of 2**-53 before inverting it), and mid-range endpoints at
+    n >= 10^8 within 5e-12.  The upper endpoints at wins 1-3 for
+    n >= 10^6 are left to the exact tails of the next test: there scipy
+    1.17.1's isf is itself up to 9e-9 off the exact binomial root."""
     stats = pytest.importorskip("scipy.stats")
     rng = random.Random(n)
     drawn = [rng.randrange(n + 1) for _ in range(20)]
-    for confidence in (0.9, 0.99, 1 - 1e-6, 1 - 1e-10):
+    edges = {0, 1, 2, 3, n - 1, n}
+    for confidence in (0.95, 0.99):
         alpha = 1 - confidence
-        for wins in (0, 1, n // 2, n - 78, n - 1, n, *drawn):
+        for wins in sorted({*edges, n // 2, *drawn}):
             lo = 0.0 if wins == 0 else stats.beta.ppf(alpha / 2, wins,
                                                       n - wins + 1)
             hi = 1.0 if wins == n else stats.beta.isf(alpha / 2, wins + 1,
                                                       n - wins)
-            assert clopper_pearson(wins, n, confidence) == pytest.approx(
-                (lo, hi), rel=1e-9, abs=0), (wins, n, confidence)
+            rel = 5e-12 if n >= 10 ** 8 and wins not in edges else 1e-12
+            got = clopper_pearson(wins, n, confidence)
+            case = (wins, n, confidence)
+            assert got[0] == pytest.approx(lo, rel=rel, abs=0), case
+            if not (n >= 10 ** 6 and wins in (1, 2, 3)):
+                assert got[1] == pytest.approx(hi, rel=rel, abs=0), case
+
+
+def _decimal_binomial_cdf(n, k, x: Decimal) -> Decimal:
+    """P(Bin(n, x) <= k) to 40 digits, from its k + 1 terms."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        log_rest = (1 - x).ln()
+        return sum(math.comb(n, j) * x ** j * ((n - j) * log_rest).exp()
+                   for j in range(k + 1))
+
+
+@pytest.mark.parametrize("n", [10 ** k for k in range(6, 10)])
+def test_clopper_pearson_solves_the_exact_tail_at_huge_n(n):
+    """Without scipy: at wins 1-3 each endpoint solves its binomial tail
+    equation to 1e-12 relative, P(X >= wins | lo) = alpha/2 and
+    P(X <= wins | hi) = alpha/2, each tail summed to 40 digits.  Endpoints
+    near 0 above the continued fraction's split once lost ~n * 1e-16 here."""
+    for confidence in (0.95, 0.99):
+        half = Decimal((1 - confidence) / 2)
+        for wins in (1, 2, 3):
+            lo, hi = clopper_pearson(wins, n, confidence)
+            for x, tail in ((lo, lambda x: 1 - _decimal_binomial_cdf(
+                                n, wins - 1, x)),
+                            (hi, lambda x: _decimal_binomial_cdf(n, wins, x))):
+                x = Decimal(x)
+                below, above = (tail(x * (1 - Decimal("1e-12"))),
+                                tail(x * (1 + Decimal("1e-12"))))
+                assert min(below, above) < half < max(below, above), (
+                    wins, n, confidence, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 200, 10 ** 4, 10 ** 6, 10 ** 9])
+def test_clopper_pearson_edge_endpoints_are_closed_forms(n):
+    """Beta(1, n) and Beta(n, 1) have closed-form quantiles, which the
+    edge endpoints return to within 4 ulp: hi(0, n) = 1 - (alpha/2)^(1/n)
+    and lo(n, n) = (alpha/2)^(1/n), and their mirrors lo(1, n) and
+    hi(n - 1, n) with 1 - alpha/2 in place of alpha/2."""
+    for confidence in (0.5, 0.95, 0.99, 1 - 1e-10):
+        half = (1 - confidence) / 2
+        pairs = [(clopper_pearson(0, n, confidence)[1],
+                  -math.expm1(math.log(half) / n)),
+                 (clopper_pearson(n, n, confidence)[0],
+                  math.exp(math.log(half) / n))]
+        if n >= 2:
+            pairs += [(clopper_pearson(1, n, confidence)[0],
+                       -math.expm1(math.log1p(-half) / n)),
+                      (clopper_pearson(n - 1, n, confidence)[1],
+                       math.exp(math.log1p(-half) / n))]
+        for got, want in pairs:
+            assert abs(got - want) <= 4 * math.ulp(want), (n, confidence)
 
 
 def test_clopper_pearson_costs_one_continued_fraction_an_endpoint(monkeypatch):
-    """At the Monte Carlo operating point each endpoint takes one continued
-    fraction: the start's Newton step is below the stopping size, and one
-    quartic step from it lands the endpoint."""
+    """Each endpoint takes at most one continued fraction: none where its
+    beta has a = 1 or b = 1 (a closed form), and elsewhere the start's
+    Newton step is below the stopping size at n = 2000 and 10^4, so one
+    quartic step from it lands the endpoint.  At n = 200 the starts for
+    wins 182-199 miss at most 5 times."""
     calls = []
     beta_cf = relbc.analysis._beta_cf
 
-    def counted(a, b, x):
-        calls.append(x)
-        return beta_cf(a, b, x)
+    def counted(*args):
+        calls.append(args)
+        return beta_cf(*args)
 
     monkeypatch.setattr(relbc.analysis, "_beta_cf", counted)
-    for wins in range(100, 9951):
+
+    def count(wins, n):
         calls.clear()
-        clopper_pearson(wins, 10 ** 4, 0.99)
-        assert len(calls) == 2, wins
+        clopper_pearson(wins, n, 0.99)
+        return len(calls)
+
+    for n in (2, 3, 200, 2000, 10 ** 4):
+        assert [count(wins, n) for wins in (0, n)] == [0, 0], n
+    for n in (2000, 10 ** 4):
+        for wins in range(1, n):
+            assert count(wins, n) == (wins != 1) + (wins != n - 1), (wins, n)
+    assert sum(count(wins, 200) for wins in range(182, 200)) <= 40
 
 
 def test_import_does_not_load_scipy():

@@ -241,6 +241,17 @@ def test_hiding_rejects_a_round_outside_the_protocol():
             hiding_distributions(params, (r,))
 
 
+def test_hiding_rejects_no_rounds():
+    with pytest.raises(ValueError, match="rounds must name at least one round"):
+        hiding_distributions(ProtocolParams(GF3, 3), ())
+
+
+def test_hiding_reads_rounds_from_an_iterator():
+    params = ProtocolParams(GF3, 3)
+    assert (hiding_distributions(params, iter([1, 2]))
+            == hiding_distributions(params, (1, 2)))
+
+
 def _chi_square_bound(df: int) -> float:
     """Wilson-Hilferty's upper quantile of chi-square with df degrees of
     freedom at the normal deviate 4.75: exceeded with probability ~1e-6."""
