@@ -111,13 +111,12 @@ def _beta_quantile(p: float, a: float, b: float, upper: bool) -> float:
     log T - log p (log T is concave: the beta density is log-concave for
     a, b >= 1) start from the Numerical Recipes invbetai guess, or deep in a
     tail from the tail's leading term (where that guess can be off by orders
-    of magnitude), refined on a Gamma model where one of a, b is small, and
-    stay inside a bracket updated from the sign of the residual; a step that
-    leaves the bracket is replaced by bisection.  The second and third
-    derivatives of log T follow from its first and the log-density, so a
-    step costs one continued fraction; the steps converge quartically, so
-    from a start whose Newton step is below _STEP_RTOL one step is taken
-    and not checked by a second evaluation.
+    of magnitude), and stay inside a bracket updated from the sign of the
+    residual; a step that leaves the bracket is replaced by bisection.  The
+    second and third derivatives of log T follow from its first and the
+    log-density, so a step costs one continued fraction; the steps converge
+    quartically, so from a start whose Newton step is below _STEP_RTOL one
+    step is taken and not checked by a second evaluation.
     """
     log_p, log_q = math.log(p), math.log1p(-p)
     if b == 1.0:  # I_x(a, 1) = x^a
@@ -151,24 +150,6 @@ def _beta_quantile(p: float, a: float, b: float, upper: bool) -> float:
              * (al + 5.0 / 6.0 - 2.0 / (3.0 * h)))
         x = a / (a + b * math.exp(min(2.0 * w, 700.0)))
     x = min(max(x, _TINY), _BELOW_ONE)
-    k = min(a, b)
-    if k < 20.0 and apb >= 4.0 * k and p > 1e-12:
-        # Beta(k, m), m large, is nearly Gamma(k) / nu, nu = m + (k - 1) / 2
-        # (TOMS 708's bgrat); the next factor 1 + (k - 1) t^2 / (24 nu^2) adds
-        # weight (P(k, t) - P(k + 2, t)) to Q(k, t), a finite sum whose 1 - Q
-        # keeps 4 digits to p = 1e-12.  Two Newton steps in log t refine x.
-        nu, small_a = apb - 0.5 * (k + 1.0), a == k
-        weight = 1.0 / (1.0 + 24.0 * nu * nu / ((k - 1.0) * k * (k + 1.0)))
-        u = math.log(-nu * (math.log1p(-x) if small_a else math.log(x)))
-        for _ in range(2):
-            t = math.exp(u)
-            terms = [t ** j / math.factorial(j) for j in range(int(k) + 2)]
-            q = math.exp(-t) * (sum(terms[:-2]) + weight * (terms[-2] + terms[-1]))
-            tail = max(q if small_a == upper else 1.0 - q, _TINY)
-            rate = math.exp(k * u - t - math.lgamma(k)) / tail  # |d log T / d log t|
-            u -= (math.log(tail) - log_p) / (-rate if small_a == upper else rate)
-        x = math.exp(u) / nu
-        x = min(max(-math.expm1(-x) if small_a else math.exp(-x), _TINY), _BELOW_ONE)
 
     split = (a + 1.0) / (a + b + 2.0)
     lo, hi = 0.0, 1.0
