@@ -5,10 +5,7 @@ from .adversary import (
     CausalModel,
     CheatStrategy,
     attack_base,
-    attack_general,
     build_attack,
-    desymmetrize,
-    extend_symmetrized,
     tower_gamma,
     zeros_strategy,
 )

@@ -31,9 +31,9 @@ plugged strategy's CHSH_Q win on (A, B).  A tower transcript therefore
 ends at eta_n = d * prod(silent challenges) * prod(step factors), the
 silent challenges being those of the k0 quiet prefix and of the padding
 rounds, and its verdict is the game's own win test, step by step, up to
-the first collapsing step.  Every tower builder (build_attack,
-attack_general, desymmetrize, extend_symmetrized, zeros_strategy) hands
-its strategy that step plan; no other strategy carries one.
+the first collapsing step.  The tower builders (build_attack, which
+cuts every tower with _attack, and zeros_strategy) hand their strategy
+that step plan; no other strategy carries one.
 
 Strategies are built in sign-flipped response space (see
 protocol.tilde_transform) and converted back at the boundary.
@@ -500,14 +500,15 @@ def _tower_rounds(spec: FieldSpec, steps: int, model: CausalModel,
 
 def _attack(spec: FieldSpec, variant: Variant, m: int, model: CausalModel,
             game_strategy: DetStrategy, rounds: tuple[RoundFn, ...],
-            plan: tuple[Step, ...], lineage: str) -> CheatStrategy:
+            plan: tuple[Step, ...]) -> CheatStrategy:
     """build_attack's strategy at length m, in one CheatStrategy, cut from
     the rounds and plan (_tower_rounds) of a tower of at least as many
     steps: the s steps that fit its symmetrized length n (m, or m - 1 when
     standard), then zero rounds up to m, with the k0 prefix and the
-    padding silent; with s = 0, zeros, every challenge silent.  Its lineage
-    wraps the tower's as extend_symmetrized and desymmetrize would; below
-    three rounds a standard protocol is zeros_strategy's."""
+    padding silent; with s = 0, zeros, every challenge silent.  Its
+    lineage is "general", wrapped in pad+e(...) for e padding rounds and
+    in desymmetrize(...) when standard; below three rounds a standard
+    protocol is zeros_strategy's."""
     standard = variant is Variant.STANDARD
     if standard and m < 3:
         return zeros_strategy(spec, variant, m, model)
@@ -516,7 +517,7 @@ def _attack(spec: FieldSpec, variant: Variant, m: int, model: CausalModel,
     if s:
         tower = model.k0 + s * (model.rho + 1)
         silent = (*range(model.k0), *range(tower, n))
-        lineage = lineage if n == tower else f"pad+{n - tower}({lineage})"
+        lineage = "general" if n == tower else f"pad+{n - tower}(general)"
     else:
         tower, silent, lineage, game_strategy = 0, range(n), "zeros", None
     if standard:
@@ -539,7 +540,8 @@ def _planned(strategy: CheatStrategy, silent: Iterable[int],
 
 def attack_base(spec: FieldSpec, m: int, game_strategy: DetStrategy
                 ) -> CheatStrategy:
-    """Recursive attack on the symmetrized protocol, three rounds per step.
+    """Recursive attack on the symmetrized protocol, three rounds per step:
+    build_attack's tower at rho = 2, k0 = 0.
 
     Requires m to be a positive multiple of 3; use build_attack for other
     lengths.  The plugged game strategy is evaluated on uniform inputs.
@@ -548,74 +550,13 @@ def attack_base(spec: FieldSpec, m: int, game_strategy: DetStrategy
         raise ValueError(
             f"the three-round tower needs m to be a positive multiple of 3"
             f" (got {m}); use build_attack to pad other lengths")
-    return attack_general(spec, m, CausalModel(rho=2, k0=0), game_strategy,
-                          lineage="base")
-
-
-def attack_general(spec: FieldSpec, m: int, model: CausalModel,
-                   game_strategy: DetStrategy, lineage: str = "general"
-                   ) -> CheatStrategy:
-    """Recursive attack with rho+1 rounds per step and a quiet prefix of k0.
-
-    The plugged strategy plays on products of rho/2 fresh challenges per
-    side, so each side's game input is 0 with probability
-    gamma = 1 - (1 - 1/Q)^(rho/2); the strategy should be chosen for that
-    biased input distribution.
-    """
-    steps, rem = divmod(m - model.k0, model.rho + 1)
-    if steps < 1 or rem != 0:
-        nearest = model.k0 + max(1, steps) * (model.rho + 1)
-        raise ValueError(
-            f"m = {m} is not of tower form k0 + k*(rho+1) with k >= 1 for"
-            f" {model}; nearest valid tower is m = {nearest}")
-    return _attack(spec, Variant.SYMMETRIZED, m, model, game_strategy,
-                   *_tower_rounds(spec, steps, model, game_strategy), lineage)
+    return build_attack(spec, Variant.SYMMETRIZED, m, CausalModel(),
+                        game_strategy)
 
 
 def tower_gamma(spec: FieldSpec, model: CausalModel) -> Fraction:
     """Probability that one side's windowed challenge product is zero."""
     return 1 - (1 - Fraction(1, spec.q)) ** (model.rho // 2)
-
-
-def desymmetrize(s: CheatStrategy) -> CheatStrategy:
-    """Turn a symmetrized-variant strategy into one for the next-longer
-    standard protocol by appending a constant-zero final round.
-
-    The acceptance condition of the longer protocol with a zero final
-    response is exactly the symmetrized condition, so the probability
-    carries over unchanged.
-    """
-    if s.variant is not Variant.SYMMETRIZED:
-        raise ValueError("desymmetrize expects a symmetrized-variant strategy")
-    longer = CheatStrategy(s.field, Variant.STANDARD, s.m + 1, s.model,
-                           s.rounds + (_zero_round,),
-                           lineage=f"desymmetrize({s.lineage})",
-                           game_strategy=s.game_strategy)
-    # the final round has no challenge, so the plan is s's
-    return longer if s._step_plan is None else _planned(longer, *s._step_plan)
-
-
-def extend_symmetrized(s: CheatStrategy, extra: int) -> CheatStrategy:
-    """Pad a symmetrized strategy with silent rounds.
-
-    Each padding round leaves the acceptance deficit multiplied by
-    (1 - 1/Q): the new condition holds when the old one did or the new
-    final challenge is zero.
-    """
-    if s.variant is not Variant.SYMMETRIZED:
-        raise ValueError("extend_symmetrized expects a symmetrized strategy")
-    if extra < 0:
-        raise ValueError("extra must be >= 0")
-    if extra == 0:
-        return s
-    padded = CheatStrategy(s.field, Variant.SYMMETRIZED, s.m + extra, s.model,
-                           s.rounds + (_zero_round,) * extra,
-                           lineage=f"pad+{extra}({s.lineage})",
-                           game_strategy=s.game_strategy)
-    if s._step_plan is None:
-        return padded
-    silent, steps = s._step_plan
-    return _planned(padded, silent + tuple(range(s.m, s.m + extra)), steps)
 
 
 def zeros_strategy(spec: FieldSpec, variant: Variant, m: int,
@@ -636,6 +577,9 @@ def build_attack(spec: FieldSpec, variant: Variant, m: int,
 
     Builds the largest strict tower that fits and pads the remaining rounds
     with silent rounds (symmetrized) or the silent final round (standard).
+    The plugged strategy plays on products of rho/2 challenges per side,
+    each 0 with probability tower_gamma(spec, model), so it should be
+    chosen for that biased input distribution.
     """
     return next(_build_attacks(spec, variant, (m,), model, game_strategy))
 
@@ -653,5 +597,4 @@ def _build_attacks(spec: FieldSpec, variant: Variant, lengths: Iterable[int],
     layout = _tower_rounds(spec, (longest - model.k0) // (model.rho + 1),
                            model, game_strategy)
     for m in lengths:
-        yield _attack(spec, variant, m, model, game_strategy, *layout,
-                      "general")
+        yield _attack(spec, variant, m, model, game_strategy, *layout)

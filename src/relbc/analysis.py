@@ -103,6 +103,10 @@ def _beta_quantile(p: float, a: float, b: float, upper: bool) -> float:
     """x with I_x(a, b) = p, or with 1 - I_x(a, b) = p when upper, for
     integral a, b >= 1: closed forms at a = 1 or b = 1.
 
+    p is a tail alpha/2 as clopper_pearson passes it, 5.5e-17 <= p < 1/2.
+    Nothing checks p, and far below that range the result can be NaN: at
+    p = 1e-300 (a = 2, b = 10^7, lower tail) it is.
+
     The requested tail T is evaluated on the side of the continued
     fraction's split, so a small T is never the difference of two numbers
     near 1, and lam = a - (a + b) x comes from whichever of x and 1 - x is

@@ -8,9 +8,12 @@ the inputs its rounds should not see, independently of the read checks
 that the tower makes when it builds its rounds.  derive_step_plan
 recovers a tower's step plan from its rounds alone, by their types, marks,
 windows and tables, for the tests to check each builder's own plan against.
-build_attack_alone builds one length's attack from a tower laid out for
-that length alone, for the strategies a sweep cuts from its longest tower
-to equal.
+desymmetrize and extend_symmetrized compose a symmetrized strategy with
+a silent final round or silent padding rounds, carrying its step plan;
+they are the reference for the lineages, plans and values that
+relbc.adversary._attack writes into one strategy.  build_attack_alone
+composes them with build_attack's tower laid out for one length alone,
+for the strategies a sweep cuts from its longest tower to equal.
 accepted_inputs calls accepts once on every input, the per-input verdict
 that the batch verdicts are checked against.  symmetrize_up lifts a
 standard-variant strategy to the symmetrized protocol for the
@@ -34,9 +37,8 @@ from operator import itemgetter
 from typing import Optional
 
 from relbc import (CausalModel, CheatStrategy, FieldSpec, GameDist, Variant,
-                   adversary, attack_general, desymmetrize, extend_symmetrized,
-                   zeros_strategy)
-from relbc.adversary import _GameRound, _zero_round
+                   adversary, build_attack, zeros_strategy)
+from relbc.adversary import _GameRound, _planned, _zero_round
 from relbc.games import _game_tables, _greedy_best
 from relbc.protocol import _ByteStream
 
@@ -81,6 +83,47 @@ def symmetrize_up(s: CheatStrategy) -> CheatStrategy:
                          game_strategy=s.game_strategy)
 
 
+def desymmetrize(s: CheatStrategy) -> CheatStrategy:
+    """Turn a symmetrized-variant strategy into one for the next-longer
+    standard protocol by appending a constant-zero final round.
+
+    The acceptance condition of the longer protocol with a zero final
+    response is exactly the symmetrized condition, so the probability
+    carries over unchanged.
+    """
+    if s.variant is not Variant.SYMMETRIZED:
+        raise ValueError("desymmetrize expects a symmetrized-variant strategy")
+    longer = CheatStrategy(s.field, Variant.STANDARD, s.m + 1, s.model,
+                           s.rounds + (_zero_round,),
+                           lineage=f"desymmetrize({s.lineage})",
+                           game_strategy=s.game_strategy)
+    # the final round has no challenge, so the plan is s's
+    return longer if s._step_plan is None else _planned(longer, *s._step_plan)
+
+
+def extend_symmetrized(s: CheatStrategy, extra: int) -> CheatStrategy:
+    """Pad a symmetrized strategy with silent rounds.
+
+    Each padding round leaves the acceptance deficit multiplied by
+    (1 - 1/Q): the new condition holds when the old one did or the new
+    final challenge is zero.
+    """
+    if s.variant is not Variant.SYMMETRIZED:
+        raise ValueError("extend_symmetrized expects a symmetrized strategy")
+    if extra < 0:
+        raise ValueError("extra must be >= 0")
+    if extra == 0:
+        return s
+    padded = CheatStrategy(s.field, Variant.SYMMETRIZED, s.m + extra, s.model,
+                           s.rounds + (_zero_round,) * extra,
+                           lineage=f"pad+{extra}({s.lineage})",
+                           game_strategy=s.game_strategy)
+    if s._step_plan is None:
+        return padded
+    silent, steps = s._step_plan
+    return _planned(padded, silent + tuple(range(s.m, s.m + extra)), steps)
+
+
 def accepted_inputs(strategy: CheatStrategy) -> list[bool]:
     """accepts on every input (d, challenges), d-major in product order,
     one call per input."""
@@ -97,7 +140,7 @@ def tower_step(fn: _GameRound) -> tuple[int, int]:
 
 def build_attack_alone(spec: FieldSpec, variant: Variant, m: int,
                        model: CausalModel, game_strategy) -> CheatStrategy:
-    """build_attack's strategy at length m from attack_general's tower of
+    """build_attack's strategy at length m from build_attack's tower of
     the largest strict length that fits, laid out for it alone and padded
     by extend_symmetrized (symmetrized) or desymmetrize (standard, from
     length m - 1); zeros_strategy below one tower step, and for a
@@ -113,7 +156,8 @@ def build_attack_alone(spec: FieldSpec, variant: Variant, m: int,
         return zeros_strategy(spec, variant, m, model)
     tower_m = model.k0 + steps * (model.rho + 1)
     return extend_symmetrized(
-        attack_general(spec, tower_m, model, game_strategy), m - tower_m)
+        build_attack(spec, variant, tower_m, model, game_strategy),
+        m - tower_m)
 
 
 def derive_step_plan(strategy: CheatStrategy):

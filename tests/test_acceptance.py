@@ -19,12 +19,10 @@ from relbc import (
     ProtocolParams,
     Variant,
     attack_base,
-    attack_general,
     best_response_search,
     brute_force_value,
-    desymmetrize,
+    build_attack,
     exact_cheat_probability,
-    extend_symmetrized,
     hiding_distributions,
     mc_cheat_probability,
     shift_strategy,
@@ -36,7 +34,8 @@ from relbc import (
     zeros_strategy,
 )
 
-from oracles import causality_check, symmetrize_up
+from oracles import (causality_check, desymmetrize, extend_symmetrized,
+                     symmetrize_up)
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -220,13 +219,15 @@ def test_criterion_06_generalized_attack():
         assert gamma == Fraction(3, 4)
         plugged = brute_force_value(GameDist(GF2, gamma)).strategy
         w_gamma = win_probability(plugged, GameDist(GF2, gamma))
-        got = exact_cheat_probability(attack_general(GF2, 5, model, plugged))
+        got = exact_cheat_probability(
+            build_attack(GF2, Variant.SYMMETRIZED, 5, model, plugged))
         assert got == 1 - Fraction(1, 2) * Fraction(1, 2) * (1 - w_gamma)
 
         opt = brute_force_value(GameDist.uniform(GF2)).strategy
         for m in (3, 6):
             a = attack_base(GF2, m, opt)
-            b = attack_general(GF2, m, CausalModel(rho=2, k0=0), opt)
+            b = build_attack(GF2, Variant.SYMMETRIZED, m,
+                             CausalModel(rho=2, k0=0), opt)
             for d in (0, 1):
                 for xs in itertools.product(range(2), repeat=m):
                     assert a.responses(d, xs) == b.responses(d, xs)
@@ -256,8 +257,9 @@ def test_criterion_08_causality_compliance():
         attacks = [
             attack_base(GF2, 6, opt2),
             attack_base(GF3, 3, opt3),
-            attack_general(GF2, 5, slow, plugged),
-            attack_general(GF2, 8, CausalModel(rho=2, k0=2), opt2),
+            build_attack(GF2, Variant.SYMMETRIZED, 5, slow, plugged),
+            build_attack(GF2, Variant.SYMMETRIZED, 8,
+                         CausalModel(rho=2, k0=2), opt2),
             zeros_strategy(GF2, Variant.SYMMETRIZED, 5),
         ]
         for s in attacks:

@@ -18,12 +18,9 @@ from relbc import (
     ProtocolParams,
     Variant,
     attack_base,
-    attack_general,
     brute_force_value,
     build_attack,
-    desymmetrize,
     exact_cheat_probability,
-    extend_symmetrized,
     tower_gamma,
     verify_values,
     win_probability,
@@ -32,7 +29,8 @@ from relbc import (
 from relbc.adversary import _check_reads, _GameRound, _planned
 
 from oracles import (accepted_inputs, causality_check, compute_eta,
-                     derive_step_plan, symmetrize_up)
+                     derive_step_plan, desymmetrize, extend_symmetrized,
+                     symmetrize_up)
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -165,7 +163,8 @@ def test_towers_pass_their_read_check(rho):
         model = CausalModel(rho=rho, k0=k0)
         for steps in (1, 2, 3):
             m = k0 + steps * (rho + 1)
-            assert len(attack_general(GF2, m, model, OPT2).rounds) == m
+            tower = build_attack(GF2, Variant.SYMMETRIZED, m, model, OPT2)
+            assert len(tower.rounds) == m
 
 
 def test_tower_rejects_a_model_that_hides_its_reads():
@@ -176,7 +175,7 @@ def test_tower_rejects_a_model_that_hides_its_reads():
     # the second round of the step reads x_1 alongside its own x_3
     with pytest.raises(LookupError,
                        match="challenge x_1 is not visible at round 3"):
-        attack_general(GF2, 3, Blind(), OPT2)
+        build_attack(GF2, Variant.SYMMETRIZED, 3, Blind(), OPT2)
 
 
 def test_compute_eta_zero_iff_condition_holds():
@@ -262,22 +261,16 @@ def test_step_recurrence():
 
 
 def test_attack_general_base_specialization():
-    # rho=2, k0=0 reproduces attack_base round for round
+    # the general tower at rho=2, k0=0 reproduces attack_base round for
+    # round, and attack_base carries its lineage
     for m in (3, 6):
         a = attack_base(GF2, m, OPT2)
-        b = attack_general(GF2, m, CausalModel(rho=2, k0=0), OPT2)
+        b = build_attack(GF2, Variant.SYMMETRIZED, m,
+                         CausalModel(rho=2, k0=0), OPT2)
+        assert a.lineage == b.lineage == "general"
         for d in (0, 1):
             for xs in itertools.product(range(2), repeat=m):
                 assert a.responses(d, xs) == b.responses(d, xs)
-
-
-def test_attack_general_tower_form_validation():
-    with pytest.raises(ValueError, match="tower"):
-        attack_general(GF2, 4, CausalModel(rho=2, k0=0), OPT2)
-    with pytest.raises(ValueError, match="tower"):
-        attack_general(GF2, 2, CausalModel(rho=4, k0=0), OPT2)
-    with pytest.raises(ValueError):
-        attack_general(GF2, 3, BASE, OPT3)  # field mismatch
 
 
 def test_tower_gamma():
@@ -290,7 +283,7 @@ def test_attack_general_slow_propagation_value():
     model = CausalModel(rho=4, k0=0)
     gamma = tower_gamma(GF2, model)
     plugged = brute_force_value(GameDist(GF2, gamma)).strategy
-    s = attack_general(GF2, 5, model, plugged)
+    s = build_attack(GF2, Variant.SYMMETRIZED, 5, model, plugged)
     w_gamma = win_probability(plugged, GameDist(GF2, gamma))
     expect = 1 - Fraction(1, 2) * Fraction(1, 2) * (1 - w_gamma)
     assert exact_cheat_probability(s) == expect
@@ -299,7 +292,7 @@ def test_attack_general_slow_propagation_value():
 def test_attack_general_delayed_decision():
     # k0 = 3 quiet rounds shrink the d=1 branch by (1-1/Q)^k0
     model = CausalModel(rho=2, k0=3)
-    s = attack_general(GF2, 6, model, OPT2)
+    s = build_attack(GF2, Variant.SYMMETRIZED, 6, model, OPT2)
     w = win_probability(OPT2, GameDist.uniform(GF2))
     expect = 1 - (Fraction(1, 2) * (1 - Fraction(1, 2)) ** 3
                   * (1 - Fraction(1, 2)) * (1 - w))
@@ -409,8 +402,8 @@ def test_causality_check_passes_constructed_attacks():
     strategies = [
         attack_base(GF2, 6, OPT2),
         attack_base(GF3, 3, OPT3),
-        attack_general(GF2, 5, CausalModel(rho=4, k0=0),
-                       brute_force_value(GameDist(GF2, Fraction(3, 4))).strategy),
+        build_attack(GF2, Variant.SYMMETRIZED, 5, CausalModel(rho=4, k0=0),
+                     brute_force_value(GameDist(GF2, Fraction(3, 4))).strategy),
         build_attack(GF2, Variant.STANDARD, 5, BASE, OPT2),
         zeros_strategy(GF2, Variant.SYMMETRIZED, 4),
     ]
@@ -555,8 +548,9 @@ def test_builders_lay_out_the_plan_a_walk_over_their_rounds_finds(spec):
     # the rounds it built: build_attack at every length up to two steps
     # and two padding rounds (the shortest fit no step and give
     # zeros_strategy) for rho in {2, 4, 6} and k0 in {0, 1, 2};
-    # desymmetrize and extend_symmetrized of a one-step tower and of the
-    # all-zeros strategy; zeros_strategy at m = 1..4
+    # the reference composition (desymmetrize and extend_symmetrized) of
+    # a one-step tower and of the all-zeros strategy; zeros_strategy at
+    # m = 1..4
     game = DetStrategy.random(spec, random.Random(f"plan:{spec.q}"))
     built = []
     for rho in (2, 4, 6):
@@ -565,7 +559,8 @@ def test_builders_lay_out_the_plan_a_walk_over_their_rounds_finds(spec):
             for variant in Variant:
                 built += [build_attack(spec, variant, m, model, game)
                           for m in range(2, k0 + 2 * (rho + 1) + 3)]
-            tower = attack_general(spec, k0 + rho + 1, model, game)
+            tower = build_attack(spec, Variant.SYMMETRIZED, k0 + rho + 1,
+                                 model, game)
             zeros = zeros_strategy(spec, Variant.SYMMETRIZED, 3, model)
             for base in (tower, zeros):
                 for extra in (0, 1, 3):
@@ -784,7 +779,8 @@ def test_step_factor_is_zero_exactly_when_the_step_collapses(spec, rho):
     steps = 2 if spec.q ** (2 * span) <= 5 ** 6 else 1
     for seed in range(3):
         game = DetStrategy.random(spec, random.Random(f"win:{spec.q}:{rho}:{seed}"))
-        tower = attack_general(spec, steps * span, model, game)
+        tower = build_attack(spec, Variant.SYMMETRIZED, steps * span,
+                             model, game)
         silent, plan_steps = tower._step_plan
         assert silent == () and [step[0] for step in plan_steps] \
             == [(s + 1) * span - 1 for s in range(steps)]

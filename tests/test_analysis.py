@@ -743,7 +743,7 @@ def test_a_sweep_lays_its_longest_tower_out_once(monkeypatch):
 
 
 def test_every_attack_is_one_strategy_object(monkeypatch):
-    # a sweep row, build_attack, attack_general and attack_base each make
+    # a sweep row, build_attack and attack_base each make
     # one CheatStrategy, a padded standard row too (standard m = 8 holds
     # two steps, one padding round and the silent final round)
     init, built = CheatStrategy.__post_init__, []
@@ -759,7 +759,7 @@ def test_every_attack_is_one_strategy_object(monkeypatch):
     built.clear()
     build_attack(GF2, Variant.STANDARD, 30, BASE, OPT2)
     build_attack(GF2, Variant.SYMMETRIZED, 10, BASE, OPT2)
-    adversary.attack_general(GF2, 8, CausalModel(rho=2, k0=2), OPT2)
+    build_attack(GF2, Variant.SYMMETRIZED, 8, CausalModel(rho=2, k0=2), OPT2)
     attack_base(GF2, 9, OPT2)
     assert built == [30, 10, 8, 9]
 

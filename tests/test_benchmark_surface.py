@@ -1,0 +1,65 @@
+"""The names the benchmark harness (perfbench/) reaches in relbc.
+
+perfbench imports public names from relbc, calls methods on them and
+patches CheatStrategy methods through the class __dict__; a name that
+leaves the package would break its runs.  These checks read perfbench's
+source, so they run without its dependencies.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import relbc
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SOURCES = sorted(PERFBENCH.glob("*.py"))
+
+
+def _imported_from_relbc(tree: ast.AST) -> set[str]:
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "relbc"
+            and node.level == 0 for alias in node.names}
+
+
+def test_perfbench_sources_are_found():
+    assert {"instrument.py", "probes.py", "workloads.py"} \
+        <= {path.name for path in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_perfbench_imports_and_attributes_are_public(path):
+    # every `from relbc import ...` name is in relbc.__all__, and every
+    # attribute read off such a name (DetStrategy.random, .zeros,
+    # GameDist.uniform, ...) exists
+    tree = ast.parse(path.read_text())
+    names = _imported_from_relbc(tree)
+    assert names <= set(relbc.__all__), names - set(relbc.__all__)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in names):
+            assert hasattr(getattr(relbc, node.value.id), node.attr), \
+                f"{node.value.id}.{node.attr}"
+
+
+def test_perfbench_game_methods_exist():
+    # GameDist.mass is read off an instance, which the attribute scan
+    # above does not see; the two class methods are named here as well
+    assert callable(relbc.GameDist.mass)
+    assert callable(relbc.DetStrategy.random)
+    assert callable(relbc.DetStrategy.zeros)
+
+
+def test_perfbench_spanned_methods_are_in_their_class_dict():
+    # instrument.Tracer patches each method through cls.__dict__[name]
+    tree = ast.parse((PERFBENCH / "instrument.py").read_text())
+    spanned = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["SPANNED_METHODS"])
+    assert spanned
+    for layer, cls_name, methods in spanned:
+        cls = getattr(importlib.import_module(f"relbc.{layer}"), cls_name)
+        for method in methods:
+            assert method in cls.__dict__, f"{cls_name}.{method}"
