@@ -51,6 +51,7 @@ from functools import cached_property, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from .errors import FieldMismatchError
 from .field import FieldSpec
 from .games import DetStrategy
 from .protocol import (ProtocolParams, Variant, _ByteStream, tilde,
@@ -479,7 +480,7 @@ def _tower_rounds(spec: FieldSpec, steps: int, model: CausalModel,
     so the tower of s <= steps steps is the first k0 + s*(rho+1) rounds
     and the first s steps of this one (_attack)."""
     if game_strategy.field != spec:
-        raise ValueError("game strategy is over a different field")
+        raise FieldMismatchError("game strategy is over a different field")
     rho, k0 = model.rho, model.k0
     n = k0 + steps * (rho + 1)
     s1, s2 = game_strategy.s1, game_strategy.s2

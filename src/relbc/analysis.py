@@ -8,8 +8,8 @@ found by inverting the regularized incomplete beta function I_x(a, b): a
 Lentz continued fraction, contracted to one step a pair of terms, evaluates
 the tail, and safeguarded quartic (third-order Householder) steps solve for
 x.  The bound formulas are the tower lower bound
-1 - (1/2)*((1-1/Q)(1-w))^floor((m-k0-1)/(rho+1)) and the heuristic upper
-comparison 1/2 + c*m/sqrt(Q).
+1 - (1/2)*((1-1/Q)(1-w))^max(0, floor((m-k0-1)/(rho+1))), one formula at
+every length, and the heuristic upper comparison 1/2 + c*m/sqrt(Q).
 """
 
 from __future__ import annotations
@@ -326,17 +326,13 @@ def theory_lower_bound(m: int, q: int, w, rho: int = 2, k0: int = 0) -> Fraction
 
     Valid for any feasible game-strategy value w substituted for the game
     optimum; (rho=2, k0=0) gives the base three-round form with exponent
-    floor((m-1)/3).
+    floor((m-1)/3).  The exponent counts full tower steps and is 0, the
+    bound 1/2, at every length with none, m <= k0 included.
     """
     w = Fraction(w)
     if not 0 <= w <= 1:
         raise ValueError(f"w must lie in [0, 1], got {w}")
-    if rho == 2 and k0 == 0:
-        if m < 3:
-            raise ValueError(f"the base bound needs m >= 3, got {m}")
-    elif m < k0 + 2:
-        raise ValueError(f"the general bound needs m >= k0 + 2, got m={m}, k0={k0}")
-    exponent = (m - k0 - 1) // (rho + 1)
+    exponent = max(0, (m - k0 - 1) // (rho + 1))
     return _survival(q, exponent, w, exponent)
 
 
@@ -359,17 +355,16 @@ def theory_upper_bound(m: int, q: int, c: float = 1.0) -> float:
 def _closed_form(q: int, variant: Variant, m: int, model: CausalModel,
                  w_gamma: Optional[Fraction]) -> Fraction:
     """predicted_attack_probability from the plugged strategy's w_gamma
-    (None when no strategy is plugged): the deficit shrinks by 1 - 1/Q in
-    every round outside the tower steps and once per step, and by
-    1 - w_gamma per step."""
+    (None when no strategy is plugged, and then no step is taken): the
+    deficit shrinks by 1 - 1/Q in every round outside the tower steps and
+    once per step, and by 1 - w_gamma per step, of which there are none
+    below k0 + rho + 1 rounds."""
     if Variant(variant) is Variant.STANDARD:
         # the symmetrized attack on m - 1 rounds, desymmetrized; below
         # m - 1 = 2 no step fits and the deficit is (1/2)(1 - 1/Q)
         m = max(m - 1, 1)
-    steps = (m - model.k0) // (model.rho + 1)
-    if steps < 1 or w_gamma is None:
-        return _survival(q, m, Fraction(0), 0)
-    return _survival(q, m - steps * model.rho, w_gamma, steps)
+    steps = 0 if w_gamma is None else max(0, (m - model.k0) // (model.rho + 1))
+    return _survival(q, m - steps * model.rho, w_gamma or Fraction(0), steps)
 
 
 def predicted_attack_probability(spec: FieldSpec, variant: Variant, m: int,
@@ -480,13 +475,10 @@ def _evaluate(strategy: CheatStrategy, method: str, samples: int, seed: int,
         exact, mc = None, mc_cheat_probability(strategy, samples, seed)
     else:
         raise ValueError(f"unknown method {method!r}")
-    # Below one tower step the bound's exponent is 0 and its value 1/2;
-    # theory_lower_bound rejects the shortest of those lengths.
-    lower = (theory_lower_bound(m, q, w, model.rho, model.k0)
-             if m - model.k0 - 1 >= model.rho + 1 else Fraction(1, 2))
     return AttackRow(q, m, params.variant, model.rho, model.k0, w, exact, mc,
                      _closed_form(q, params.variant, m, model, w_gamma),
-                     lower, theory_upper_bound(m, q, upper_c), upper_c)
+                     theory_lower_bound(m, q, w, model.rho, model.k0),
+                     theory_upper_bound(m, q, upper_c), upper_c)
 
 
 def evaluate(strategy: CheatStrategy, method: str = "exact",

@@ -352,7 +352,7 @@ def closed_form_fractions(q: int, variant: Variant, m: int,
 def lower_bound_fractions(m: int, q: int, w, rho: int = 2,
                           k0: int = 0) -> Fraction:
     """analysis.theory_lower_bound's value as a chain of Fraction
-    operations, for inputs that theory_lower_bound accepts."""
-    exponent = (m - k0 - 1) // (rho + 1)
+    operations; the exponent counts full tower steps, 0 when none fits."""
+    exponent = max(0, (m - k0 - 1) // (rho + 1))
     factor = (1 - Fraction(1, q)) * (1 - Fraction(w))
     return 1 - Fraction(1, 2) * factor ** exponent

@@ -13,6 +13,7 @@ from relbc import (
     CausalModel,
     CheatStrategy,
     DetStrategy,
+    FieldMismatchError,
     FieldSpec,
     GameDist,
     ProtocolParams,
@@ -22,6 +23,7 @@ from relbc import (
     build_attack,
     exact_cheat_probability,
     tower_gamma,
+    trend_sweep,
     verify_values,
     win_probability,
     zeros_strategy,
@@ -387,6 +389,17 @@ def test_build_attack_rejects_strategy_over_another_field(m, variant):
     # also at lengths where no tower step fits and no strategy is plugged
     with pytest.raises(ValueError, match="different field"):
         build_attack(GF2, variant, m, BASE, OPT3)
+
+
+def test_strategy_over_another_field_raises_field_mismatch():
+    # the error type games._check_same_field raises, whichever entry
+    # point reaches the strategy first
+    with pytest.raises(FieldMismatchError, match="different field"):
+        build_attack(GF2, Variant.STANDARD, 4, BASE, OPT3)
+    with pytest.raises(FieldMismatchError, match="different field"):
+        attack_base(GF2, 3, OPT3)
+    with pytest.raises(FieldMismatchError):
+        trend_sweep(GF2, [2, 5], OPT3)
 
 
 def test_d_zero_always_accepted():

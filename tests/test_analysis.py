@@ -36,6 +36,7 @@ from relbc import (
     run_honest,
     theory_lower_bound,
     theory_upper_bound,
+    tower_gamma,
     trend_sweep,
     win_probability,
     write_sweep_csv,
@@ -500,8 +501,7 @@ def test_theory_lower_bound_base():
     assert theory_lower_bound(4, 2, w) == Fraction(15, 16)
     assert theory_lower_bound(6, 2, w) == Fraction(15, 16)
     assert theory_lower_bound(7, 2, w) == 1 - Fraction(1, 2) * Fraction(1, 8) ** 2
-    with pytest.raises(ValueError):
-        theory_lower_bound(2, 2, w)
+    assert theory_lower_bound(2, 2, w) == Fraction(1, 2)
     with pytest.raises(ValueError):
         theory_lower_bound(3, 2, Fraction(3, 2))
 
@@ -511,8 +511,7 @@ def test_theory_lower_bound_general():
     # exponent floor((m - k0 - 1)/(rho + 1))
     assert theory_lower_bound(10, 2, w, rho=4, k0=0) \
         == 1 - Fraction(1, 2) * (Fraction(1, 2) * Fraction(1, 2)) ** 1
-    with pytest.raises(ValueError):
-        theory_lower_bound(3, 2, w, rho=2, k0=2)
+    assert theory_lower_bound(3, 2, w, rho=2, k0=2) == Fraction(1, 2)
 
 
 def test_constructed_attack_meets_lower_bound():
@@ -569,9 +568,31 @@ def test_integer_closed_forms_match_fraction_chains(q):
             if w is None:
                 continue
             for m in ms:
-                if m >= k0 + 2 and (m >= 3 or (rho, k0) != (2, 0)):
-                    assert theory_lower_bound(m, q, w, rho, k0) \
-                        == lower_bound_fractions(m, q, w, rho, k0)
+                assert theory_lower_bound(m, q, w, rho, k0) \
+                    == lower_bound_fractions(m, q, w, rho, k0)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("rho,k0", itertools.product((2, 4), (0, 1, 2)))
+@pytest.mark.parametrize("spec,opt", [(GF2, OPT2), (GF3, OPT3)],
+                         ids=["gf2", "gf3"])
+def test_rows_use_the_one_bound_formula_at_every_length(spec, opt, rho, k0,
+                                                        variant):
+    # from the shortest legal length through the first tower step, every
+    # row's bound is theory_lower_bound's, 1/2 with no full step, and its
+    # enumerated value is the closed form's
+    model = CausalModel(rho=rho, k0=k0)
+    w_gamma = win_probability(opt, GameDist(spec, tower_gamma(spec, model)))
+    first = 2 if variant is Variant.SYMMETRIZED else 1
+    ms = range(first, k0 + rho + 3)
+    rows = trend_sweep(spec, ms, opt, model, variant)
+    assert [row.m for row in rows] == list(ms)
+    for row in rows:
+        m, q = row.m, spec.q
+        assert row.lower_bound == theory_lower_bound(m, q, row.w, rho, k0) \
+            == lower_bound_fractions(m, q, row.w, rho, k0)
+        assert row.exact == row.closed_form \
+            == closed_form_fractions(q, variant, m, model, w_gamma)
 
 
 def test_closed_form_matches_enumeration_q3():

@@ -1,13 +1,15 @@
 """The names the benchmark harness (perfbench/) reaches in relbc.
 
-perfbench imports public names from relbc, calls methods on them and
-patches CheatStrategy methods through the class __dict__; a name that
-leaves the package would break its runs.  These checks read perfbench's
+perfbench imports public names from relbc, calls them and methods on
+them, and patches CheatStrategy methods through the class __dict__; a
+name that leaves the package, or a signature that no longer takes one of
+its calls, would break its runs.  These checks read perfbench's
 source, so they run without its dependencies.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,31 @@ def test_perfbench_imports_and_attributes_are_public(path):
                 and node.value.id in names):
             assert hasattr(getattr(relbc, node.value.id), node.attr), \
                 f"{node.value.id}.{node.attr}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_perfbench_calls_bind_to_relbc_signatures(path):
+    # every call of an imported name, or of an attribute read off one,
+    # passes a positional count and keyword names its target accepts
+    tree = ast.parse(path.read_text())
+    names = _imported_from_relbc(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            target = getattr(relbc, func.id)
+        elif (isinstance(func, ast.Attribute)
+              and isinstance(func.value, ast.Name)
+              and func.value.id in names):
+            target = getattr(getattr(relbc, func.value.id), func.attr)
+        else:
+            continue
+        try:
+            inspect.signature(target).bind(
+                *node.args, **{kw.arg: kw.value for kw in node.keywords})
+        except TypeError as exc:
+            pytest.fail(f"{path.name}:{node.lineno} {ast.unparse(func)}: {exc}")
 
 
 def test_perfbench_game_methods_exist():

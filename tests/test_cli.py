@@ -640,8 +640,8 @@ def _predicted(p, m, variant, rho, k0):
 
 @pytest.mark.parametrize("m, k0", [(2, 0), (3, 2)])
 def test_attack_below_the_bound_domain(m, k0):
-    # theory_lower_bound rejects these lengths; the row reports its
-    # exponent-0 value 1/2
+    # no full tower step fits: the bound's exponent is 0 and the row
+    # reports its value 1/2
     result = invoke("attack", "--p", "2", "--m", str(m), "--k0", str(k0))
     assert result.exit_code == 0, result.stderr
     report = json.loads(result.output)["report"]
