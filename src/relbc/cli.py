@@ -80,7 +80,11 @@ def load_config(path: str) -> dict[str, str]:
 def _field_from(p: int, n: int, modulus: str) -> FieldSpec:
     mod = None
     if modulus:
-        mod = [int(c) for c in modulus.replace(" ", "").split(",")]
+        try:
+            mod = [int(c) for c in modulus.replace(" ", "").split(",")]
+        except ValueError:
+            raise ValueError(f"--modulus {modulus!r} is not a comma list of"
+                             " integers") from None
     return FieldSpec(p, n, mod)
 
 
@@ -265,11 +269,14 @@ def _plugged_strategy(spec, model, source, path, restarts, seed):
         if not path:
             raise ValueError("--strategy-file is required with --strategy file")
         with open(path) as fh:
-            data = json.load(fh)
-        try:
-            return DetStrategy.from_dict(data)
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"malformed strategy file {path}: {exc}") from None
+            try:
+                return DetStrategy.from_dict(json.load(fh))
+            except KeyError as exc:
+                raise ValueError(
+                    f"malformed strategy file {path}: missing key {exc}; it"
+                    " must be a JSON object with field, s1 and s2") from None
+            except (TypeError, json.JSONDecodeError) as exc:
+                raise ValueError(f"malformed strategy file {path}: {exc}") from None
     dist = GameDist(spec, tower_gamma(spec, model))
     return _game_result(dist, source, restarts, 200, seed).strategy
 
@@ -400,7 +407,7 @@ def cmd_hiding(p, n, modulus, m, variant, out):
     """Verify exact view-distribution equality for every pre-reveal prefix."""
     params = ProtocolParams(_field_from(p, n, modulus), m, Variant(variant))
     # every prefix is the full view truncated: one enumeration for all
-    *views, full = hiding_distributions(params, range(1, params.n_rounds + 1))
+    *views, full = hiding_distributions(params)
     prefixes = [{"upto_round": r, "equal": dists[0] == dists[1]}
                 for r, dists in enumerate(views, 1)]
     _write_json(_document(params.field, {

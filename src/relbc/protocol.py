@@ -22,7 +22,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CapabilityError
 from .field import FieldSpec
@@ -245,54 +245,38 @@ def run_honest(params: ProtocolParams, d: int, seed: int = 0) -> Transcript:
     return Transcript(params, d, xs, responses, accepted)
 
 
-def hiding_distributions(params: ProtocolParams, rounds: Iterable[int]
+def hiding_distributions(params: ProtocolParams
                          ) -> list[dict[int, dict[tuple, Fraction]]]:
-    """Exact distribution of the verifier's view through each of `rounds`,
-    per bit, from one enumeration of the states of the last round
-    R = max(rounds).
+    """Exact per-bit distributions of the verifier's view through each
+    round 1..n_rounds, in order, from one enumeration of the full states.
 
     The view is (challenges sent, responses received).  For every prefix
     strictly before the final reveal the two per-bit distributions are
     identical (perfect hiding); at the full length they differ.
 
-    A state is the challenges and the shares a round's view depends on.
-    Round r's view is round R's view truncated to the first min(r, n)
-    challenges and the first r responses, and every state of round r
-    extends to the same number of states of round R, so counting the
-    truncated views over R's states gives r's masses exactly.  The cap is
-    checked for each round, smallest first.  `rounds` may be any iterable
-    of round numbers; an empty one is rejected.
+    A state is every challenge and the n_rounds - 1 shares the responses
+    depend on.  Round r's view is the full view truncated to the first
+    min(r, n_challenges) challenges and r responses; each of r's states
+    extends to equally many full states, so counting the truncated views
+    gives r's masses exactly.  The cap applies to the
+    2*Q^(n_challenges + n_rounds - 1) states enumerated.
     """
-    rounds = tuple(rounds)
-    if not rounds:
-        raise ValueError("rounds must name at least one round")
-    last = params.n_rounds
-    for r in sorted(rounds):
-        if not 1 <= r <= last:
-            raise ValueError(f"upto_round must lie in 1..{last}")
-        states = params.field.q ** (min(r, params.n_challenges)
-                                    + min(r, last - 1))
-        if 2 * states > HIDING_STATE_CAP:
-            raise CapabilityError(
-                f"hiding enumeration needs {2 * states} states"
-                f" (cap {HIDING_STATE_CAP})")
-    top = max(rounds)
     q = params.field.q
-    n_x = min(top, params.n_challenges)
-    n_a = min(top, last - 1)
-    states = q ** (n_x + n_a)
-    pad_x = (0,) * (params.n_challenges - n_x)
-    pad_a = (0,) * (last - n_a)
-    cuts = [min(r, params.n_challenges) for r in rounds]
-    out: list[dict[int, dict[tuple, Fraction]]] = [{} for _ in rounds]
+    last = params.n_rounds
+    states = q ** (params.n_challenges + last - 1)
+    if 2 * states > HIDING_STATE_CAP:
+        raise CapabilityError(
+            f"hiding enumeration needs {2 * states} states"
+            f" (cap {HIDING_STATE_CAP})")
+    cuts = [(min(r, params.n_challenges), r) for r in range(1, last + 1)]
+    out: list[dict[int, dict[tuple, Fraction]]] = [{} for _ in cuts]
     for d in (0, 1):
-        counts: list[dict[tuple, int]] = [{} for _ in rounds]
-        for xs in itertools.product(range(q), repeat=n_x):
-            full_xs = xs + pad_x
+        counts: list[dict[tuple, int]] = [{} for _ in cuts]
+        for xs in itertools.product(range(q), repeat=params.n_challenges):
             views = [(count, xs[:cut], r)
-                     for count, cut, r in zip(counts, cuts, rounds)]
-            for a in itertools.product(range(q), repeat=n_a):
-                ys = honest_responses(params, d, a + pad_a, full_xs)
+                     for count, (cut, r) in zip(counts, cuts)]
+            for a in itertools.product(range(q), repeat=last - 1):
+                ys = honest_responses(params, d, a, xs)
                 for count, seen, r in views:
                     key = (seen, ys[:r])
                     count[key] = count.get(key, 0) + 1

@@ -241,8 +241,7 @@ def test_criterion_07_perfect_hiding():
                     if variant is Variant.SYMMETRIZED and m < 2:
                         continue
                     params = ProtocolParams(spec, m, variant)
-                    *views, full = hiding_distributions(
-                        params, range(1, params.n_rounds + 1))
+                    *views, full = hiding_distributions(params)
                     for dist in views:
                         assert dist[0] == dist[1]
                     assert full[0] != full[1]

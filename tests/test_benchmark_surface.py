@@ -79,14 +79,31 @@ def test_perfbench_game_methods_exist():
     assert callable(relbc.DetStrategy.zeros)
 
 
+def _instrument_constant(name: str):
+    tree = ast.parse((PERFBENCH / "instrument.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == [name])
+
+
 def test_perfbench_spanned_methods_are_in_their_class_dict():
     # instrument.Tracer patches each method through cls.__dict__[name]
-    tree = ast.parse((PERFBENCH / "instrument.py").read_text())
-    spanned = next(ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign)
-                   and [t.id for t in node.targets] == ["SPANNED_METHODS"])
+    spanned = _instrument_constant("SPANNED_METHODS")
     assert spanned
     for layer, cls_name, methods in spanned:
         cls = getattr(importlib.import_module(f"relbc.{layer}"), cls_name)
         for method in methods:
             assert method in cls.__dict__, f"{cls_name}.{method}"
+
+
+def test_perfbench_op_counter_targets_exist():
+    # instrument.OpCounter patches FieldSpec's FIELD_OPS and
+    # CheatStrategy.responses through cls.__dict__[name], and rebinds
+    # relbc.protocol.verify_values wherever it is bound
+    ops = _instrument_constant("FIELD_OPS")
+    assert ops
+    for op in ops:
+        assert op in relbc.FieldSpec.__dict__, f"FieldSpec.{op}"
+    assert "responses" in relbc.CheatStrategy.__dict__
+    assert inspect.isfunction(importlib.import_module("relbc.protocol")
+                              .verify_values)

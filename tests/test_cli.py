@@ -103,6 +103,12 @@ def test_field_check_reducible_modulus_exits_config():
     assert result.exit_code == 2
 
 
+def test_field_check_non_integer_modulus_names_the_option():
+    result = invoke("field-check", "--p", "2", "--n", "2", "--modulus", "a,b")
+    _assert_config_error(result)
+    assert "--modulus 'a,b' is not a comma list of integers" in result.stderr
+
+
 def test_field_check_zero_degree_exits_config():
     result = invoke("field-check", "--n", "0")
     _assert_config_error(result)
@@ -392,20 +398,23 @@ def test_attack_config_value_of_wrong_type_exits_config(tmp_path):
 _GF2 = {"p": 2, "n": 1, "modulus": [0, 1]}
 
 
-@pytest.mark.parametrize("body", [
-    {"field": _GF2, "s1": 5, "s2": [0, 0]},
-    {"field": _GF2, "s1": ["a", 1], "s2": [0, 0]},
-    {"field": 2, "s1": [0, 1], "s2": [0, 0]},
-    [0, 1],
-    {"field": _GF2, "s1": [0.5, 1], "s2": [0, 0]},
-])
-def test_attack_malformed_strategy_file_exits_config(tmp_path, body):
+@pytest.mark.parametrize("text, says", [
+    (json.dumps({"field": _GF2, "s1": 5, "s2": [0, 0]}), ""),
+    (json.dumps({"field": _GF2, "s1": ["a", 1], "s2": [0, 0]}), ""),
+    (json.dumps({"field": 2, "s1": [0, 1], "s2": [0, 0]}), ""),
+    (json.dumps([0, 1]), ""),
+    (json.dumps({"field": _GF2, "s1": [0.5, 1], "s2": [0, 0]}), ""),
+    (json.dumps({"s1": [0, 1], "s2": [0, 0]}),
+     "missing key 'field'; it must be a JSON object with field, s1 and s2"),
+    ("not json", "Expecting value"),
+], ids=[f"body{i}" for i in range(7)])
+def test_attack_malformed_strategy_file_exits_config(tmp_path, text, says):
     spath = tmp_path / "strategy.json"
-    spath.write_text(json.dumps(body))
+    spath.write_text(text)
     result = invoke("attack", "--p", "2", "--m", "4", "--strategy", "file",
                     "--strategy-file", str(spath))
     _assert_config_error(result)
-    assert "malformed strategy file" in result.stderr
+    assert f"malformed strategy file {spath}: {says}" in result.stderr
 
 
 def _replay_config(tmp_path, name, config):
@@ -688,8 +697,8 @@ def test_hiding_ok():
 
 def test_hiding_property_failure_exit(monkeypatch):
     # a leaky protocol must yield the property-failure exit code
-    def leaky(params, rounds):
-        return [{0: {"x": 1}, 1: {"y": 1}} for _ in rounds]
+    def leaky(params):
+        return [{0: {"x": 1}, 1: {"y": 1}} for _ in range(params.n_rounds)]
 
     monkeypatch.setattr(cli, "hiding_distributions", leaky)
     result = invoke("hiding", "--p", "2", "--m", "3")

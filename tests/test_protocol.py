@@ -201,8 +201,9 @@ def test_perfect_hiding_before_reveal(spec, m):
         if variant is Variant.SYMMETRIZED and m < 2:
             continue
         params = ProtocolParams(spec, m, variant)
-        for upto in range(1, params.n_rounds):
-            dist = hiding_distributions(params, (upto,))[0]
+        *views, _ = hiding_distributions(params)
+        assert len(views) == params.n_rounds - 1
+        for dist in views:
             assert dist[0] == dist[1]
             assert sum(dist[0].values()) == 1
 
@@ -210,46 +211,39 @@ def test_perfect_hiding_before_reveal(spec, m):
 def test_reveal_discloses_bit():
     for variant in (Variant.STANDARD, Variant.SYMMETRIZED):
         params = ProtocolParams(GF2, 3, variant)
-        dist = hiding_distributions(params, (params.n_rounds,))[0]
+        dist = hiding_distributions(params)[-1]
         assert dist[0] != dist[1]
 
 
 def test_hiding_single_round():
     params = ProtocolParams(GF3, 1)
-    dist = hiding_distributions(params, (1,))[0]
+    dist, full = hiding_distributions(params)
     assert dist[0] == dist[1]
-    full = hiding_distributions(params, (2,))[0]
     assert full[0] != full[1]
 
 
 def test_hiding_distribution_is_exact():
     params = ProtocolParams(GF2, 3)
-    dist = hiding_distributions(params, (2,))[0]
+    dist = hiding_distributions(params)[1]
     for mass in dist[0].values():
         assert isinstance(mass, Fraction)
 
 
 def test_hiding_capability_cap():
     with pytest.raises(CapabilityError):
-        hiding_distributions(ProtocolParams(FieldSpec(5), 8), (7,))
+        hiding_distributions(ProtocolParams(FieldSpec(5), 8))
 
 
-def test_hiding_rejects_a_round_outside_the_protocol():
-    params = ProtocolParams(GF2, 3)
-    for r in (0, params.n_rounds + 1):
-        with pytest.raises(ValueError, match=r"upto_round must lie in 1\.\.3"):
-            hiding_distributions(params, (r,))
-
-
-def test_hiding_rejects_no_rounds():
-    with pytest.raises(ValueError, match="rounds must name at least one round"):
-        hiding_distributions(ProtocolParams(GF3, 3), ())
-
-
-def test_hiding_reads_rounds_from_an_iterator():
-    params = ProtocolParams(GF3, 3)
-    assert (hiding_distributions(params, iter([1, 2]))
-            == hiding_distributions(params, (1, 2)))
+@pytest.mark.parametrize("q, m, variant, states", [
+    (7, 6, Variant.STANDARD, 564950498),
+    (5, 8, Variant.SYMMETRIZED, 61035156250),
+])
+def test_hiding_cap_error_names_the_states_enumerated(q, m, variant, states):
+    # 2*Q^(n_challenges + n_rounds - 1): every state of the last round
+    params = ProtocolParams(FieldSpec(q), m, variant)
+    assert states == 2 * q ** (params.n_challenges + params.n_rounds - 1)
+    with pytest.raises(CapabilityError, match=f"needs {states} states"):
+        hiding_distributions(params)
 
 
 def _chi_square_bound(df: int) -> float:
